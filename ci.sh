@@ -32,6 +32,11 @@ python3 tools/lint_bit_identity.py --root .
 python3 tools/lint_bit_identity.py --self-test
 python3 bench/check_baselines.py --lint-config
 
+echo "=== Repository benchmark: build + tiny smoke pass of every workload ==="
+# Builds perfbench/ against the library sources (Release, into
+# .bench_build/) and runs each workload's bit-equality and metric checks.
+python3 perfbench/tests/test_perfbench.py
+
 echo "=== UndefinedBehaviorSanitizer (full suite) ==="
 cmake --preset ubsan
 cmake --build --preset ubsan -j "${jobs}"
@@ -50,4 +55,5 @@ fi
 echo "CI OK: both configurations built warning-clean, all suites passed"
 echo "(including the scalar-only kernel arms), the threaded suites are"
 echo "TSan-clean, the suite is UBSan-clean, and the bit-identity linter"
-echo "and its self-tests are green."
+echo "and its self-tests are green, and the benchmark builds and passes its"
+echo "own checks."

@@ -170,15 +170,21 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(server.generation()));
 
   // Spot check: the live server now answers with the final winner's
-  // kernels, bit for bit.
-  Rng rng(99);
-  const Grid<double> probe = random_tile(64, rng);
-  const FastLitho direct = FastLitho::from_model(
-      controller.replica(stats.final_winner).model(), cfg.resist_threshold);
-  const bool identical =
-      server.submit(probe, 32).get() == direct.aerial_from_mask(probe, 32);
-  std::printf("spot check vs final winner's direct FastLitho: %s\n",
-              identical ? "bit-identical" : "MISMATCH");
+  // kernels, bit for bit (when the last round published one; a round with
+  // no finite held-out loss publishes nothing, and fails the run).
+  bool identical = false;
+  if (stats.rounds.back().winner >= 0) {
+    Rng rng(99);
+    const Grid<double> probe = random_tile(64, rng);
+    const FastLitho direct = FastLitho::from_model(
+        controller.replica(stats.final_winner).model(), cfg.resist_threshold);
+    identical =
+        server.submit(probe, 32).get() == direct.aerial_from_mask(probe, 32);
+    std::printf("spot check vs final winner's direct FastLitho: %s\n",
+                identical ? "bit-identical" : "MISMATCH");
+  } else {
+    std::printf("spot check skipped: the last round had no finite loss\n");
+  }
 
   // Unified metrics snapshot: serving shards, tournament outcome and
   // per-replica trainer phase seconds from the one shared registry.

@@ -1,5 +1,8 @@
 #include "fft/spectral.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/check.hpp"
 #include "fft/fft.hpp"
 
@@ -101,10 +104,21 @@ Grid<cd> fft2_crop_centered(const Grid<double>& img, int crop) {
   // A[k] = (Z[k] + conj(Z[-k]))/2 and B[k] = (Z[k] - conj(Z[-k]))/(2i)
   // (DESIGN.md §5.5).  Only the crop band is ever unpacked, so the split
   // costs O(rows * crop) against the O(rows * cols log cols) it halves.
+  // Manhattan rasters repeat rows, so a pair whose bytes equal the previous
+  // pair's (rows are contiguous: a pair is one 2*cols span) copies that
+  // pair's band instead: same input bits, same output bits.  memcmp, not ==,
+  // so +0.0 never aliases -0.0 and a NaN pair still matches itself.
+  const std::size_t pair_bytes =
+      2 * static_cast<std::size_t>(cols) * sizeof(double);
   int r = 0;
   for (; r + 1 < rows; r += 2) {
     const double* a = img.row(r);
     const double* b = img.row(r + 1);
+    if (r >= 2 && std::memcmp(img.row(r - 2), a, pair_bytes) == 0) {
+      std::copy_n(partial.row(r - 2), crop, partial.row(r));
+      std::copy_n(partial.row(r - 1), crop, partial.row(r + 1));
+      continue;
+    }
     for (int c = 0; c < cols; ++c) buf[c] = cd(a[c], b[c]);
     row_plan.forward(buf.data(), row_scratch);
     for (int k = -half; k <= half; ++k) {

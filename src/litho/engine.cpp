@@ -22,20 +22,39 @@ constexpr std::int64_t kGrain = 8;
 // their reduction order are identical regardless of which window ran it.
 constexpr std::int64_t kMaxPartialBytes = 256 << 20;
 
+// In-place transpose of a square grid: pure data movement.
+void transpose_square(Grid<double>& g) {
+  const int n = g.rows();
+  double* d = g.data();
+  for (int r = 0; r < n; ++r) {
+    for (int c = r + 1; c < n; ++c) {
+      std::swap(d[static_cast<std::size_t>(r) * n + c],
+                d[static_cast<std::size_t>(c) * n + r]);
+    }
+  }
+}
+
 }  // namespace
 
-/// Per-thread scratch: the out_px^2 field buffer the fused scatter writes
-/// into (row-major, cache-line aligned for the SIMD kernels — DESIGN.md
-/// §13.3) and the FFT workspace (column buffer + Bluestein scratch).
+/// Per-thread scratch (cache-line aligned for the SIMD kernels — DESIGN.md
+/// §13.3): the kdim x out_px band the fused scatter writes into (row i is
+/// field row scatter_[i]; every other field row is structurally zero), the
+/// transposed out_px x out_px column batch the band is gathered into
+/// (column c is the contiguous segment [c*out_px, (c+1)*out_px)), and the
+/// FFT workspace for Bluestein scratch.
 struct AerialEngine::Workspace {
-  explicit Workspace(int out_px)
+  Workspace(int out_px, int kdim)
       : out(out_px),
-        field(static_cast<std::size_t>(out_px) * static_cast<std::size_t>(out_px)) {}
-  cd* row(int r) {
-    return field.data() + static_cast<std::size_t>(r) * static_cast<std::size_t>(out);
+        band(static_cast<std::size_t>(kdim) * static_cast<std::size_t>(out_px)),
+        cols(static_cast<std::size_t>(out_px) *
+             static_cast<std::size_t>(out_px)) {}
+  cd* band_row(int i) {
+    return band.data() +
+           static_cast<std::size_t>(i) * static_cast<std::size_t>(out);
   }
   int out;
-  aligned_vector<cd> field;
+  aligned_vector<cd> band;
+  aligned_vector<cd> cols;
   Fft2Workspace fft;
 };
 
@@ -65,8 +84,6 @@ AerialEngine::AerialEngine(
   for (int r = 0; r < kdim_; ++r) {
     scatter_[static_cast<std::size_t>(r)] = (e0 + r + sh) % out_px_;
   }
-  band_rows_.assign(scatter_.begin(), scatter_.end());
-  std::sort(band_rows_.begin(), band_rows_.end());
 }
 
 AerialEngine::~AerialEngine() = default;
@@ -81,7 +98,7 @@ std::unique_ptr<AerialEngine::Workspace> AerialEngine::acquire_workspace()
       return ws;
     }
   }
-  return std::make_unique<Workspace>(out_px_);
+  return std::make_unique<Workspace>(out_px_, kdim_);
 }
 
 void AerialEngine::release_workspace(std::unique_ptr<Workspace> ws) const {
@@ -96,8 +113,8 @@ void AerialEngine::release_workspace(std::unique_ptr<Workspace> ws) const {
 void AerialEngine::accumulate_kernel(const Grid<cd>& kernel,
                                      const Grid<cd>& spectrum, int r0, int c0,
                                      Workspace& ws,
-                                     Grid<double>& local) const {
-  std::fill(ws.field.begin(), ws.field.end(), cd(0.0, 0.0));
+                                     Grid<double>& local_t) const {
+  std::fill(ws.band.begin(), ws.band.end(), cd(0.0, 0.0));
   // Fused crop -> kernel-multiply -> embed/shift: the product of kernel and
   // cropped-spectrum entries goes straight to its post-ifftshift slot.  The
   // column map (e0 + c + sh) mod out ascends by 1 per kernel column, so a
@@ -109,7 +126,7 @@ void AerialEngine::accumulate_kernel(const Grid<cd>& kernel,
   for (int r = 0; r < kdim_; ++r) {
     const cd* krow = kernel.row(r);
     const cd* srow = spectrum.row(r0 + r) + c0;
-    cd* frow = ws.row(scatter_[static_cast<std::size_t>(r)]);
+    cd* frow = ws.band_row(r);
     simd::cmul(frow + seg_start, krow, srow, seg1);
     simd::cmul(frow, krow + seg1, srow + seg1, kdim_ - seg1);
   }
@@ -117,29 +134,38 @@ void AerialEngine::accumulate_kernel(const Grid<cd>& kernel,
   // structurally zero row inverse-transforms to (signed) zeros, which only
   // ever enter the column pass additively, and |.|^2 erases the sign of
   // zero — so skipping them cannot change any bit of the intensity
-  // (DESIGN.md §6.3).
+  // (DESIGN.md §6.3).  The band rows are contiguous, so the row pass is one
+  // many-transform call.
+  const int n = out_px_;
   cd* scratch = ws.fft.scratch_for(*out_plan_);
-  for (const int r : band_rows_) {
-    out_plan_->inverse(ws.row(r), scratch);
+  out_plan_->inverse_many(ws.band.data(), kdim_, scratch);
+  // Column pass as one batch: gather the band transposed, each column a
+  // contiguous segment whose non-band rows are the +0 the full field held.
+  // For radix-2 sizes each value lands on its bit-reversed position, so the
+  // batch skips the input permutation (pure data movement, same bits);
+  // Bluestein sizes gather in natural order.
+  cd* cols = ws.cols.data();
+  std::fill(ws.cols.begin(), ws.cols.end(), cd(0.0, 0.0));
+  const int* rev = out_plan_->bitrev_table();
+  for (int i = 0; i < kdim_; ++i) {
+    const int fr = scatter_[static_cast<std::size_t>(i)];
+    cd* dst = cols + (rev != nullptr ? rev[fr] : fr);
+    const cd* src = ws.band_row(i);
+    for (int c = 0; c < n; ++c) dst[static_cast<std::size_t>(c) * n] = src[c];
   }
-  cd* col = ws.fft.col_buffer(out_px_);
-  const cd* field = ws.field.data();
-  for (int c = 0; c < out_px_; ++c) {
-    for (int r = 0; r < out_px_; ++r) {
-      col[r] = field[static_cast<std::size_t>(r) * out_px_ + c];
-    }
-    out_plan_->inverse(col, scratch);
-    for (int r = 0; r < out_px_; ++r) {
-      ws.field[static_cast<std::size_t>(r) * out_px_ + c] = col[r];
-    }
+  if (rev != nullptr) {
+    out_plan_->inverse_many_prerev(cols, n, scratch);
+  } else {
+    out_plan_->inverse_many(cols, n, scratch);
   }
   // Undo the inverse transforms' 1/out^2 so the field matches the
   // unnormalized Hopkins convention (DESIGN.md §5.1), then accumulate the
-  // coherent intensity.  The kernel's scale-then-square order reproduces
-  // the historical arithmetic exactly.
-  const double scale = static_cast<double>(out_px_) * out_px_;
-  simd::abs2_scale_accum(local.data(), field, scale,
-                         static_cast<std::int64_t>(local.size()));
+  // coherent intensity into the transposed partial: elementwise, so every
+  // pixel sees the same operations in the same kernel order.  The kernel's
+  // scale-then-square order reproduces the historical arithmetic exactly.
+  const double scale = static_cast<double>(n) * n;
+  simd::abs2_scale_accum(local_t.data(), cols, scale,
+                         static_cast<std::int64_t>(local_t.size()));
 }
 
 Grid<double> AerialEngine::aerial(const Grid<cd>& spectrum) const {
@@ -196,6 +222,7 @@ std::vector<Grid<double>> AerialEngine::aerial_batch(
         accumulate_kernel(kernels[static_cast<std::size_t>(i)], spectrum, r0,
                           c0, *ws, local);
       }
+      transpose_square(local);  // column-major accumulator -> row-major
       partial[static_cast<std::size_t>(ti)] = std::move(local);
       release_workspace(std::move(ws));
     });

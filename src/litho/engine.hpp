@@ -15,13 +15,15 @@
 // ifftshift(center_embed(K . c, out_px, out_px)) would hold, and rows of
 // that grid that are structurally zero are skipped — a pruning that cannot
 // change any output bit because zero rows only ever enter the column pass
-// additively and |.|^2 erases the sign of zero (DESIGN.md §6.3).
+// additively and |.|^2 erases the sign of zero (DESIGN.md §6.3).  The
+// column pass runs as one transposed many-transform batch (pre-bit-reversed
+// for radix-2 out_px) whose per-column arithmetic is unchanged.
 //
 // Thread-safety: aerial / aerial_batch may be called concurrently from
 // multiple threads (workspaces are leased from an internal pool), but not
 // from inside a parallel_for callback — the shared thread pool does not
 // nest.  The pool retains at most parallel_workers() + 4 idle workspaces
-// (~out_px^2 complex doubles each); a burst of extra concurrent callers
+// (~(out_px + kdim) * out_px complex doubles each); a burst of extra concurrent callers
 // allocates transient workspaces that are freed on release instead of
 // pinning memory for the engine's lifetime.
 
@@ -77,7 +79,7 @@ class AerialEngine {
   void release_workspace(std::unique_ptr<Workspace> ws) const;
   void accumulate_kernel(const Grid<cd>& kernel, const Grid<cd>& spectrum,
                          int r0, int c0, Workspace& ws,
-                         Grid<double>& local) const;
+                         Grid<double>& local_t) const;
 
   std::shared_ptr<const std::vector<Grid<cd>>> kernels_;
   int kdim_ = 0;
@@ -86,11 +88,10 @@ class AerialEngine {
   /// bad out_px fails with the engine's own diagnostics and no plan is
   /// inserted into the process-wide cache.
   const FftPlan<double>* out_plan_ = nullptr;
-  /// embed+ifftshift target index per kernel row/column (DESIGN.md §6.2).
+  /// embed+ifftshift target index per kernel row/column (DESIGN.md §6.2);
+  /// the image of the rows is the band, the only field rows that are not
+  /// structurally zero.
   std::vector<int> scatter_;
-  /// Sorted field rows that receive kernel data; the only rows the inverse
-  /// transform's row pass must touch.
-  std::vector<int> band_rows_;
 
   mutable Mutex ws_mu_;
   mutable std::vector<std::unique_ptr<Workspace>> ws_pool_

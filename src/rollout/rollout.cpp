@@ -77,10 +77,11 @@ void RolloutController::set_observer(obs::MetricsRegistry* registry,
     g_round_seconds_ = &registry->gauge("rollout.round_seconds");
     g_generation_ = &registry->gauge("rollout.generation");
     c_swaps_ = &registry->counter("rollout.swaps");
+    c_unranked_ = &registry->counter("rollout.unranked_rounds");
   } else {
     g_round_ = g_winner_ = g_winner_loss_ = g_winner_lr_ = nullptr;
     g_round_seconds_ = g_generation_ = nullptr;
-    c_swaps_ = nullptr;
+    c_swaps_ = c_unranked_ = nullptr;
   }
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     replicas_[i]->trainer().set_observer(
@@ -143,29 +144,38 @@ RoundResult RolloutController::run_round(serve::LithoServer* server) {
   span_end("train", t_train);
 
   // Rank phase: held-out loss, deterministic (ordered reduction inside
-  // evaluate_nitho; ties break toward the lowest replica id).
+  // evaluate_nitho; ties break toward the lowest replica id).  Only finite
+  // losses rank: a diverged replica can neither win nor be published.
   const std::int64_t t_rank = span_begin();
   res.eval_losses.reserve(replicas_.size());
-  res.winner = 0;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     const double loss = replicas_[i]->evaluate(holdout_, cfg_.eval_batch);
     res.eval_losses.push_back(loss);
-    if (loss < res.eval_losses[static_cast<std::size_t>(res.winner)]) {
+    if (std::isfinite(loss) &&
+        (res.winner < 0 ||
+         loss < res.eval_losses[static_cast<std::size_t>(res.winner)])) {
       res.winner = static_cast<int>(i);
     }
   }
-  TrainerReplica& winner = *replicas_[static_cast<std::size_t>(res.winner)];
-  res.winner_loss = res.eval_losses[static_cast<std::size_t>(res.winner)];
-  res.winner_lr = winner.trainer().config().lr;
   span_end("rank", t_rank);
+  // No finite loss: nothing is published and nobody adopts; the round is
+  // recorded with winner -1.
+  TrainerReplica* winner = nullptr;
+  if (res.winner >= 0) {
+    winner = replicas_[static_cast<std::size_t>(res.winner)].get();
+    res.winner_loss = res.eval_losses[static_cast<std::size_t>(res.winner)];
+    res.winner_lr = winner->trainer().config().lr;
+  } else if (c_unranked_ != nullptr) {
+    c_unranked_->inc();
+  }
 
   // Publish phase: the winner's kernels become the server's next snapshot
   // generation.  In-flight requests finish on the snapshot they captured
   // at submit, so the swap never mixes generations within a batch.
-  if (server != nullptr) {
+  if (winner != nullptr && server != nullptr) {
     const std::int64_t t_swap = span_begin();
     res.generation = server->swap_kernels(
-        FastLitho::from_model(winner.model(), cfg_.resist_threshold));
+        FastLitho::from_model(winner->model(), cfg_.resist_threshold));
     ++stats_.swaps;
     if (c_swaps_ != nullptr) c_swaps_->inc();
     span_end("swap", t_swap);
@@ -175,10 +185,10 @@ RoundResult RolloutController::run_round(serve::LithoServer* server) {
   // trainer state, then re-draw their learning rate from the configured
   // band (log-uniform around train.lr, so exploration never drifts
   // unboundedly).  Serialize once; each adoption reads a private stream.
-  if (replicas_.size() > 1) {
+  if (winner != nullptr && replicas_.size() > 1) {
     const std::int64_t t_adopt = span_begin();
     std::ostringstream state;
-    winner.save_state(state);
+    winner->save_state(state);
     const std::string blob = state.str();
     for (std::size_t i = 0; i < replicas_.size(); ++i) {
       if (static_cast<int>(i) == res.winner) continue;
@@ -192,17 +202,24 @@ RoundResult RolloutController::run_round(serve::LithoServer* server) {
   ++round_;
   res.seconds = timer.seconds();
   stats_.rounds.push_back(res);
-  stats_.final_winner = res.winner;
+  if (res.winner >= 0) stats_.final_winner = res.winner;
   span_end("round", t_round);
   if (g_round_ != nullptr) {
     g_round_->set(static_cast<double>(res.round));
     g_winner_->set(static_cast<double>(res.winner));
-    g_winner_loss_->set(res.winner_loss);
-    g_winner_lr_->set(static_cast<double>(res.winner_lr));
+    if (res.winner >= 0) {
+      g_winner_loss_->set(res.winner_loss);
+      g_winner_lr_->set(static_cast<double>(res.winner_lr));
+      g_generation_->set(static_cast<double>(res.generation));
+    }
     g_round_seconds_->set(res.seconds);
-    g_generation_->set(static_cast<double>(res.generation));
   }
-  if (cfg_.verbose) {
+  if (cfg_.verbose && res.winner < 0) {
+    std::printf("  [rollout] round %d/%d  no finite held-out loss: nothing "
+                "published\n",
+                res.round, cfg_.rounds);
+    std::fflush(stdout);
+  } else if (cfg_.verbose) {
     std::printf(
         "  [rollout] round %d/%d  winner r%d  loss %.3e  lr %.3e  gen %llu\n",
         res.round, cfg_.rounds, res.winner, res.winner_loss,

@@ -100,18 +100,21 @@ class TrainerReplica {
 struct RoundResult {
   int round = 0;                   ///< 1-based round index
   std::vector<double> eval_losses; ///< per replica, holdout MSE
-  int winner = -1;                 ///< replica id with the lowest loss
+  /// Replica id with the lowest finite loss; -1 when no loss was finite,
+  /// in which case nothing was published, no replica adopted, and the
+  /// winner_* fields and generation keep their defaults.
+  int winner = -1;
   double winner_loss = 0.0;
   float winner_lr = 0.0f;          ///< the winner's base lr this round
   /// Kernel-snapshot generation the winner was published as (0 when the
-  /// round ran without a server).
+  /// round ran without a server or had no winner).
   std::uint64_t generation = 0;
   double seconds = 0.0;            ///< wall time of the round
 };
 
 struct RolloutStats {
   std::vector<RoundResult> rounds;
-  int final_winner = -1;
+  int final_winner = -1;    ///< winner of the last round that had one
   std::uint64_t swaps = 0;  ///< snapshots published into the server
 };
 
@@ -125,9 +128,11 @@ class RolloutController {
 
   /// One round: every replica trains epochs_per_round epochs on its own
   /// thread (the barrier is the round's join), replicas are ranked on the
-  /// holdout, the winner is swapped into `server` (when non-null) and the
-  /// losers adopt + re-perturb.  Throws if the tournament is complete;
-  /// a replica's training error propagates out after all threads join.
+  /// holdout by finite loss only, the winner is swapped into `server` (when
+  /// non-null) and the losers adopt + re-perturb.  A round where no loss is
+  /// finite publishes nothing and skips the adoption (winner -1).  Throws
+  /// if the tournament is complete; a replica's training error propagates
+  /// out after all threads join.
   RoundResult run_round(serve::LithoServer* server);
 
   /// All remaining rounds; returns the accumulated stats.
@@ -172,6 +177,7 @@ class RolloutController {
   obs::Gauge* g_round_seconds_ = nullptr;
   obs::Gauge* g_generation_ = nullptr;
   obs::Counter* c_swaps_ = nullptr;
+  obs::Counter* c_unranked_ = nullptr;
 };
 
 }  // namespace nitho::rollout

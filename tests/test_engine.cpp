@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -69,12 +70,18 @@ std::vector<Grid<cd>> random_kernels(int count, int kdim, Rng& rng) {
 TEST(AerialEngine, BitIdenticalToLegacyAcrossOutputSizes) {
   Rng rng = make_rng(71);
   // Prime kdim exercises the Bluestein path for the kernel support; the
-  // out_px list covers even, odd and prime (Bluestein) output grids.
-  for (const int kdim : {13, 9}) {
+  // out_px list covers even, odd and prime (Bluestein) output grids.  Odd
+  // and prime out_px take the natural-order column batch, powers of two the
+  // bit-reversed one.  kdim 29 at out_px 64 and 128 is the production point:
+  // the band wraps across row 0 and the column batch is radix-2.
+  const std::vector<std::pair<int, std::vector<int>>> cases = {
+      {13, {13, 14, 17, 32, 33}},
+      {9, {9, 10, 17, 32, 33}},
+      {29, {64, 128}}};
+  for (const auto& [kdim, sizes] : cases) {
     const std::vector<Grid<cd>> kernels = random_kernels(11, kdim, rng);
     const Grid<cd> spectrum = random_spectrum(kdim + 8, rng);
-    for (const int out_px : {kdim, kdim + 1, 17, 32, 33}) {
-      if (out_px < kdim) continue;
+    for (const int out_px : sizes) {
       const AerialEngine engine(kernels, out_px);
       const Grid<double> got = engine.aerial(spectrum);
       const Grid<double> want = legacy_socs_aerial(kernels, spectrum, out_px);

@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
 #include "fft/spectral.hpp"
+#include "layout/datasets.hpp"
+#include "layout/raster.hpp"
 #include "support/test_support.hpp"
 
 namespace nitho {
@@ -271,6 +275,129 @@ TEST(Spectral, CroppedFftOddRowCountMatchesFullPath) {
     for (std::size_t i = 0; i < fast.size(); ++i)
       EXPECT_NEAR(std::abs(fast[i] - full[i]), 0.0, 1e-8) << crop;
   }
+}
+
+// Verbatim copy of fft2_crop_centered before repeated row pairs were
+// reused: every pair is transformed.  The library must match it bit for bit.
+Grid<cd> legacy_fft2_crop_centered(const Grid<double>& img, int crop) {
+  const int rows = img.rows(), cols = img.cols();
+  const int half = crop / 2;
+  const FftPlan<double>& row_plan = fft_plan_d(cols);
+  Fft2Workspace ws;
+  cd* row_scratch = ws.scratch_for(row_plan);
+  Grid<cd> partial(rows, crop);
+  std::vector<cd> buf(cols);
+  int r = 0;
+  for (; r + 1 < rows; r += 2) {
+    const double* a = img.row(r);
+    const double* b = img.row(r + 1);
+    for (int c = 0; c < cols; ++c) buf[c] = cd(a[c], b[c]);
+    row_plan.forward(buf.data(), row_scratch);
+    for (int k = -half; k <= half; ++k) {
+      const int idx = (k + cols) % cols;
+      const cd z = buf[idx];
+      const cd zc = std::conj(buf[(cols - idx) % cols]);
+      partial(r, k + half) = 0.5 * (z + zc);
+      const cd d = z - zc;
+      partial(r + 1, k + half) = cd(0.5 * d.imag(), -0.5 * d.real());
+    }
+  }
+  if (r < rows) {
+    const double* a = img.row(r);
+    for (int c = 0; c < cols; ++c) buf[c] = cd(a[c], 0.0);
+    row_plan.forward(buf.data(), row_scratch);
+    for (int k = -half; k <= half; ++k) {
+      partial(r, k + half) = buf[(k + cols) % cols];
+    }
+  }
+  const FftPlan<double>& col_plan = fft_plan_d(rows);
+  cd* col_scratch = ws.scratch_for(col_plan);
+  Grid<cd> out(crop, crop);
+  std::vector<cd> col(rows);
+  for (int j = 0; j < crop; ++j) {
+    for (int r2 = 0; r2 < rows; ++r2) col[r2] = partial(r2, j);
+    col_plan.forward(col.data(), col_scratch);
+    for (int k = -half; k <= half; ++k) {
+      out(k + half, j) = col[(k + rows) % rows];
+    }
+  }
+  return out;
+}
+
+// Byte equality: unlike Grid ==, tells -0.0 from +0.0 and matches NaN.
+bool same_bits(const Grid<cd>& a, const Grid<cd>& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cd)) == 0;
+}
+
+void expect_crop_matches_legacy(const Grid<double>& img, const char* what) {
+  for (const int crop : {1, 29, 31}) {
+    if (crop > img.rows() || crop > img.cols()) continue;
+    EXPECT_TRUE(same_bits(fft2_crop_centered(img, crop),
+                          legacy_fft2_crop_centered(img, crop)))
+        << what << " " << img.rows() << "x" << img.cols() << " crop " << crop;
+  }
+}
+
+Grid<double> rows_from(const std::vector<std::vector<double>>& rows) {
+  Grid<double> g(static_cast<int>(rows.size()),
+                 static_cast<int>(rows.front().size()));
+  for (int r = 0; r < g.rows(); ++r) {
+    std::copy(rows[static_cast<std::size_t>(r)].begin(),
+              rows[static_cast<std::size_t>(r)].end(), g.row(r));
+  }
+  return g;
+}
+
+TEST(Spectral, CroppedFftBitIdenticalToLegacyOnLayouts) {
+  // Manhattan rasters: most row pairs repeat the pair above them.
+  for (const DatasetKind kind :
+       {DatasetKind::B1, DatasetKind::B2m, DatasetKind::B2v}) {
+    for (const int pixel_nm : {4, 1}) {  // 256 and 1024 px
+      Rng rng(500 + static_cast<int>(kind));
+      const Grid<double> img =
+          rasterize(make_layout(kind, 1024, rng), pixel_nm);
+      expect_crop_matches_legacy(img, dataset_name(kind).c_str());
+    }
+  }
+}
+
+TEST(Spectral, CroppedFftBitIdenticalToLegacyOnEdgeCases) {
+  Rng rng(501);
+  // No repeated rows at all.
+  expect_crop_matches_legacy(test::random_grid(64, 64, rng), "random");
+  expect_crop_matches_legacy(test::random_grid(33, 48, rng), "random odd");
+  // Odd row count with repeats: the unpaired tail row follows a reused pair.
+  std::vector<double> a(40), b(40);
+  for (auto& v : a) v = rng.uniform();
+  for (auto& v : b) v = rng.uniform();
+  expect_crop_matches_legacy(rows_from({a, b, a, b, a, b, a}), "odd repeat");
+  // A pair that repeats after a gap (A, B, A): only the previous pair is
+  // ever compared, so the third pair is transformed again.
+  std::vector<double> c(40), d(40);
+  for (auto& v : c) v = rng.uniform();
+  for (auto& v : d) v = rng.uniform();
+  expect_crop_matches_legacy(rows_from({a, b, c, d, a, b, a, b}), "gap");
+  // A NaN row, repeated so the NaN pair itself is reused.
+  std::vector<double> nan_row = a;
+  nan_row[7] = std::numeric_limits<double>::quiet_NaN();
+  expect_crop_matches_legacy(
+      rows_from({a, b, nan_row, b, nan_row, b, c, d}), "nan");
+}
+
+TEST(Spectral, CroppedFftNeverReusesAPairAcrossSignedZeros) {
+  // +0.0 == -0.0, but the two pairs transform to different zero signs, so
+  // neither may stand in for the other.
+  const std::vector<double> pz(16, 0.0), nz(16, -0.0);
+  expect_crop_matches_legacy(rows_from({pz, pz, nz, nz}), "+0 then -0");
+  // In this order the signs survive the column pass: reusing the -0.0 band
+  // for the +0.0 pair would give the all -0.0 image's bits.
+  const Grid<double> mixed = rows_from({nz, nz, pz, pz});
+  const Grid<double> minus = rows_from({nz, nz, nz, nz});
+  ASSERT_FALSE(same_bits(legacy_fft2_crop_centered(mixed, 3),
+                         legacy_fft2_crop_centered(minus, 3)));
+  EXPECT_TRUE(same_bits(fft2_crop_centered(mixed, 3),
+                        legacy_fft2_crop_centered(mixed, 3)));
 }
 
 TEST(Fft2, WorkspaceVariantBitIdentical) {

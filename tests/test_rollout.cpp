@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -16,6 +17,7 @@
 
 #include "common/check.hpp"
 #include "litho/golden.hpp"
+#include "obs/metrics.hpp"
 #include "nitho/fast_litho.hpp"
 #include "nitho/trainer.hpp"
 #include "rollout/rollout.hpp"
@@ -172,6 +174,77 @@ TEST(Rollout, ReplicaStateRoundTripsIntoAFreshReplica) {
   const auto ka = donor.model().export_kernels();
   const auto kb = restored.model().export_kernels();
   for (std::size_t i = 0; i < ka.size(); ++i) EXPECT_EQ(ka[i], kb[i]);
+}
+
+/// Overwrites every weight of replica i with NaN, so its held-out loss is
+/// NaN from the next evaluation on.
+void poison_replica(RolloutController& ctl, int i) {
+  for (const nn::Var& p : ctl.replica(i).model().parameters()) {
+    for (std::int64_t k = 0; k < p->value.numel(); ++k) {
+      p->value[k] = std::numeric_limits<float>::quiet_NaN();
+    }
+  }
+}
+
+bool all_finite(const std::vector<Grid<cd>>& kernels) {
+  for (const Grid<cd>& k : kernels) {
+    for (const cd& z : k) {
+      if (!std::isfinite(z.real()) || !std::isfinite(z.imag())) return false;
+    }
+  }
+  return true;
+}
+
+TEST(Rollout, NaNReplicaZeroNeverWinsOrGetsPublished) {
+  // Replica 0 is the initial winner candidate, so a NaN loss there is the
+  // case a plain `loss < best` ranking gets wrong.
+  RolloutController ctl(tiny_rollout_config(), tiny_sets().train,
+                        tiny_sets().holdout);
+  Rng rng = make_rng(57);
+  LithoServer server(FastLitho(random_kernels(2, 5, rng)));
+  poison_replica(ctl, 0);
+  const RoundResult res = ctl.run_round(&server);
+  ASSERT_EQ(res.eval_losses.size(), 2u);
+  EXPECT_TRUE(std::isnan(res.eval_losses[0]));
+  ASSERT_TRUE(std::isfinite(res.eval_losses[1]));
+  EXPECT_EQ(res.winner, 1);
+  EXPECT_EQ(res.winner_loss, res.eval_losses[1]);
+  EXPECT_EQ(res.generation, 1u);
+  EXPECT_EQ(ctl.stats().swaps, 1u);
+  // The published snapshot is the finite winner's, and the poisoned
+  // replica adopted it.
+  EXPECT_TRUE(all_finite(server.snapshot()->kernels()));
+  EXPECT_TRUE(all_finite(ctl.replica(0).model().export_kernels()));
+  EXPECT_EQ(ctl.replica(0).model().export_kernels(),
+            ctl.replica(1).model().export_kernels());
+  server.stop();
+}
+
+TEST(Rollout, RoundWithNoFiniteLossPublishesNothing) {
+  RolloutConfig cfg = tiny_rollout_config();
+  RolloutController ctl(cfg, tiny_sets().train, tiny_sets().holdout);
+  obs::MetricsRegistry registry;
+  ctl.set_observer(&registry);
+  Rng rng = make_rng(58);
+  LithoServer server(FastLitho(random_kernels(2, 5, rng)));
+  const float lr1 = ctl.replica(1).trainer().config().lr;
+  poison_replica(ctl, 0);
+  poison_replica(ctl, 1);
+  const RoundResult res = ctl.run_round(&server);
+  ASSERT_EQ(res.eval_losses.size(), 2u);
+  for (const double l : res.eval_losses) EXPECT_TRUE(std::isnan(l));
+  EXPECT_EQ(res.winner, -1);
+  EXPECT_EQ(res.generation, 0u);
+  EXPECT_EQ(server.generation(), 0u);
+  EXPECT_EQ(ctl.stats().swaps, 0u);
+  EXPECT_EQ(ctl.stats().final_winner, -1);
+  EXPECT_EQ(registry.counter("rollout.unranked_rounds").value(), 1u);
+  ASSERT_EQ(ctl.stats().rounds.size(), 1u);
+  EXPECT_EQ(ctl.stats().rounds[0].winner, -1);
+  // No exploit step: nobody adopted or re-drew a learning rate.
+  EXPECT_EQ(ctl.replica(1).trainer().config().lr, lr1);
+  EXPECT_EQ(ctl.rounds_done(), 1);
+  server.stop();
 }
 
 // ---------------------------------------------------------------------------
