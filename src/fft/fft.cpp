@@ -323,6 +323,12 @@ std::complex<R>* Fft2WorkspaceT<R>::col_buffer(int rows) {
 }
 
 template <typename R>
+std::complex<R>* Fft2WorkspaceT<R>::band_buffer(int elems) {
+  if (static_cast<int>(band_.size()) < elems) band_.resize(elems);
+  return band_.data();
+}
+
+template <typename R>
 std::complex<R>* Fft2WorkspaceT<R>::scratch_for(const FftPlan<R>& plan) {
   const int need = plan.scratch_size();
   if (need == 0) return nullptr;
@@ -332,6 +338,15 @@ std::complex<R>* Fft2WorkspaceT<R>::scratch_for(const FftPlan<R>& plan) {
 
 template class Fft2WorkspaceT<double>;
 template class Fft2WorkspaceT<float>;
+
+template <typename R>
+Fft2WorkspaceT<R>& fft_thread_workspace() {
+  static thread_local Fft2WorkspaceT<R> ws;
+  return ws;
+}
+
+template Fft2WorkspaceT<double>& fft_thread_workspace<double>();
+template Fft2WorkspaceT<float>& fft_thread_workspace<float>();
 
 void fft2_inplace(Grid<cd>& g) {
   Fft2Workspace ws;

@@ -8,10 +8,11 @@
 // DESIGN.md §5); inverse transforms scale by 1/n.
 //
 // Hot paths that transform many same-sized grids (the AerialEngine,
-// DESIGN.md §6) pass an Fft2Workspace so no per-transform heap allocation
-// happens: the workspace holds the column gather buffer and the Bluestein
-// convolution scratch that the plain entry points otherwise allocate per
-// call.
+// DESIGN.md §6, and the batched nn ops, §8) pass an Fft2Workspace so no
+// per-transform heap allocation happens: the workspace holds the gather
+// buffers and the Bluestein convolution scratch that the plain entry points
+// otherwise allocate per call.  The pruned crop <-> grid transforms these
+// hot paths share live in fft/pruned.hpp.
 
 #include <complex>
 #include <memory>
@@ -92,16 +93,19 @@ class FftPlan {
 const FftPlan<double>& fft_plan_d(int n);
 const FftPlan<float>& fft_plan_f(int n);
 
-/// Reusable scratch for the workspace-taking 2-D transforms: one column
-/// gather buffer plus Bluestein scratch, both sized on demand and retained
-/// across calls.  Not thread-safe — use one workspace per thread.
-/// Templated on the scalar type so the double-precision litho substrate and
-/// the float autodiff ops (nn/ops_fft) share one implementation.
+/// Reusable scratch for the workspace-taking 2-D transforms: a column
+/// gather buffer, the pruned transforms' band rows (fft/pruned.hpp) and
+/// Bluestein scratch, each sized on demand and retained across calls.  Not
+/// thread-safe — use one workspace per thread.  Templated on the scalar
+/// type so the double-precision litho substrate and the float autodiff ops
+/// (nn/ops_fft) share one implementation.
 template <typename R>
 class Fft2WorkspaceT {
  public:
   /// Column gather buffer holding `rows` elements (grown, never shrunk).
   std::complex<R>* col_buffer(int rows);
+  /// Band-row buffer holding `elems` elements (grown, never shrunk).
+  std::complex<R>* band_buffer(int elems);
   /// Scratch sized for `plan` (nullptr when the plan needs none).
   std::complex<R>* scratch_for(const FftPlan<R>& plan);
 
@@ -109,11 +113,19 @@ class Fft2WorkspaceT {
   // Aligned so the SIMD butterfly/pointwise kernels run on cache-line
   // boundaries (common/aligned.hpp; alignment asserted in test_simd).
   aligned_vector<std::complex<R>> col_;
+  aligned_vector<std::complex<R>> band_;
   aligned_vector<std::complex<R>> scratch_;
 };
 
 using Fft2Workspace = Fft2WorkspaceT<double>;
 using Fft2WorkspaceF = Fft2WorkspaceT<float>;
+
+/// The calling thread's workspace (one per thread and scalar type, grown to
+/// the largest transform the thread has run).  Hot paths call this inside a
+/// parallel_for task and hold it only for that task: tasks never nest and
+/// nothing that holds it calls parallel_for, so no two users ever share it.
+template <typename R>
+Fft2WorkspaceT<R>& fft_thread_workspace();
 
 /// 2-D transforms over Grid<complex>: rows then columns.
 void fft2_inplace(Grid<cd>& g);

@@ -5,6 +5,7 @@
 
 #include "common/check.hpp"
 #include "fft/fft.hpp"
+#include "fft/pruned.hpp"
 
 namespace nitho {
 namespace {
@@ -91,12 +92,11 @@ Grid<cd> fft2_crop_centered(const Grid<double>& img, int crop) {
   const int rows = img.rows(), cols = img.cols();
   check(crop >= 1 && crop <= rows && crop <= cols, "bad spectrum crop");
   check(crop % 2 == 1, "spectrum crop must be odd (centered on DC)");
-  const int half = crop / 2;
   const FftPlan<double>& row_plan = fft_plan_d(cols);
   Fft2Workspace ws;
   cd* row_scratch = ws.scratch_for(row_plan);
-  // Signed frequency k in [-half, half] lives at unshifted index (k+N)%N and
-  // at crop position k + half.
+  // Crop position j (signed frequency j - crop/2) lives at unshifted index
+  // centered_to_dft_index(j, crop, N).
   Grid<cd> partial(rows, crop);
   std::vector<cd> buf(cols);
   // The rows are real, so two of them ride one complex transform: with
@@ -121,21 +121,21 @@ Grid<cd> fft2_crop_centered(const Grid<double>& img, int crop) {
     }
     for (int c = 0; c < cols; ++c) buf[c] = cd(a[c], b[c]);
     row_plan.forward(buf.data(), row_scratch);
-    for (int k = -half; k <= half; ++k) {
-      const int idx = (k + cols) % cols;
+    for (int j = 0; j < crop; ++j) {
+      const int idx = centered_to_dft_index(j, crop, cols);
       const cd z = buf[idx];
       const cd zc = std::conj(buf[(cols - idx) % cols]);
-      partial(r, k + half) = 0.5 * (z + zc);
+      partial(r, j) = 0.5 * (z + zc);
       const cd d = z - zc;
-      partial(r + 1, k + half) = cd(0.5 * d.imag(), -0.5 * d.real());
+      partial(r + 1, j) = cd(0.5 * d.imag(), -0.5 * d.real());
     }
   }
   if (r < rows) {  // odd row count: transform the last row on its own
     const double* a = img.row(r);
     for (int c = 0; c < cols; ++c) buf[c] = cd(a[c], 0.0);
     row_plan.forward(buf.data(), row_scratch);
-    for (int k = -half; k <= half; ++k) {
-      partial(r, k + half) = buf[(k + cols) % cols];
+    for (int j = 0; j < crop; ++j) {
+      partial(r, j) = buf[centered_to_dft_index(j, crop, cols)];
     }
   }
   const FftPlan<double>& col_plan = fft_plan_d(rows);
@@ -145,8 +145,8 @@ Grid<cd> fft2_crop_centered(const Grid<double>& img, int crop) {
   for (int j = 0; j < crop; ++j) {
     for (int r2 = 0; r2 < rows; ++r2) col[r2] = partial(r2, j);
     col_plan.forward(col.data(), col_scratch);
-    for (int k = -half; k <= half; ++k) {
-      out(k + half, j) = col[(k + rows) % rows];
+    for (int a = 0; a < crop; ++a) {
+      out(a, j) = col[centered_to_dft_index(a, crop, rows)];
     }
   }
   return out;

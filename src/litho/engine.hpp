@@ -1,11 +1,10 @@
 #pragma once
 // Batched SOCS aerial-image engine (DESIGN.md §6).
 //
-// AerialEngine fixes one (kernel set, out_px) configuration and owns
-// everything the per-kernel hot loop needs: the cached FFT plan for the
-// output grid, the precomputed embed/ifftshift scatter maps, and a pool of
-// per-thread workspaces.  Evaluating a kernel is then a fused
-// crop -> kernel-multiply -> embed/shift scatter -> pruned inverse FFT with
+// AerialEngine fixes one (kernel set, out_px) configuration and owns the
+// cached FFT plan for the output grid.  Evaluating a kernel is a fused
+// crop -> kernel-multiply -> embed/shift scatter -> pruned inverse FFT
+// (fft/pruned.hpp band_inverse) on the calling thread's FFT workspace, with
 // zero heap allocation per kernel; batches of mask spectra are swept in a
 // single parallel_for over (mask, kernel-chunk) tasks.
 //
@@ -16,21 +15,20 @@
 // that grid that are structurally zero are skipped — a pruning that cannot
 // change any output bit because zero rows only ever enter the column pass
 // additively and |.|^2 erases the sign of zero (DESIGN.md §6.3).  The
-// column pass runs as one transposed many-transform batch (pre-bit-reversed
-// for radix-2 out_px) whose per-column arithmetic is unchanged.
+// column pass runs in L1-sized blocks; each column still sees exactly the
+// arithmetic of its own strided transform.
 //
 // Thread-safety: aerial / aerial_batch may be called concurrently from
-// multiple threads (workspaces are leased from an internal pool), but not
-// from inside a parallel_for callback — the shared thread pool does not
-// nest.  The pool retains at most parallel_workers() + 4 idle workspaces
-// (~(out_px + kdim) * out_px complex doubles each); a burst of extra concurrent callers
-// allocates transient workspaces that are freed on release instead of
-// pinning memory for the engine's lifetime.
+// multiple threads (each task uses its own thread's FFT workspace,
+// fft_thread_workspace), but not from inside a parallel_for callback — the
+// shared thread pool does not nest.  Each thread that has run a task keeps
+// one workspace for its lifetime, whichever engines it served: a
+// kdim x out_px band plus a column strip of max(4 * out_px, 512) complex
+// doubles, at the largest sizes it has seen.
 
 #include <memory>
 #include <vector>
 
-#include "common/mutex.hpp"
 #include "fft/fft.hpp"
 #include "math/cplx.hpp"
 #include "math/grid.hpp"
@@ -50,7 +48,6 @@ class AerialEngine {
   AerialEngine(std::shared_ptr<const std::vector<Grid<cd>>> kernels,
                int out_px);
 
-  ~AerialEngine();
   AerialEngine(const AerialEngine&) = delete;
   AerialEngine& operator=(const AerialEngine&) = delete;
 
@@ -73,13 +70,8 @@ class AerialEngine {
       const std::vector<const Grid<cd>*>& spectra) const;
 
  private:
-  struct Workspace;
-
-  std::unique_ptr<Workspace> acquire_workspace() const;
-  void release_workspace(std::unique_ptr<Workspace> ws) const;
   void accumulate_kernel(const Grid<cd>& kernel, const Grid<cd>& spectrum,
-                         int r0, int c0, Workspace& ws,
-                         Grid<double>& local_t) const;
+                         int r0, int c0, Grid<double>& local_t) const;
 
   std::shared_ptr<const std::vector<Grid<cd>>> kernels_;
   int kdim_ = 0;
@@ -88,14 +80,6 @@ class AerialEngine {
   /// bad out_px fails with the engine's own diagnostics and no plan is
   /// inserted into the process-wide cache.
   const FftPlan<double>* out_plan_ = nullptr;
-  /// embed+ifftshift target index per kernel row/column (DESIGN.md §6.2);
-  /// the image of the rows is the band, the only field rows that are not
-  /// structurally zero.
-  std::vector<int> scatter_;
-
-  mutable Mutex ws_mu_;
-  mutable std::vector<std::unique_ptr<Workspace>> ws_pool_
-      NITHO_GUARDED_BY(ws_mu_);
 };
 
 /// Ordered sum of per-chunk partial intensities.  Shared by the engine and

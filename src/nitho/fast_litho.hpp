@@ -25,15 +25,14 @@ namespace nitho {
 /// instances built from kernels_shared() (the serving shards do this).
 ///
 /// Memory model: engines are memoized per output resolution in an LRU cache
-/// bounded by set_engine_cache_capacity() (default 8).  Each cached engine
-/// holds its FFT plan references, scatter maps and a pool of per-thread
-/// workspaces of ~out_px^2 complex doubles, so the worst-case footprint is
-/// capacity * (parallel_workers() + 4) * out_px^2 * 16 bytes on top of the
-/// shared kernels.  A caller sweeping more distinct out_px values than the
-/// capacity evicts the least-recently-used engine; evicted engines stay
-/// alive (shared_ptr) until every in-flight call through them finishes, so
-/// eviction is safe under concurrency — it only costs the rebuilt plans and
-/// workspaces on the next use of that resolution.
+/// bounded by set_engine_cache_capacity() (default 8).  A cached engine
+/// holds only its kernel reference and FFT plan reference: FFT scratch is
+/// per thread, not per engine (fft_thread_workspace, DESIGN.md §7.5).  A
+/// caller sweeping more distinct out_px values than the capacity evicts
+/// the least-recently-used engine; evicted engines stay alive (shared_ptr)
+/// until every in-flight call through them finishes, so eviction is safe
+/// under concurrency — it only costs a rebuilt engine on the next use of
+/// that resolution.
 class FastLitho {
  public:
   explicit FastLitho(std::vector<Grid<cd>> kernels,

@@ -8,6 +8,7 @@
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "fft/fft.hpp"
+#include "fft/pruned.hpp"
 
 namespace nitho::nn {
 namespace {
@@ -45,116 +46,35 @@ void fft2_plane(float* plane, int h, int w, bool inverse) {
   }
 }
 
-// DFT index of centered-crop position a (crop size n) on an N-grid.
-inline int wrapped_index(int a, int n, int big) {
-  const int signed_freq = a - n / 2;
-  return (signed_freq + big) % big;
-}
-
-// One float FFT workspace per worker thread for the batched training ops.
-// parallel_for tasks never nest, so a function-local thread_local is held
-// exclusively for the duration of a task — the same idiom as gemm_nt's
-// packing buffers — and replaces the old mutexed pool, whose per-plane
-// acquire/release was measurable next to a plane's ~60 tiny transforms.
-Fft2WorkspaceF& train_ws() {
-  static thread_local Fft2WorkspaceF ws;
-  return ws;
-}
-
-// Unnormalized inverse 2-D DFT of an interleaved [s, s, 2] plane whose only
-// nonzero rows are `band_rows`.  Those rows must hold dense data; every
-// other row is treated as structurally zero and is NEVER READ, so callers
-// do not pre-zero the plane — the column pass gathers +0 for the off-band
-// positions itself, exactly the +0 a zeroed, row-pass-untouched plane held
-// before.  The whole plane is written: the s² de-normalization is fused
-// into the column write-back (still one multiply per element, at the same
-// value the old separate scale pass rounded).  Bit-identical to
-// fft2_plane(inverse): a structurally zero row inverse-transforms to zeros,
-// which enter the column pass only additively (the AerialEngine's
-// pruned-band argument, DESIGN.md §6.3 / §8.2).
-// Shared skeleton of the pruned inverse.  Band-row pass: band_rows is
-// sorted, and a centered crop wraps to at most two runs of consecutive rows
-// — each run is contiguous memory, so one inverse_many per run amortizes the
-// per-transform dispatch.  Column pass: a block of columns per sweep over the
-// band rows (contiguous reads), transformed by one inverse_many; ~8 KB of
-// gathered columns per block keeps the strip in L1 while amortizing the
-// per-stage twiddle walk across the whole block.  `write(r, c0, cb, cols,
-// scale)` stores row r of the current column block.  `prerev_rows` promises
-// the caller scattered each band row's elements into bit-reversed positions
-// (radix-2 sizes only; see fft.hpp bitrev_table()), so the row pass skips
-// its permutation pass too.
-template <typename WriteRow>
-void ifft2_pruned_run(float* plane, int s, const std::vector<int>& band_rows,
-                      const FftPlan<float>& plan, Fft2WorkspaceF& ws,
-                      bool prerev_rows, WriteRow&& write) {
-  auto* z = reinterpret_cast<cfl*>(plane);
-  cfl* scratch = ws.scratch_for(plan);
-  for (std::size_t i = 0; i < band_rows.size();) {
-    std::size_t j = i + 1;
-    while (j < band_rows.size() && band_rows[j] == band_rows[j - 1] + 1) ++j;
-    cfl* seg = z + static_cast<std::ptrdiff_t>(band_rows[i]) * s;
-    const int cnt = static_cast<int>(j - i);
-    if (prerev_rows) {
-      plan.inverse_many_prerev(seg, cnt, scratch);
-    } else {
-      plan.inverse_many(seg, cnt, scratch);
-    }
-    i = j;
-  }
-  const float scale = static_cast<float>(s) * static_cast<float>(s);
-  const int col_block = std::max(4, 1024 / s);
-  // Radix-2 sizes: gather straight into bit-reversed row positions and skip
-  // the transforms' permutation pass (a permutation of the zero fills is
-  // still all zeros, so the fill stays a plain memset).
-  const int* brev = plan.bitrev_table();
-  cfl* cols = ws.col_buffer(col_block * s);
-  for (int c0 = 0; c0 < s; c0 += col_block) {
-    const int cb = std::min(col_block, s - c0);
-    std::fill(cols, cols + static_cast<std::ptrdiff_t>(cb) * s,
-              cfl(0.0f, 0.0f));
-    for (const int r : band_rows) {
-      const cfl* src = z + static_cast<std::ptrdiff_t>(r) * s + c0;
-      cfl* dst = cols + (brev != nullptr ? brev[r] : r);
-      for (int q = 0; q < cb; ++q) dst[q * s] = src[q];
-    }
-    if (brev != nullptr) {
-      plan.inverse_many_prerev(cols, cb, scratch);
-    } else {
-      plan.inverse_many(cols, cb, scratch);
-    }
-    for (int r = 0; r < s; ++r) write(r, c0, cb, cols, scale);
-  }
-}
-
-void ifft2_plane_pruned(float* plane, int s, const std::vector<int>& band_rows,
-                        const FftPlan<float>& plan, Fft2WorkspaceF& ws,
-                        bool prerev_rows = false) {
-  auto* z = reinterpret_cast<cfl*>(plane);
-  ifft2_pruned_run(plane, s, band_rows, plan, ws, prerev_rows,
-                   [z, s](int r, int c0, int cb, const cfl* cols,
-                          float scale) {
-                     cfl* dst = z + static_cast<std::ptrdiff_t>(r) * s + c0;
-                     for (int q = 0; q < cb; ++q)
-                       dst[q] = cols[q * s + r] * scale;
-                   });
-}
-
-// ifft2_plane_pruned with the caller's real-part accumulate fused into the
-// column write-back: acc[p] += Re(ifft2(plane))[p] — exactly
-// `ifft2_plane_pruned(plane, ...); acc[p] += plane[2*p];` with the same
-// cols[q*s+r].real() * scale product the plain write-back stored, minus the
-// imaginary-lane multiplies and the full-plane round trip nobody reads.
-void ifft2_pruned_real_accum(float* plane, int s,
-                             const std::vector<int>& band_rows,
-                             const FftPlan<float>& plan, Fft2WorkspaceF& ws,
-                             float* acc, bool prerev_rows = false) {
-  ifft2_pruned_run(plane, s, band_rows, plan, ws, prerev_rows,
-                   [acc, s](int r, int c0, int cb, const cfl* cols,
-                            float scale) {
-                     float* dst = acc + static_cast<std::ptrdiff_t>(r) * s + c0;
-                     for (int q = 0; q < cb; ++q)
-                       dst[q] += cols[q * s + r].real() * scale;
-                   });
+// Batched SOCS forward shared by socs_field_batch and
+// socs_field_from_spectrum_batch: fields[b, i] = the unnormalized inverse
+// 2-D DFT of the centered embed of K_i . C_b on the s-grid, for kernels
+// [r, n, m, 2] and spectra [B, n, m, 2].  Every plane element is written,
+// so the arena tensor is handed out without a memset.
+Tensor socs_batch_forward(const float* kernels, const float* spectra,
+                          int batch, int r, int n, int m, int s) {
+  const std::int64_t plane = static_cast<std::int64_t>(s) * s;
+  const std::int64_t kplane = static_cast<std::int64_t>(n) * m;
+  const FftPlan<float>& plan = fft_plan_f(s);
+  Tensor out = arena_tensor({batch, r, s, s, 2}, /*zeroed=*/false);
+  parallel_for(static_cast<std::int64_t>(batch) * r, [&](std::int64_t t) {
+    const cfl* k = reinterpret_cast<const cfl*>(kernels) + (t % r) * kplane;
+    const cfl* sp = reinterpret_cast<const cfl*>(spectra) + (t / r) * kplane;
+    cfl* dst = reinterpret_cast<cfl*>(out.data()) + t * plane;
+    band_inverse(
+        plan, n, m, fft_thread_workspace<float>(),
+        [&](int a, cfl* row) {
+          const std::int64_t off = static_cast<std::int64_t>(a) * m;
+          simd::cmul(row, k + off, sp + off, m);
+        },
+        [&](int c0, int cb, const cfl* cols, float scale) {
+          for (int rr = 0; rr < s; ++rr) {
+            cfl* d = dst + static_cast<std::ptrdiff_t>(rr) * s + c0;
+            for (int q = 0; q < cb; ++q) d[q] = cols[q * s + rr] * scale;
+          }
+        });
+  });
+  return out;
 }
 
 }  // namespace
@@ -180,9 +100,9 @@ Var socs_field(const Var& kernels, const Tensor& spectrum, int out_px) {
     float* dst = out.data() + i * plane;
     const float* k = kernels->value.data() + i * kplane;
     for (int a = 0; a < n; ++a) {
-      const int rr = wrapped_index(a, n, s);
+      const int rr = centered_to_dft_index(a, n, s);
       for (int b = 0; b < m; ++b) {
-        const int cc = wrapped_index(b, m, s);
+        const int cc = centered_to_dft_index(b, m, s);
         const std::int64_t ki = (static_cast<std::int64_t>(a) * m + b) * 2;
         const float kr = k[ki], kim = k[ki + 1];
         const float cr = spec[ki], ci = spec[ki + 1];
@@ -208,9 +128,9 @@ Var socs_field(const Var& kernels, const Tensor& spectrum, int out_px) {
           fft2_plane(g.data(), s, s, /*inverse=*/false);
           float* kg = ik.grad.data() + i * kplane;
           for (int a = 0; a < n; ++a) {
-            const int rr = wrapped_index(a, n, s);
+            const int rr = centered_to_dft_index(a, n, s);
             for (int b = 0; b < m; ++b) {
-              const int cc = wrapped_index(b, m, s);
+              const int cc = centered_to_dft_index(b, m, s);
               const std::int64_t gi =
                   (static_cast<std::int64_t>(rr) * s + cc) * 2;
               const float gr = g[static_cast<std::size_t>(gi)];
@@ -242,131 +162,39 @@ Var socs_field_batch(const Var& kernels, const Tensor& spectra, int out_px) {
   const int s = out_px;
   const std::int64_t plane = static_cast<std::int64_t>(s) * s * 2;
   const std::int64_t kplane = static_cast<std::int64_t>(n) * m * 2;
-
-  // Embed positions of the centered crop on the S-grid, hoisted out of the
-  // plane loop; the sorted copy drives the pruned row pass.
-  std::vector<int> rows(static_cast<std::size_t>(n));
-  for (int a = 0; a < n; ++a) rows[static_cast<std::size_t>(a)] = wrapped_index(a, n, s);
-  std::vector<int> cols(static_cast<std::size_t>(m));
-  for (int b = 0; b < m; ++b) cols[static_cast<std::size_t>(b)] = wrapped_index(b, m, s);
-  std::vector<int> band_rows = rows;
-  std::sort(band_rows.begin(), band_rows.end());
-
-  const FftPlan<float>& plan = fft_plan_f(s);
-  // Radix-2 sizes: scatter each band row's entries into bit-reversed
-  // positions so the pruned inverse's row pass skips its permutation pass
-  // (pure data movement; see fft.hpp bitrev_table()).
-  const int* brev = plan.bitrev_table();
-  // Not pre-zeroed: the scatter writes the band rows densely (segments plus
-  // explicit +0 gaps) and the pruned inverse never reads the other rows but
-  // writes every row back, so the B·r·s² memset is pure waste.
-  Tensor out = arena_tensor({batch, r, s, s, 2}, /*zeroed=*/false);
+  Tensor out = socs_batch_forward(kernels->value.data(), spectra.data(),
+                                  batch, r, n, m, s);
   Tensor spec = spectra;
-
-  parallel_for(static_cast<std::int64_t>(batch) * r, [&](std::int64_t t) {
-    const std::int64_t b = t / r;
-    const std::int64_t i = t % r;
-    float* dst = out.data() + t * plane;
-    const float* k = kernels->value.data() + i * kplane;
-    const float* sp = spec.data() + b * kplane;
-    // cols ascends by 1 mod s, so each crop row scatters as at most two
-    // contiguous destination segments — straight elementwise complex
-    // multiplies for the SIMD layer (same arithmetic as the old
-    // (kr*cr - kim*ci, kr*ci + kim*cr) scalar writes).  The fills zero the
-    // row's uncovered spans (a permuted zero fill is still all zeros, so
-    // the prerev path zeroes the whole row up front), making each band row
-    // dense.
-    const int col0 = cols[0];
-    const int seg1 = std::min(m, s - col0);
-    Fft2WorkspaceF& ws = train_ws();
-    cfl* tmp = brev != nullptr ? ws.col_buffer(m) : nullptr;
-    for (int a = 0; a < n; ++a) {
-      const int rr = rows[static_cast<std::size_t>(a)];
-      const cfl* krow =
-          reinterpret_cast<const cfl*>(k) + static_cast<std::int64_t>(a) * m;
-      const cfl* srow =
-          reinterpret_cast<const cfl*>(sp) + static_cast<std::int64_t>(a) * m;
-      cfl* drow =
-          reinterpret_cast<cfl*>(dst) + static_cast<std::int64_t>(rr) * s;
-      if (brev != nullptr) {
-        // cmul lanes span independent elements, so one length-m call bits-
-        // matches the two-segment split; the permuted stores just move the
-        // products.
-        std::fill(drow, drow + s, cfl(0.0f, 0.0f));
-        simd::cmul(tmp, krow, srow, m);
-        for (int c = 0; c < seg1; ++c) drow[brev[col0 + c]] = tmp[c];
-        for (int c = seg1; c < m; ++c) drow[brev[c - seg1]] = tmp[c];
-      } else {
-        std::fill(drow + (m - seg1), drow + col0, cfl(0.0f, 0.0f));
-        std::fill(drow + col0 + seg1, drow + s, cfl(0.0f, 0.0f));
-        simd::cmul(drow + col0, krow, srow, seg1);
-        simd::cmul(drow, krow + seg1, srow + seg1, m - seg1);
-      }
-    }
-    ifft2_plane_pruned(dst, s, band_rows, plan, ws, brev != nullptr);
-  });
 
   return make_node(
       std::move(out), {kernels},
-      [spec = std::move(spec), rows = std::move(rows), cols = std::move(cols),
-       batch, r, n, m, s, plane, kplane](Node& node) {
+      [spec = std::move(spec), batch, r, n, m, s, plane, kplane](Node& node) {
         Node& ik = *node.inputs[0];
         if (!ik.requires_grad) return;
         ik.ensure_grad();
         const FftPlan<float>& plan = fft_plan_f(s);
         // vjp of the unnormalized inverse DFT is the unnormalized forward
-        // DFT; only the crop's columns are ever read back, so the column
-        // pass transforms just those.  node.grad is transformed in place
-        // (documented: the output gradient is consumed).  Kernel planes are
-        // disjoint across i; within one kernel the batch accumulates in
-        // descending order — exactly the reverse-topological order in which
-        // the per-mask graph's socs_field nodes run their backward.
-        const int col0 = cols[0];
-        const int cseg = std::min(m, s - col0);
-        // Strip positions are written bit-reversed so the strip transforms
-        // skip their permutation pass (pure data movement; see fft.hpp).
-        const int* brev = plan.bitrev_table();
+        // DFT read at the crop, then a multiply by conj(spectrum).
+        // node.grad is transformed in place (documented: the output
+        // gradient is consumed).  Kernel planes are disjoint across i;
+        // within one kernel the batch accumulates in descending order —
+        // exactly the reverse-topological order in which the per-mask
+        // graph's socs_field nodes run their backward.
         parallel_for(r, [&](std::int64_t i) {
-          Fft2WorkspaceF& ws = train_ws();
-          cfl* scratch = ws.scratch_for(plan);
-          cfl* strip = ws.col_buffer(m * s);
           float* kg = ik.grad.data() + i * kplane;
           for (std::int64_t b = batch; b-- > 0;) {
-            float* g = node.grad.data() + (b * r + i) * plane;
-            auto* z = reinterpret_cast<cfl*>(g);
-            plan.forward_many(z, s, scratch);
-            // Gather every crop column into one strip, then transform the
-            // strip as one forward_many — the columns stay independent.
-            // Row-major gather: one sequential pass over the plane (the crop
-            // columns are two contiguous spans per row, cols ascending by 1
-            // mod s); the strided writes land in the L1-resident strip.
-            for (int rr = 0; rr < s; ++rr) {
-              const cfl* zrow = z + static_cast<std::ptrdiff_t>(rr) * s;
-              const int pr = brev != nullptr ? brev[rr] : rr;
-              for (int c = 0; c < cseg; ++c)
-                strip[c * s + pr] = zrow[col0 + c];
-              for (int c = cseg; c < m; ++c)
-                strip[c * s + pr] = zrow[c - cseg];
-            }
-            if (brev != nullptr) {
-              plan.forward_many_prerev(strip, m, scratch);
-            } else {
-              plan.forward_many(strip, m, scratch);
-            }
             const float* sp = spec.data() + b * kplane;
-            // a-major so the kg writes are contiguous; each (a, c) entry
-            // still sees exactly one accumulate per (i, b) iteration, so no
-            // element's fold reorders.
-            for (int a = 0; a < n; ++a) {
-              const int ra = rows[static_cast<std::size_t>(a)];
-              for (int c = 0; c < m; ++c) {
-                const cfl gz = strip[static_cast<std::ptrdiff_t>(c) * s + ra];
-                const std::int64_t ki = (static_cast<std::int64_t>(a) * m + c) * 2;
-                const float cr = sp[ki], ci = sp[ki + 1];
-                kg[ki] += gz.real() * cr + gz.imag() * ci;
-                kg[ki + 1] += gz.imag() * cr - gz.real() * ci;
-              }
-            }
+            crop_forward(plan,
+                         reinterpret_cast<cfl*>(node.grad.data() +
+                                                (b * r + i) * plane),
+                         n, m, fft_thread_workspace<float>(),
+                         [&](int a, int c, cfl gz) {
+                           const std::int64_t ki =
+                               (static_cast<std::int64_t>(a) * m + c) * 2;
+                           const float cr = sp[ki], ci = sp[ki + 1];
+                           kg[ki] += gz.real() * cr + gz.imag() * ci;
+                           kg[ki + 1] += gz.imag() * cr - gz.real() * ci;
+                         });
           }
         });
       },
@@ -456,9 +284,9 @@ Var fft2c_crop(const Var& mask, int crop) {
   fft2_plane(buf.data(), s, s, /*inverse=*/false);
   Tensor out({crop, crop, 2});
   for (int a = 0; a < crop; ++a) {
-    const int rr = wrapped_index(a, crop, s);
+    const int rr = centered_to_dft_index(a, crop, s);
     for (int b = 0; b < crop; ++b) {
-      const int cc = wrapped_index(b, crop, s);
+      const int cc = centered_to_dft_index(b, crop, s);
       const std::int64_t src = (static_cast<std::int64_t>(rr) * s + cc) * 2;
       const std::int64_t dst = (static_cast<std::int64_t>(a) * crop + b) * 2;
       out[dst] = buf[static_cast<std::size_t>(src)] * inv_n2;
@@ -474,9 +302,9 @@ Var fft2c_crop(const Var& mask, int crop) {
         // vjp: scatter the crop back, unnormalized inverse DFT, real part.
         std::vector<float> buf(static_cast<std::size_t>(plane) * 2, 0.0f);
         for (int a = 0; a < crop; ++a) {
-          const int rr = wrapped_index(a, crop, s);
+          const int rr = centered_to_dft_index(a, crop, s);
           for (int b = 0; b < crop; ++b) {
-            const int cc = wrapped_index(b, crop, s);
+            const int cc = centered_to_dft_index(b, crop, s);
             const std::int64_t dst = (static_cast<std::int64_t>(rr) * s + cc) * 2;
             const std::int64_t src = (static_cast<std::int64_t>(a) * crop + b) * 2;
             buf[static_cast<std::size_t>(dst)] = node.grad[src] * inv_n2;
@@ -512,9 +340,9 @@ Var socs_field_from_spectrum(const Var& spectrum, const Tensor& kernels,
     float* dst = out.data() + i * plane;
     const float* k = kernels.data() + i * kplane;
     for (int a = 0; a < n; ++a) {
-      const int rr = wrapped_index(a, n, s);
+      const int rr = centered_to_dft_index(a, n, s);
       for (int b = 0; b < m; ++b) {
-        const int cc = wrapped_index(b, m, s);
+        const int cc = centered_to_dft_index(b, m, s);
         const std::int64_t ki = (static_cast<std::int64_t>(a) * m + b) * 2;
         const float kr = k[ki], kim = k[ki + 1];
         const float cr = spectrum->value[ki], ci = spectrum->value[ki + 1];
@@ -538,9 +366,9 @@ Var socs_field_from_spectrum(const Var& spectrum, const Tensor& kernels,
           fft2_plane(g.data(), s, s, /*inverse=*/false);
           const float* k = ks.data() + i * kplane;
           for (int a = 0; a < n; ++a) {
-            const int rr = wrapped_index(a, n, s);
+            const int rr = centered_to_dft_index(a, n, s);
             for (int b = 0; b < m; ++b) {
-              const int cc = wrapped_index(b, m, s);
+              const int cc = centered_to_dft_index(b, m, s);
               const std::int64_t gi =
                   (static_cast<std::int64_t>(rr) * s + cc) * 2;
               const float gr = g[static_cast<std::size_t>(gi)];
@@ -569,23 +397,11 @@ Var fft2c_crop_batch(const Var& masks, int crop) {
   const std::int64_t plane = static_cast<std::int64_t>(s) * s;
   const std::int64_t cplane = static_cast<std::int64_t>(crop) * crop * 2;
   const float inv_n2 = 1.0f / static_cast<float>(plane);
-  std::vector<int> rows(static_cast<std::size_t>(crop));
-  for (int a = 0; a < crop; ++a)
-    rows[static_cast<std::size_t>(a)] = wrapped_index(a, crop, s);
-  std::vector<int> cols = rows;  // square crop on a square grid
-  std::vector<int> band_rows = rows;
-  std::sort(band_rows.begin(), band_rows.end());
-
   const FftPlan<float>& plan = fft_plan_f(s);
   // Full-plane DFT scratch, one plane per sample.  Arena-allocated so a
   // steady-state OPC step recycles it along with the graph's own tensors.
   Tensor scratch = arena_tensor({batch, s, s, 2}, /*zeroed=*/false);
   Tensor out = arena_tensor({batch, crop, crop, 2}, /*zeroed=*/false);
-  const int col0 = cols[0];
-  const int cseg = std::min(crop, s - col0);
-  // Strip positions are written bit-reversed so the strip transforms skip
-  // their permutation pass (pure data movement; see fft.hpp).
-  const int* brev = plan.bitrev_table();
 
   parallel_for(batch, [&](std::int64_t b) {
     float* buf = scratch.data() + b * plane * 2;
@@ -594,92 +410,46 @@ Var fft2c_crop_batch(const Var& masks, int crop) {
       buf[2 * p] = src[p];
       buf[2 * p + 1] = 0.0f;
     }
-    Fft2WorkspaceF& ws = train_ws();
-    auto* z = reinterpret_cast<cfl*>(buf);
-    cfl* fscratch = ws.scratch_for(plan);
-    plan.forward_many(z, s, fscratch);
-    // Only the crop's wrapped columns are ever read, and each column
-    // transforms independently — transforming just those is bit-identical
-    // on the read positions.  All crop columns are gathered into one strip
-    // and transformed by one forward_many; the crop rows are read straight
-    // out of the strip (same values the old scatter-back round-tripped
-    // through the plane).
-    // Row-major gather: one sequential pass over the plane (the crop
-    // columns are two contiguous spans per row, cols ascending by 1 mod s);
-    // the strided writes land in the L1-resident strip.
-    cfl* strip = ws.col_buffer(crop * s);
-    for (int rr = 0; rr < s; ++rr) {
-      const cfl* zrow = z + static_cast<std::ptrdiff_t>(rr) * s;
-      const int pr = brev != nullptr ? brev[rr] : rr;
-      for (int c = 0; c < cseg; ++c) strip[c * s + pr] = zrow[col0 + c];
-      for (int c = cseg; c < crop; ++c) strip[c * s + pr] = zrow[c - cseg];
-    }
-    if (brev != nullptr) {
-      plan.forward_many_prerev(strip, crop, fscratch);
-    } else {
-      plan.forward_many(strip, crop, fscratch);
-    }
     float* dst = out.data() + b * cplane;
-    // a-major so the dst writes are contiguous (each element written once).
-    for (int a = 0; a < crop; ++a) {
-      const int ra = rows[static_cast<std::size_t>(a)];
-      for (int c = 0; c < crop; ++c) {
-        const cfl v = strip[static_cast<std::ptrdiff_t>(c) * s + ra];
-        const std::int64_t di = (static_cast<std::int64_t>(a) * crop + c) * 2;
-        dst[di] = v.real() * inv_n2;
-        dst[di + 1] = v.imag() * inv_n2;
-      }
-    }
+    crop_forward(plan, reinterpret_cast<cfl*>(buf), crop, crop,
+                 fft_thread_workspace<float>(), [&](int a, int c, cfl v) {
+                   const std::int64_t di =
+                       (static_cast<std::int64_t>(a) * crop + c) * 2;
+                   dst[di] = v.real() * inv_n2;
+                   dst[di + 1] = v.imag() * inv_n2;
+                 });
   });
 
   return make_node(
       std::move(out), {masks},
-      [rows = std::move(rows), cols = std::move(cols),
-       band_rows = std::move(band_rows), batch, s, crop, plane, cplane,
-       inv_n2](Node& node) {
+      [batch, s, crop, plane, cplane, inv_n2](Node& node) {
         Node& im = *node.inputs[0];
         if (!im.requires_grad) return;
         im.ensure_grad();
         const FftPlan<float>& plan = fft_plan_f(s);
-        // vjp per sample: scatter the crop back, unnormalized inverse DFT
-        // (rows pruned to the crop's — zero rows transform to zeros, which
-        // enter the column pass additively), real part.  The scatter writes
-        // each band row densely (crop entries + explicit +0 gaps) so the
-        // plane needs no pre-zeroing (see ifft2_plane_pruned's contract).
-        Tensor scatter = arena_tensor({batch, s, s, 2}, /*zeroed=*/false);
-        const int col0 = cols[0];
-        const int cseg1 = std::min(crop, s - col0);
-        // Radix-2 sizes: bit-reversed row scatter so the pruned inverse's
-        // row pass skips its permutation pass (see fft.hpp bitrev_table()).
-        const int* brev = plan.bitrev_table();
+        // vjp per sample: scatter the crop back, unnormalized inverse DFT,
+        // real part — accumulated straight from the pruned inverse's column
+        // blocks, so neither the imaginary lanes nor a scattered plane are
+        // ever stored.
         parallel_for(batch, [&](std::int64_t b) {
-          float* buf = scatter.data() + b * plane * 2;
           const float* g = node.grad.data() + b * cplane;
-          for (int a = 0; a < crop; ++a) {
-            const int rr = rows[static_cast<std::size_t>(a)];
-            cfl* brow =
-                reinterpret_cast<cfl*>(buf) + static_cast<std::int64_t>(rr) * s;
-            if (brev != nullptr) {
-              // A permuted zero fill is still zeros -> one whole-row fill.
-              std::fill(brow, brow + s, cfl(0.0f, 0.0f));
-            } else {
-              std::fill(brow + (crop - cseg1), brow + col0, cfl(0.0f, 0.0f));
-              std::fill(brow + col0 + cseg1, brow + s, cfl(0.0f, 0.0f));
-            }
-            for (int c = 0; c < crop; ++c) {
-              const int cc = cols[static_cast<std::size_t>(c)];
-              const std::int64_t si =
-                  (static_cast<std::int64_t>(a) * crop + c) * 2;
-              brow[brev != nullptr ? brev[cc] : cc] =
-                  cfl(g[si] * inv_n2, g[si + 1] * inv_n2);
-            }
-          }
-          // Pruned inverse with the real-part accumulate fused into its
-          // column write-back — the imaginary lanes and the full scattered
-          // plane are never stored.
-          ifft2_pruned_real_accum(buf, s, band_rows, plan, train_ws(),
-                                  im.grad.data() + b * plane,
-                                  brev != nullptr);
+          float* acc = im.grad.data() + b * plane;
+          band_inverse(
+              plan, crop, crop, fft_thread_workspace<float>(),
+              [&](int a, cfl* row) {
+                for (int c = 0; c < crop; ++c) {
+                  const std::int64_t si =
+                      (static_cast<std::int64_t>(a) * crop + c) * 2;
+                  row[c] = cfl(g[si] * inv_n2, g[si + 1] * inv_n2);
+                }
+              },
+              [&](int c0, int cb, const cfl* cols, float scale) {
+                for (int rr = 0; rr < s; ++rr) {
+                  float* d = acc + static_cast<std::ptrdiff_t>(rr) * s + c0;
+                  for (int q = 0; q < cb; ++q)
+                    d[q] += cols[q * s + rr].real() * scale;
+                }
+              });
         });
       },
       "fft2c_crop_batch");
@@ -704,123 +474,37 @@ Var socs_field_from_spectrum_batch(const Var& spectra, const Tensor& kernels,
   const int s = out_px;
   const std::int64_t plane = static_cast<std::int64_t>(s) * s * 2;
   const std::int64_t kplane = static_cast<std::int64_t>(n) * m * 2;
-
-  std::vector<int> rows(static_cast<std::size_t>(n));
-  for (int a = 0; a < n; ++a)
-    rows[static_cast<std::size_t>(a)] = wrapped_index(a, n, s);
-  std::vector<int> cols(static_cast<std::size_t>(m));
-  for (int b = 0; b < m; ++b)
-    cols[static_cast<std::size_t>(b)] = wrapped_index(b, m, s);
-  std::vector<int> band_rows = rows;
-  std::sort(band_rows.begin(), band_rows.end());
-
-  const FftPlan<float>& plan = fft_plan_f(s);
-  // Radix-2 sizes: bit-reversed row scatter, as in socs_field_batch.
-  const int* brev = plan.bitrev_table();
-  // Not pre-zeroed — see socs_field_batch: dense band rows + a pruned
-  // inverse that writes every row make the plane memset pure waste.
-  Tensor out = arena_tensor({batch, r, s, s, 2}, /*zeroed=*/false);
+  Tensor out = socs_batch_forward(kernels.data(), spectra->value.data(),
+                                  batch, r, n, m, s);
   Tensor ks = kernels;
-
-  parallel_for(static_cast<std::int64_t>(batch) * r, [&](std::int64_t t) {
-    const std::int64_t b = t / r;
-    const std::int64_t i = t % r;
-    float* dst = out.data() + t * plane;
-    const float* k = ks.data() + i * kplane;
-    const float* sp = spectra->value.data() + b * kplane;
-    // Same scatter as socs_field_batch: two contiguous segments per row
-    // (plain path) or products placed at bit-reversed positions (prerev
-    // path), with the fills making each band row dense either way.
-    const int col0 = cols[0];
-    const int seg1 = std::min(m, s - col0);
-    Fft2WorkspaceF& ws = train_ws();
-    cfl* tmp = brev != nullptr ? ws.col_buffer(m) : nullptr;
-    for (int a = 0; a < n; ++a) {
-      const int rr = rows[static_cast<std::size_t>(a)];
-      const cfl* krow =
-          reinterpret_cast<const cfl*>(k) + static_cast<std::int64_t>(a) * m;
-      const cfl* srow =
-          reinterpret_cast<const cfl*>(sp) + static_cast<std::int64_t>(a) * m;
-      cfl* drow =
-          reinterpret_cast<cfl*>(dst) + static_cast<std::int64_t>(rr) * s;
-      if (brev != nullptr) {
-        std::fill(drow, drow + s, cfl(0.0f, 0.0f));
-        simd::cmul(tmp, krow, srow, m);
-        for (int c = 0; c < seg1; ++c) drow[brev[col0 + c]] = tmp[c];
-        for (int c = seg1; c < m; ++c) drow[brev[c - seg1]] = tmp[c];
-      } else {
-        std::fill(drow + (m - seg1), drow + col0, cfl(0.0f, 0.0f));
-        std::fill(drow + col0 + seg1, drow + s, cfl(0.0f, 0.0f));
-        simd::cmul(drow + col0, krow, srow, seg1);
-        simd::cmul(drow, krow + seg1, srow + seg1, m - seg1);
-      }
-    }
-    ifft2_plane_pruned(dst, s, band_rows, plan, ws, brev != nullptr);
-  });
 
   return make_node(
       std::move(out), {spectra},
-      [ks = std::move(ks), rows = std::move(rows), cols = std::move(cols),
-       batch, r, n, m, s, plane, kplane](Node& node) {
+      [ks = std::move(ks), batch, r, n, m, s, plane, kplane](Node& node) {
         Node& is = *node.inputs[0];
         if (!is.requires_grad) return;
         is.ensure_grad();
         const FftPlan<float>& plan = fft_plan_f(s);
-        // vjp of the unnormalized inverse DFT is the unnormalized forward
-        // DFT; only the crop's columns are ever read back, so the column
-        // pass transforms just those.  node.grad is transformed in place
-        // (documented: the output gradient is consumed).  Spectrum planes
-        // are disjoint across b; within one sample the kernels accumulate
-        // in ascending order — the same order as the per-mask op's serial
-        // kernel loop.
-        const int col0 = cols[0];
-        const int cseg = std::min(m, s - col0);
-        // Strip positions are written bit-reversed so the strip transforms
-        // skip their permutation pass (pure data movement; see fft.hpp).
-        const int* brev = plan.bitrev_table();
+        // vjp as in socs_field_batch, with conj(K) in place of conj(C).
+        // Spectrum planes are disjoint across b; within one sample the
+        // kernels accumulate in ascending order — the same order as the
+        // per-mask op's serial kernel loop.
         parallel_for(batch, [&](std::int64_t b) {
-          Fft2WorkspaceF& ws = train_ws();
-          cfl* scratch = ws.scratch_for(plan);
-          cfl* strip = ws.col_buffer(m * s);
           float* sg = is.grad.data() + b * kplane;
           for (std::int64_t i = 0; i < r; ++i) {
-            float* g = node.grad.data() + (b * r + i) * plane;
-            auto* z = reinterpret_cast<cfl*>(g);
-            plan.forward_many(z, s, scratch);
-            // Gather every crop column into one strip, then transform the
-            // strip as one forward_many — the columns stay independent.
-            // Row-major gather: one sequential pass over the plane (the crop
-            // columns are two contiguous spans per row, cols ascending by 1
-            // mod s); the strided writes land in the L1-resident strip.
-            for (int rr = 0; rr < s; ++rr) {
-              const cfl* zrow = z + static_cast<std::ptrdiff_t>(rr) * s;
-              const int pr = brev != nullptr ? brev[rr] : rr;
-              for (int c = 0; c < cseg; ++c)
-                strip[c * s + pr] = zrow[col0 + c];
-              for (int c = cseg; c < m; ++c)
-                strip[c * s + pr] = zrow[c - cseg];
-            }
-            if (brev != nullptr) {
-              plan.forward_many_prerev(strip, m, scratch);
-            } else {
-              plan.forward_many(strip, m, scratch);
-            }
             const float* k = ks.data() + i * kplane;
-            // a-major so the sg writes are contiguous; each (a, c) entry is
-            // distinct, so iterating a-major instead of c-major reorders no
-            // element's fold — the serial i loop is what accumulates.
-            for (int a = 0; a < n; ++a) {
-              const int ra = rows[static_cast<std::size_t>(a)];
-              for (int c = 0; c < m; ++c) {
-                const cfl gz = strip[static_cast<std::ptrdiff_t>(c) * s + ra];
-                const std::int64_t ki =
-                    (static_cast<std::int64_t>(a) * m + c) * 2;
-                const float kr = k[ki], kim = k[ki + 1];
-                // dC += conj(K) . dE
-                sg[ki] += gz.real() * kr + gz.imag() * kim;
-                sg[ki + 1] += gz.imag() * kr - gz.real() * kim;
-              }
-            }
+            crop_forward(plan,
+                         reinterpret_cast<cfl*>(node.grad.data() +
+                                                (b * r + i) * plane),
+                         n, m, fft_thread_workspace<float>(),
+                         [&](int a, int c, cfl gz) {
+                           const std::int64_t ki =
+                               (static_cast<std::int64_t>(a) * m + c) * 2;
+                           const float kr = k[ki], kim = k[ki + 1];
+                           // dC += conj(K) . dE
+                           sg[ki] += gz.real() * kr + gz.imag() * kim;
+                           sg[ki + 1] += gz.imag() * kr - gz.real() * kim;
+                         });
           }
         });
       },
@@ -851,9 +535,9 @@ Var spectral_conv2d(const Var& x, const Var& w) {
       }
       fft2_plane(buf.data(), h, wd, /*inverse=*/false);
       for (int a = 0; a < mh; ++a) {
-        const int rr = (a - mh / 2 + h) % h;
+        const int rr = centered_to_dft_index(a, mh, h);
         for (int b = 0; b < mw; ++b) {
-          const int cc = (b - mw / 2 + wd) % wd;
+          const int cc = centered_to_dft_index(b, mw, wd);
           const std::int64_t dst = ((static_cast<std::int64_t>(ci) * mh + a) * mw + b) * 2;
           xc[static_cast<std::size_t>(dst)] =
               buf[static_cast<std::size_t>((rr * wd + cc) * 2)];
@@ -874,9 +558,9 @@ Var spectral_conv2d(const Var& x, const Var& w) {
                         ((static_cast<std::int64_t>(co) * cin + ci) * modes) * 2;
       const float* xm = xc.data() + static_cast<std::int64_t>(ci) * modes * 2;
       for (int a = 0; a < mh; ++a) {
-        const int rr = (a - mh / 2 + h) % h;
+        const int rr = centered_to_dft_index(a, mh, h);
         for (int b = 0; b < mw; ++b) {
-          const int cc = (b - mw / 2 + wd) % wd;
+          const int cc = centered_to_dft_index(b, mw, wd);
           const std::int64_t mi = (static_cast<std::int64_t>(a) * mw + b) * 2;
           const float wr = wm[mi], wi = wm[mi + 1];
           const float xr = xm[mi], xi = xm[mi + 1];
@@ -914,9 +598,9 @@ Var spectral_conv2d(const Var& x, const Var& w) {
             }
             fft2_plane(buf.data(), h, wd, /*inverse=*/false);
             for (int a = 0; a < mh; ++a) {
-              const int rr = (a - mh / 2 + h) % h;
+              const int rr = centered_to_dft_index(a, mh, h);
               for (int b = 0; b < mw; ++b) {
-                const int cc = (b - mw / 2 + wd) % wd;
+                const int cc = centered_to_dft_index(b, mw, wd);
                 const std::int64_t dst =
                     ((static_cast<std::int64_t>(co) * mh + a) * mw + b) * 2;
                 gy[static_cast<std::size_t>(dst)] =
@@ -966,9 +650,9 @@ Var spectral_conv2d(const Var& x, const Var& w) {
             }
             std::fill(buf.begin(), buf.end(), 0.0f);
             for (int a = 0; a < mh; ++a) {
-              const int rr = (a - mh / 2 + h) % h;
+              const int rr = centered_to_dft_index(a, mh, h);
               for (int b = 0; b < mw; ++b) {
-                const int cc = (b - mw / 2 + wd) % wd;
+                const int cc = centered_to_dft_index(b, mw, wd);
                 const std::int64_t mi = (static_cast<std::int64_t>(a) * mw + b) * 2;
                 buf[static_cast<std::size_t>((rr * wd + cc) * 2)] =
                     gx[static_cast<std::size_t>(mi)];

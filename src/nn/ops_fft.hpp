@@ -25,12 +25,13 @@ Var socs_field(const Var& kernels, const Tensor& spectrum, int out_px);
 /// [r, n, m, 2], spectra [B, n, m, 2] -> fields [B, r, S, S, 2].  Per
 /// (mask, kernel) plane the arithmetic is bit-identical to socs_field;
 /// the inverse FFT prunes structurally zero rows and the adjoint prunes
-/// unread columns (DESIGN.md §8.2), FFT plans are hoisted out of the plane
-/// loop, and workspaces come from a bounded pool, so steady-state training
-/// steps allocate nothing here.  The kernel-gradient accumulation runs the
-/// batch in descending order, matching the reverse-topological order of the
-/// legacy per-mask graph.  The backward pass transforms node.grad in place
-/// (the output gradient is consumed — never read it after backward()).
+/// unread columns (fft/pruned.hpp, DESIGN.md §8.2), FFT plans are hoisted
+/// out of the plane loop, and each worker thread reuses its own FFT
+/// workspace, so steady-state training steps allocate nothing here.  The
+/// kernel-gradient accumulation runs the batch in descending order,
+/// matching the reverse-topological order of the legacy per-mask graph.
+/// The backward pass transforms node.grad in place (the output gradient is
+/// consumed — never read it after backward()).
 Var socs_field_batch(const Var& kernels, const Tensor& spectra, int out_px);
 
 /// fields [r, S, S, 2] -> intensity [S, S]: sum over kernels of |E|^2.
@@ -60,9 +61,9 @@ Var socs_field_from_spectrum(const Var& spectrum, const Tensor& kernels,
 /// [B, S, S] -> spectra [B, n, n, 2].  Per sample the arithmetic is
 /// bit-identical to fft2c_crop; the forward column pass transforms only the
 /// crop's wrapped columns (unread columns never affect read values) and the
-/// adjoint's inverse prunes structurally zero rows (DESIGN.md §8.2), FFT
-/// plans are hoisted, and scratch planes come from the graph arena, so
-/// steady-state OPC steps allocate nothing here.
+/// adjoint's inverse prunes structurally zero rows (fft/pruned.hpp,
+/// DESIGN.md §8.2), FFT plans are hoisted, and scratch planes come from the
+/// graph arena, so steady-state OPC steps allocate nothing here.
 Var fft2c_crop_batch(const Var& masks, int crop);
 
 /// Batched socs_field_from_spectrum: differentiable spectra [B, n, n, 2],

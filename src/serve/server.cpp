@@ -210,9 +210,13 @@ ServeRequest LithoServer::make_request(
     Shard& shard, Grid<double>& mask, int out_px, RequestKind kind,
     std::chrono::steady_clock::time_point deadline) const {
   // Validate before touching the caller's mask, so a rejected submission
-  // (empty mask, out_px under the current snapshot's kernel support —
-  // reachable when a hot-swap races a submit) leaves it intact.
+  // (empty or non-finite mask, out_px under the current snapshot's kernel
+  // support — reachable when a hot-swap races a submit) leaves it intact.
+  // A NaN or Inf pixel would spread through the FFTs into a NaN aerial.
   check(!mask.empty(), "submit: empty mask");
+  check(std::all_of(mask.begin(), mask.end(),
+                    [](double v) { return std::isfinite(v); }),
+        "submit: mask has a non-finite value");
   auto snapshot = shard.current_snapshot();  // never null, even after stop()
   check(out_px >= snapshot->kernel_dim(),
         "submit: out_px smaller than the kernel support");

@@ -184,8 +184,9 @@ class LithoServer {
 
   /// Submits one mask for aerial (or resist) simulation at out_px.  Blocks
   /// while the target shard's queue is full (backpressure); throws
-  /// check_error if the server is stopped or the request is invalid
-  /// against the current kernel snapshot (out_px < kernel_dim).
+  /// check_error if the server is stopped or the request is invalid: an
+  /// empty mask, a NaN or Inf mask value, or out_px < kernel_dim of the
+  /// current kernel snapshot.
   ///
   /// `deadline` bounds how long the request may wait in the shard queue.
   /// kNoDeadline means: the shard's SloPolicy default (submit time +

@@ -3,14 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
+#include "fft/pruned.hpp"
 #include "fft/spectral.hpp"
 #include "layout/datasets.hpp"
 #include "layout/raster.hpp"
@@ -489,6 +492,193 @@ TEST(FftPlan, PrerevMatchesPermutedInputBitwise) {
   EXPECT_EQ(bs.bitrev_table(), nullptr);
   std::vector<cd> x = random_signal(31, rng);
   EXPECT_THROW(bs.forward_many_prerev(x.data(), 1, nullptr), check_error);
+}
+
+// ---------------------------------------------------------------------------
+// Pruned crop <-> grid transforms (fft/pruned.hpp), against the dense 2-D
+// transform of the same embedded field.  Compared with ==, which equates
+// ±0 (a pruned zero row may flip a zero's sign, DESIGN.md §6.3), and NaN
+// positions must coincide.
+// ---------------------------------------------------------------------------
+
+template <typename R>
+const FftPlan<R>& plan_of(int s) {
+  if constexpr (std::is_same_v<R, double>) {
+    return fft_plan_d(s);
+  } else {
+    return fft_plan_f(s);
+  }
+}
+
+// Rows then strided columns, one plain single-transform call each.
+template <typename R>
+void dense_fft2(std::vector<std::complex<R>>& g, int s, bool inverse) {
+  const FftPlan<R>& plan = plan_of<R>(s);
+  for (int r = 0; r < s; ++r) {
+    std::complex<R>* row = g.data() + static_cast<std::size_t>(r) * s;
+    inverse ? plan.inverse(row) : plan.forward(row);
+  }
+  std::vector<std::complex<R>> col(static_cast<std::size_t>(s));
+  for (int c = 0; c < s; ++c) {
+    for (int r = 0; r < s; ++r) col[r] = g[static_cast<std::size_t>(r) * s + c];
+    inverse ? plan.inverse(col.data()) : plan.forward(col.data());
+    for (int r = 0; r < s; ++r) g[static_cast<std::size_t>(r) * s + c] = col[r];
+  }
+}
+
+template <typename R>
+bool same_or_both_nan(R a, R b) {
+  return a == b || (std::isnan(a) && std::isnan(b));
+}
+
+template <typename R>
+std::vector<std::complex<R>> random_field(std::size_t n, Rng& rng) {
+  std::vector<std::complex<R>> v(n);
+  for (auto& z : v) {
+    z = {static_cast<R>(rng.uniform(-1.0, 1.0)),
+         static_cast<R>(rng.uniform(-1.0, 1.0))};
+  }
+  return v;
+}
+
+enum class Poison { kNone, kNan, kInf };
+
+template <typename R>
+void poison(std::vector<std::complex<R>>& v, Poison p) {
+  const R inf = std::numeric_limits<R>::infinity();
+  if (p == Poison::kNan) {
+    v[v.size() / 2] = {std::numeric_limits<R>::quiet_NaN(), 0};
+  }
+  if (p == Poison::kInf) {
+    v.front() = {inf, 0};
+    v.back() = {0, -inf};
+  }
+}
+
+template <typename R>
+void expect_band_inverse_matches_dense(int s, int kr, int kc, Poison p,
+                                       Fft2WorkspaceT<R>& ws) {
+  Rng rng(static_cast<std::uint64_t>(s * 131 + kr * 7 + kc));
+  std::vector<std::complex<R>> crop =
+      random_field<R>(static_cast<std::size_t>(kr) * kc, rng);
+  poison(crop, p);
+  std::vector<std::complex<R>> dense(static_cast<std::size_t>(s) * s);
+  for (int a = 0; a < kr; ++a) {
+    for (int c = 0; c < kc; ++c) {
+      dense[static_cast<std::size_t>(centered_to_dft_index(a, kr, s)) * s +
+            centered_to_dft_index(c, kc, s)] =
+          crop[static_cast<std::size_t>(a) * kc + c];
+    }
+  }
+  dense_fft2(dense, s, /*inverse=*/true);
+
+  std::vector<std::complex<R>> got(dense.size(),
+                                   {std::numeric_limits<R>::quiet_NaN(), 0});
+  std::vector<int> seen(static_cast<std::size_t>(s), 0);
+  band_inverse(
+      plan_of<R>(s), kr, kc, ws,
+      [&](int a, std::complex<R>* row) {
+        std::copy_n(crop.data() + static_cast<std::size_t>(a) * kc, kc, row);
+      },
+      [&](int c0, int cb, const std::complex<R>* cols, R scale) {
+        EXPECT_EQ(scale, static_cast<R>(s) * static_cast<R>(s));
+        for (int q = 0; q < cb; ++q) {
+          ++seen[static_cast<std::size_t>(c0 + q)];
+          for (int r = 0; r < s; ++r) {
+            got[static_cast<std::size_t>(r) * s + c0 + q] = cols[q * s + r];
+          }
+        }
+      });
+  for (int c = 0; c < s; ++c) ASSERT_EQ(seen[c], 1) << "column " << c;
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    ASSERT_TRUE(same_or_both_nan(got[i].real(), dense[i].real()) &&
+                same_or_both_nan(got[i].imag(), dense[i].imag()))
+        << "s=" << s << " k=" << kr << "x" << kc << " at " << i << ": "
+        << got[i] << " vs " << dense[i];
+  }
+}
+
+template <typename R>
+void expect_crop_forward_matches_dense(int s, int kr, int kc, Poison p,
+                                       Fft2WorkspaceT<R>& ws) {
+  Rng rng(static_cast<std::uint64_t>(s * 17 + kr * 5 + kc));
+  std::vector<std::complex<R>> grid =
+      random_field<R>(static_cast<std::size_t>(s) * s, rng);
+  poison(grid, p);
+  std::vector<std::complex<R>> dense = grid;
+  dense_fft2(dense, s, /*inverse=*/false);
+  int emitted = 0;
+  crop_forward(plan_of<R>(s), grid.data(), kr, kc, ws,
+               [&](int a, int c, std::complex<R> v) {
+                 ASSERT_EQ(a * kc + c, emitted++) << "emit order is a-major";
+                 const std::complex<R> ref =
+                     dense[static_cast<std::size_t>(
+                               centered_to_dft_index(a, kr, s)) *
+                               s +
+                           centered_to_dft_index(c, kc, s)];
+                 ASSERT_TRUE(same_or_both_nan(v.real(), ref.real()) &&
+                             same_or_both_nan(v.imag(), ref.imag()))
+                     << "s=" << s << " crop (" << a << ", " << c
+                     << "): " << v << " vs " << ref;
+               });
+  EXPECT_EQ(emitted, kr * kc);
+}
+
+// (s, kr, kc): radix-2 with one and several column blocks, Bluestein with a
+// partial last block, k = 1 (DC only), k = s (the band is every row), a
+// non-square crop; every crop wider than one row wraps across row 0.
+template <typename R>
+void sweep_pruned_transforms() {
+  const int cases[][3] = {{16, 5, 5},  {64, 29, 29}, {12, 5, 5}, {45, 9, 9},
+                          {16, 1, 1},  {16, 16, 16}, {15, 15, 15},
+                          {32, 7, 3},  {1, 1, 1}};
+  Fft2WorkspaceT<R> ws;  // one workspace across sizes: grown, reused
+  for (const Poison p : {Poison::kNone, Poison::kNan, Poison::kInf}) {
+    for (const auto& c : cases) {
+      SCOPED_TRACE(testing::Message() << "s=" << c[0] << " poison="
+                                      << static_cast<int>(p));
+      expect_band_inverse_matches_dense<R>(c[0], c[1], c[2], p, ws);
+      expect_crop_forward_matches_dense<R>(c[0], c[1], c[2], p, ws);
+    }
+  }
+}
+
+TEST(PrunedFft, MatchesDenseTransformDouble) {
+  sweep_pruned_transforms<double>();
+}
+
+TEST(PrunedFft, MatchesDenseTransformFloat) {
+  sweep_pruned_transforms<float>();
+}
+
+TEST(PrunedFft, ColumnBlockIsAnL1Strip) {
+  // ~8 KB of complex values, at least 4 columns, never more than s.
+  EXPECT_EQ(pruned_column_block<float>(64), 16);
+  EXPECT_EQ(pruned_column_block<double>(64), 8);
+  EXPECT_EQ(pruned_column_block<double>(128), 4);
+  EXPECT_EQ(pruned_column_block<float>(1024), 4);
+  EXPECT_EQ(pruned_column_block<float>(16), 16);
+  EXPECT_EQ(pruned_column_block<double>(45), 11);
+}
+
+TEST(PrunedFft, CenteredIndexIsEmbedThenIfftshift) {
+  // The map equals center_embed followed by ifftshift, for odd and even
+  // crop and grid sizes.
+  for (const int s : {8, 9, 16, 17}) {
+    for (const int k : {1, 2, 5, 8}) {
+      if (k > s) continue;
+      Grid<double> g(k, k);
+      for (int a = 0; a < k; ++a)
+        for (int c = 0; c < k; ++c) g(a, c) = 1 + a * k + c;
+      const Grid<double> e = ifftshift(center_embed(g, s, s));
+      for (int a = 0; a < k; ++a)
+        for (int c = 0; c < k; ++c)
+          EXPECT_EQ(e(centered_to_dft_index(a, k, s),
+                      centered_to_dft_index(c, k, s)),
+                    g(a, c))
+              << "s=" << s << " k=" << k;
+    }
+  }
 }
 
 TEST(Spectral, DownsampleAreaAverages) {

@@ -337,6 +337,14 @@ TEST(BatchedSocs, BitIdenticalToPerMaskChainBluestein) {
   expect_batched_matches_chain(2, 3, 5, 15);
 }
 
+TEST(BatchedSocs, BitIdenticalAcrossSeveralColumnBlocks) {
+  // out_px 64 splits the float column pass into several L1 blocks and the
+  // n = 29 band wraps across row 0; out_px 45 (Bluestein) ends in a
+  // partial block.
+  expect_batched_matches_chain(2, 2, 29, 64);
+  expect_batched_matches_chain(2, 2, 9, 45);
+}
+
 TEST(BatchedSocs, SingleSampleBatchDegeneratesToChain) {
   expect_batched_matches_chain(1, 2, 3, 8);
 }

@@ -10,8 +10,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <latch>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -695,6 +697,36 @@ TEST(LithoServer, RejectsInvalidSubmissions) {
   EXPECT_THROW(server.try_submit(mask, 8), check_error);
   EXPECT_EQ(mask, copy);
   EXPECT_EQ(server.stats().submitted, 0u);  // rejected work is not counted
+}
+
+TEST(LithoServer, RejectsNonFiniteMasks) {
+  // A NaN is never served: a NaN or Inf pixel would spread through the
+  // FFTs into the whole aerial.  The rejection happens before the mask is
+  // moved, so try_submit hands it back bit for bit, and nothing is counted.
+  ServerHarness h(108);
+  LithoServer server(h.make_litho());
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    Grid<double> mask = random_mask(32, 32, h.rng);
+    mask(5, 7) = bad;
+    const Grid<double> copy = mask;
+    const auto untouched = [&] {
+      return mask.size() == copy.size() &&
+             std::memcmp(mask.data(), copy.data(),
+                         mask.size() * sizeof(double)) == 0;
+    };
+    EXPECT_THROW(server.submit(mask, 16), check_error) << bad;
+    EXPECT_TRUE(untouched()) << bad;
+    EXPECT_THROW(server.try_submit(mask, 16), check_error) << bad;
+    EXPECT_TRUE(untouched()) << bad;
+    EXPECT_EQ(server.stats().submitted, 0u) << bad;
+  }
+  // A finite mask still goes through.
+  Grid<double> ok = random_mask(32, 32, h.rng);
+  const Grid<double> ok_copy = ok;
+  EXPECT_EQ(server.submit(std::move(ok), 16).get(),
+            h.expected(ok_copy, 16, RequestKind::kAerial));
+  EXPECT_EQ(server.stats().submitted, 1u);
 }
 
 TEST(LithoServer, ExecuteTimeFailureResolvesFutureWithException) {

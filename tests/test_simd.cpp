@@ -492,8 +492,8 @@ TEST(Simd, EngineAerialBitIdenticalAcrossArms) {
 
 // Concurrency: four threads hammer aerial_batch under the detected arm
 // (bit-compared against the scalar arm's serial answer).  Run under the
-// tsan preset, this also proves the dispatch atomic and workspace pool are
-// race-free with the SIMD kernels in play.
+// tsan preset, this also proves the dispatch atomic and the per-thread FFT
+// workspaces are race-free with the SIMD kernels in play.
 TEST(Simd, ConcurrentAerialBatchBitIdentical) {
   Rng rng = make_rng(8);
   const int out_px = 24, kdim = 7;

@@ -23,6 +23,10 @@ those conventions into a CI failure:
                          defined in src/common/simd.cpp must have its
                          dispatcher exercised in tests/test_simd.cpp
                          (which must drive arms via for_each_vector_arm).
+  R5 prerev-outside-fft  bitrev_table() / *_many_prerev calls in src/
+                         outside src/fft/ — the bit-reversed gather lives
+                         once, in fft/pruned.hpp; callers use band_inverse
+                         and crop_forward.  Tests are exempt.
 
 Matching is regex AST-lite over comment- and string-stripped sources — no
 libclang dependency.  To extend: add a Rule to RULES (R1-R3 style token
@@ -90,11 +94,14 @@ def strip_cpp(text):
 
 
 class Rule:
-    def __init__(self, rule_id, pattern, message, strip=True):
+    def __init__(self, rule_id, pattern, message, strip=True,
+                 exempt_dir=None):
         self.rule_id = rule_id
         self.pattern = re.compile(pattern)
         self.message = message
         self.strip = strip  # comment/string-strip before matching (C++ only)
+        # src/ subdirectory the rule does not apply to (None: all of src/).
+        self.exempt_dir = exempt_dir
 
 
 # Token rules over src/.  R2's flag tokens also run over the build config
@@ -122,6 +129,11 @@ RULES = [
          "unspecified reduction order is not reproducible bit for bit; "
          "use the ordered chunked reduction (litho::reduce_ordered / "
          "DESIGN.md §6.3)"),
+    Rule("R5 prerev-outside-fft",
+         r"\bbitrev_table\s*\(|\b\w+_many_prerev\s*\(",
+         "the bit-reversed gather is written once, in src/fft/pruned.hpp; "
+         "use band_inverse / crop_forward (DESIGN.md §6.3)",
+         exempt_dir="fft"),
 ]
 
 FLAG_RULE_IDS = {"R2 fast-math-drift"}
@@ -175,7 +187,9 @@ def lint_tree(root):
     src = root / "src"
     for path in sorted(src.rglob("*")):
         if path.suffix in CPP_SUFFIXES:
-            lint_text(path, path.read_text(errors="replace"), RULES,
+            sub = path.relative_to(src).parts[0]
+            rules = [r for r in RULES if r.exempt_dir != sub]
+            lint_text(path, path.read_text(errors="replace"), rules,
                       violations)
     flag_rules = [r for r in RULES if r.rule_id in FLAG_RULE_IDS]
     config_files = [root / "CMakeLists.txt", root / "CMakePresets.json"]
@@ -210,6 +224,8 @@ SELF_TESTS = [
     ("fp_contract_pragma.cpp", "R2 fast-math-drift"),
     ("unordered_reduction.cpp", "R3 unordered-reduction"),
     ("comment_mention_clean.cpp", None),
+    ("prerev_gather.cpp", "R5 prerev-outside-fft"),
+    ("prerev_gather_clean.cpp", None),
 ]
 
 
