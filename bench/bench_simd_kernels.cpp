@@ -1,8 +1,10 @@
-// SIMD kernel microbench (ISSUE 9): same-binary scalar-vs-vector ratios for
-// the three gated hot loops — the engine's fused crop/multiply/scatter +
-// abs2-accumulate pass, the radix-2 butterfly transform, and the dense GEMM
-// microkernels — plus informational rows for the Bluestein path and the
-// float abs2 accumulate.  Ratios come from interleaved best-of-reps runs of
+// SIMD kernel microbench: same-binary scalar-vs-vector ratios for the three
+// gated hot loops — the engine's fused crop/multiply/scatter +
+// abs2-accumulate pass, the radix-2 butterfly transform (paired stages plus
+// an odd last stage, DESIGN.md §13.2), and the dense GEMM microkernels —
+// plus informational rows for the pruned-inverse column blocks the imaging,
+// train and opc workloads run, the Bluestein path and the float abs2
+// accumulate.  Ratios come from interleaved best-of-reps runs of
 // the *identical* workload under force_arm(), so everything except the
 // dispatch arm cancels out; bit-identity across arms is pinned by
 // tests/test_simd.cpp, this file only measures speed.
@@ -123,6 +125,35 @@ int main(int argc, char** argv) {
                   },
                   500};
 
+  // --- hot-path strips: one pruned-inverse column block ------------------
+  // The shapes band_inverse (fft/pruned.hpp) actually runs: the train/opc
+  // ops' float s = 64 with 16 columns per block and the imaging engine's
+  // double s = 128 with 4, each one inverse_many_prerev over the block.
+  const int strip_f_n = 64, strip_f_cols = 16;
+  const int strip_d_n = 128, strip_d_cols = 4;
+  const auto strip_sig_f = random_cvec<cf>(strip_f_n * strip_f_cols, rng);
+  const auto strip_sig_d = random_cvec<cd>(strip_d_n * strip_d_cols, rng);
+  aligned_vector<cf> strip_f(strip_sig_f.size());
+  aligned_vector<cd> strip_d(strip_sig_d.size());
+  const FftPlan<float>& strip_plan_f = fft_plan_f(strip_f_n);
+  const FftPlan<double>& strip_plan_d = fft_plan_d(strip_d_n);
+  Workload strip32{"strip_f32_64",
+                   [&] {
+                     std::memcpy(strip_f.data(), strip_sig_f.data(),
+                                 strip_sig_f.size() * sizeof(cf));
+                     strip_plan_f.inverse_many_prerev(
+                         strip_f.data(), strip_f_cols, nullptr);
+                   },
+                   500};
+  Workload strip64{"strip_f64_128",
+                   [&] {
+                     std::memcpy(strip_d.data(), strip_sig_d.data(),
+                                 strip_sig_d.size() * sizeof(cd));
+                     strip_plan_d.inverse_many_prerev(
+                         strip_d.data(), strip_d_cols, nullptr);
+                   },
+                   500};
+
   // --- Bluestein (prime 509): chirp + convolution over the SIMD stages ---
   const auto sig_b = random_cvec<cd>(509, rng);
   aligned_vector<cd> buf_b(509);
@@ -165,8 +196,9 @@ int main(int argc, char** argv) {
                 },
                 2000};
 
-  const Workload* workloads[] = {&fused,   &bfly64,  &bfly32, &bluestein,
-                                 &gemm_nn, &gemm_nt, &abs2};
+  const Workload* workloads[] = {&fused,     &bfly64,  &bfly32,  &strip32,
+                                 &strip64,   &bluestein, &gemm_nn, &gemm_nt,
+                                 &abs2};
 
   std::printf("== SIMD kernel microbench (best of %d reps) ==\n\n", reps);
   TablePrinter tp({"kernel", "scalar ns", "simd ns", "vs_scalar"}, 14);

@@ -43,14 +43,19 @@ inline Arm current() {
 // layer existed, and the vector arms replicate it lane by lane.
 // ---------------------------------------------------------------------------
 
+// The complex product every arm computes: (ar*br - ai*bi, ar*bi + ai*br).
+// Written out because std::complex's operator* recovers infinities from a
+// NaN-NaN product (C Annex G, __muldc3), which no vector lane does; for
+// finite operands the two are the same bits.
 template <typename C>
-void cmul_scalar(C* dst, const C* a, const C* b, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = a[i] * b[i];
+inline C cmul_ref(const C& a, const C& b) {
+  return C(a.real() * b.real() - a.imag() * b.imag(),
+           a.real() * b.imag() + a.imag() * b.real());
 }
 
 template <typename C>
-void cmul_inplace_scalar(C* a, const C* b, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) a[i] *= b[i];
+void cmul_scalar(C* dst, const C* a, const C* b, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) dst[i] = cmul_ref(a[i], b[i]);
 }
 
 void abs2_scale_accum_scalar(double* acc, const cd* z, double scale,
@@ -115,11 +120,19 @@ template <typename C>
 void fft_stage_scalar(C* x, int len, int half, const C* tw) {
   for (int base = 0; base < len; base += 2 * half) {
     for (int k = 0; k < half; ++k) {
-      const C t = x[base + half + k] * tw[k];
+      const C t = cmul_ref(x[base + half + k], tw[k]);
       x[base + half + k] = x[base + k] - t;
       x[base + k] += t;
     }
   }
+}
+
+// The reference for the paired pass: the two stages, one after the other.
+template <typename C>
+void fft_stage_pair_scalar(C* x, int len, int half, const C* tw,
+                           const C* tw2) {
+  fft_stage_scalar(x, len, half, tw);
+  fft_stage_scalar(x, len, 2 * half, tw2);
 }
 
 #if NITHO_SIMD_X86
@@ -169,7 +182,7 @@ void cmul_sse2(cf* dst, const cf* a, const cf* b, std::int64_t n) {
     const __m128 bv = _mm_loadu_ps(reinterpret_cast<const float*>(b + i));
     _mm_storeu_ps(reinterpret_cast<float*>(dst + i), cmul2_sse2(av, bv));
   }
-  for (; i < n; ++i) dst[i] = a[i] * b[i];
+  for (; i < n; ++i) dst[i] = cmul_ref(a[i], b[i]);
 }
 
 void abs2_scale_accum_sse2(double* acc, const cd* z, double scale,
@@ -391,6 +404,13 @@ void fft_stage_sse2(std::complex<float>* x, int len, int half,
   }
 }
 
+// The SSE2 arm of the paired pass is the two SSE2 stages in turn.
+template <typename C>
+void fft_stage_pair_sse2(C* x, int len, int half, const C* tw, const C* tw2) {
+  fft_stage_sse2(x, len, half, tw);
+  fft_stage_sse2(x, len, 2 * half, tw2);
+}
+
 // ---------------------------------------------------------------------------
 // AVX2 arms.  Compiled with a per-function target attribute (the TU itself
 // builds with baseline flags) and dispatched only when CPUID reports AVX2.
@@ -443,7 +463,7 @@ __attribute__((target("avx2"))) void cmul_avx2(cf* dst, const cf* a,
     const __m256 bv = _mm256_loadu_ps(reinterpret_cast<const float*>(b + i));
     _mm256_storeu_ps(reinterpret_cast<float*>(dst + i), cmul4_avx2(av, bv));
   }
-  for (; i < n; ++i) dst[i] = a[i] * b[i];
+  for (; i < n; ++i) dst[i] = cmul_ref(a[i], b[i]);
 }
 
 __attribute__((target("avx2"))) void abs2_scale_accum_avx2(double* acc,
@@ -672,6 +692,214 @@ __attribute__((target("avx2"))) void fft_stage_avx2(
   }
 }
 
+// ---------------------------------------------------------------------------
+// The paired radix-2 pass (radix-2²).  A block of 4*half elements holds
+// half groups x[base+k + j*half], j = 0..3.  Stage `half` butterflies
+// (x0, x1) and (x2, x3) with tw[k]; stage `2*half` then butterflies (x0, x2)
+// with tw2[k] and (x1, x3) with tw2[half+k].  Each group is loaded once,
+// runs all four butterflies in registers and is stored once — the same
+// butterflies on the same operands as the two single stages.  When half is
+// narrower than a register, the lanes span two blocks instead of k: the low
+// 128 bits hold block base, the high 128 bits block base + 4*half.
+// ---------------------------------------------------------------------------
+
+// t = b * w; b = a - t; a = a + t — fft_stage's butterfly on registers.
+__attribute__((target("avx2"))) inline void butterfly(__m256d& a,
+                                                        __m256d& b,
+                                                        __m256d w) {
+  const __m256d t = cmul2_avx2(b, w);
+  b = _mm256_sub_pd(a, t);
+  a = _mm256_add_pd(a, t);
+}
+
+__attribute__((target("avx2"))) inline void butterfly(__m256& a, __m256& b,
+                                                        __m256 w) {
+  const __m256 t = cmul4_avx2(b, w);
+  b = _mm256_sub_ps(a, t);
+  a = _mm256_add_ps(a, t);
+}
+
+// 128 bits from lo in the low half, 128 bits from hi in the high half.
+__attribute__((target("avx2"))) inline __m256d load_halves(const double* lo,
+                                                          const double* hi) {
+  return _mm256_insertf128_pd(_mm256_castpd128_pd256(_mm_loadu_pd(lo)),
+                              _mm_loadu_pd(hi), 1);
+}
+
+__attribute__((target("avx2"))) inline void store_halves(double* lo,
+                                                        double* hi,
+                                                        __m256d v) {
+  _mm_storeu_pd(hi, _mm256_extractf128_pd(v, 1));
+  _mm_storeu_pd(lo, _mm256_castpd256_pd128(v));
+}
+
+__attribute__((target("avx2"))) inline __m256 load_halves(const float* lo,
+                                                         const float* hi) {
+  return _mm256_castpd_ps(load_halves(reinterpret_cast<const double*>(lo),
+                                      reinterpret_cast<const double*>(hi)));
+}
+
+__attribute__((target("avx2"))) inline void store_halves(float* lo, float* hi,
+                                                        __m256 v) {
+  store_halves(reinterpret_cast<double*>(lo), reinterpret_cast<double*>(hi),
+               _mm256_castps_pd(v));
+}
+
+// 128-bit twiddle pattern repeated in both halves.
+__attribute__((target("avx2"))) inline __m256d twice(const double* w) {
+  return _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(w));
+}
+
+__attribute__((target("avx2"))) inline __m256 twice(const float* w) {
+  return _mm256_broadcast_ps(reinterpret_cast<const __m128*>(w));
+}
+
+// The passes whose lanes span two blocks, one per 128-bit half: each
+// register holds one 128-bit quarter j of block lo and the same quarter of
+// block hi = lo + one block.  A lone last block pairs with itself (hi ==
+// lo): both halves then compute the same group and store the same bits.
+// `quarter` is in scalars; w repeats tw, wa and wb the two halves of tw2.
+// Used for double half = 1 (quarter = 1 complex) and float half = 2
+// (quarter = 2 complex).
+template <typename V, typename R>
+__attribute__((target("avx2"))) inline void pair_halves(R* p, int len,
+                                                       int quarter, V w,
+                                                       V wa, V wb) {
+  const std::ptrdiff_t end = 2 * static_cast<std::ptrdiff_t>(len);
+  const int block = 4 * quarter;
+  for (std::ptrdiff_t i = 0; i < end; i += 2 * block) {
+    R* const lo = p + i;
+    R* const hi = end - i > block ? lo + block : lo;
+    V a = load_halves(lo, hi);
+    V b = load_halves(lo + quarter, hi + quarter);
+    V c = load_halves(lo + 2 * quarter, hi + 2 * quarter);
+    V d = load_halves(lo + 3 * quarter, hi + 3 * quarter);
+    butterfly(a, b, w);
+    butterfly(c, d, w);
+    butterfly(a, c, wa);
+    butterfly(b, d, wb);
+    store_halves(lo, hi, a);
+    store_halves(lo + quarter, hi + quarter, b);
+    store_halves(lo + 2 * quarter, hi + 2 * quarter, c);
+    store_halves(lo + 3 * quarter, hi + 3 * quarter, d);
+  }
+}
+
+// Float half = 1, two 4-element blocks e (low half) and f (high half) at a
+// time, paired as in pair_halves.  As 64-bit lanes A = [e0 e1 | f0 f1] and
+// B = [e2 e3 | f2 f3]; unpacking gives the stage-1 pairs
+// P = [e0 e2 | f0 f2], Q = [e1 e3 | f1 f3], and unpacking again the
+// stage-2 pairs U = [e0 e1 | f0 f1], V = [e2 e3 | f2 f3] — memory order.
+// w is tw[0] in every lane, w2 = [tw2[0] tw2[1]] in both halves.
+__attribute__((target("avx2"))) inline void pair_f32_half1(float* p, int len,
+                                                          __m256 w,
+                                                          __m256 w2) {
+  const std::ptrdiff_t end = 2 * static_cast<std::ptrdiff_t>(len);
+  for (std::ptrdiff_t i = 0; i < end; i += 16) {
+    float* const lo = p + i;
+    float* const hi = end - i > 8 ? lo + 8 : lo;
+    const __m256d a = _mm256_castps_pd(load_halves(lo, hi));
+    const __m256d b = _mm256_castps_pd(load_halves(lo + 4, hi + 4));
+    __m256 pv = _mm256_castpd_ps(_mm256_unpacklo_pd(a, b));
+    __m256 qv = _mm256_castpd_ps(_mm256_unpackhi_pd(a, b));
+    butterfly(pv, qv, w);
+    __m256 u = _mm256_castpd_ps(
+        _mm256_unpacklo_pd(_mm256_castps_pd(pv), _mm256_castps_pd(qv)));
+    __m256 v = _mm256_castpd_ps(
+        _mm256_unpackhi_pd(_mm256_castps_pd(pv), _mm256_castps_pd(qv)));
+    butterfly(u, v, w2);
+    store_halves(lo, hi, u);
+    store_halves(lo + 4, hi + 4, v);
+  }
+}
+
+__attribute__((target("avx2"))) inline __m256d load_vec(const double* p) {
+  return _mm256_loadu_pd(p);
+}
+__attribute__((target("avx2"))) inline __m256 load_vec(const float* p) {
+  return _mm256_loadu_ps(p);
+}
+__attribute__((target("avx2"))) inline void store_vec(double* p, __m256d v) {
+  _mm256_storeu_pd(p, v);
+}
+__attribute__((target("avx2"))) inline void store_vec(float* p, __m256 v) {
+  _mm256_storeu_ps(p, v);
+}
+
+// Lanes straight across k, for half a whole number of registers.  Groups
+// are independent within the pass, so they may run in any order: blocks are
+// walked in ~16 KB chunks with the lane offset o outermost, so each twiddle
+// triple is loaded and shuffled once per chunk instead of once per block,
+// while the chunk stays in L1 across the o sweep.
+template <typename V, typename R>
+__attribute__((target("avx2"))) inline void pair_straight(R* p, int len,
+                                                          int half,
+                                                          const R* w1,
+                                                          const R* w2) {
+  constexpr int kLane = static_cast<int>(sizeof(V) / sizeof(R));
+  constexpr int kChunkElems = 16384 / static_cast<int>(2 * sizeof(R));
+  const int quarter = 2 * half;  // scalars per j
+  const int block = 4 * half;    // complex elements per block
+  const int chunk = block > kChunkElems ? block : kChunkElems;
+  for (int c0 = 0; c0 < len;) {
+    const int c1 = len - c0 > chunk ? c0 + chunk : len;
+    for (int o = 0; o < quarter; o += kLane) {
+      const V w = load_vec(w1 + o);
+      const V wa = load_vec(w2 + o);
+      const V wb = load_vec(w2 + quarter + o);
+      for (int base = c0; base < c1; base += block) {
+        R* const x0 = p + 2 * static_cast<std::ptrdiff_t>(base) + o;
+        V a = load_vec(x0);
+        V b = load_vec(x0 + quarter);
+        V c = load_vec(x0 + 2 * quarter);
+        V d = load_vec(x0 + 3 * quarter);
+        butterfly(a, b, w);
+        butterfly(c, d, w);
+        butterfly(a, c, wa);
+        butterfly(b, d, wb);
+        store_vec(x0, a);
+        store_vec(x0 + quarter, b);
+        store_vec(x0 + 2 * quarter, c);
+        store_vec(x0 + 3 * quarter, d);
+      }
+    }
+    c0 = c1;
+  }
+}
+
+__attribute__((target("avx2"))) void fft_stage_pair_avx2(
+    std::complex<double>* x, int len, int half,
+    const std::complex<double>* tw, const std::complex<double>* tw2) {
+  double* p = reinterpret_cast<double*>(x);
+  const double* w1 = reinterpret_cast<const double*>(tw);
+  const double* w2 = reinterpret_cast<const double*>(tw2);
+  if (half == 1) {
+    pair_halves(p, len, 2, twice(w1), twice(w2), twice(w2 + 2));
+    return;
+  }
+  pair_straight<__m256d>(p, len, half, w1, w2);
+}
+
+__attribute__((target("avx2"))) void fft_stage_pair_avx2(
+    std::complex<float>* x, int len, int half, const std::complex<float>* tw,
+    const std::complex<float>* tw2) {
+  float* p = reinterpret_cast<float*>(x);
+  const float* w1 = reinterpret_cast<const float*>(tw);
+  const float* w2 = reinterpret_cast<const float*>(tw2);
+  if (half == 1) {
+    pair_f32_half1(p, len,
+                   _mm256_castpd_ps(_mm256_broadcast_sd(
+                       reinterpret_cast<const double*>(w1))),
+                   twice(w2));
+    return;
+  }
+  if (half == 2) {
+    pair_halves(p, len, 4, twice(w1), twice(w2), twice(w2 + 4));
+    return;
+  }
+  pair_straight<__m256>(p, len, half, w1, w2);
+}
+
 #endif  // NITHO_SIMD_X86
 
 }  // namespace
@@ -782,6 +1010,18 @@ void fft_stage(std::complex<double>* x, int len, int half,
 void fft_stage(std::complex<float>* x, int len, int half,
                const std::complex<float>* tw) {
   NITHO_DISPATCH(fft_stage, x, len, half, tw)
+}
+
+void fft_stage_pair(std::complex<double>* x, int len, int half,
+                    const std::complex<double>* tw,
+                    const std::complex<double>* tw2) {
+  NITHO_DISPATCH(fft_stage_pair, x, len, half, tw, tw2)
+}
+
+void fft_stage_pair(std::complex<float>* x, int len, int half,
+                    const std::complex<float>* tw,
+                    const std::complex<float>* tw2) {
+  NITHO_DISPATCH(fft_stage_pair, x, len, half, tw, tw2)
 }
 
 #undef NITHO_DISPATCH

@@ -51,7 +51,9 @@ bool simd_compiled();
 // ---------------------------------------------------------------------------
 
 /// dst[i] = a[i] * b[i] (complex multiply; dst must not alias a or b).
-/// Scalar arm: std::complex operator*.
+/// Every arm computes (ar*br - ai*bi, ar*bi + ai*br) — std::complex's
+/// operator* for finite inputs, without its Annex-G recovery of non-finite
+/// products, so ±Inf lanes give the same answer on every arm.
 void cmul(cd* dst, const cd* a, const cd* b, std::int64_t n);
 void cmul(cf* dst, const cf* a, const cf* b, std::int64_t n);
 
@@ -108,14 +110,33 @@ void adam_update(float* p, float* m, float* v, const float* g, std::int64_t n,
 /// One radix-2 stage over the whole transform: for every block of 2*half
 /// elements, butterflies x[base+k] / x[base+half+k] with twiddle tw[k]
 /// (k in [0, half)).  tw is the stage's contiguous twiddle table, already
-/// conjugated for inverse transforms.  Scalar arithmetic per butterfly:
+/// conjugated for inverse transforms; len must be a multiple of 2*half.
+/// Scalar arithmetic per butterfly (the complex product in its 4-mul/2-add
+/// form, the same on every arm and for non-finite inputs too):
 ///   t = x[base+half+k] * tw[k];
 ///   x[base+half+k] = x[base+k] - t;
 ///   x[base+k] += t;
-/// Lanes span k within a block — butterflies touch disjoint elements.
+/// Lanes span k within a block — butterflies touch disjoint elements.  The
+/// transforms call it only for an odd last stage; every other stage runs
+/// inside fft_stage_pair.
 void fft_stage(std::complex<double>* x, int len, int half,
                const std::complex<double>* tw);
 void fft_stage(std::complex<float>* x, int len, int half,
                const std::complex<float>* tw);
+
+/// Two consecutive radix-2 stages in one pass: fft_stage(x, len, half, tw)
+/// followed by fft_stage(x, len, 2*half, tw2), bit for bit.  len must be a
+/// multiple of 4*half.  The vector arms walk blocks of 4*half elements and
+/// keep each radix-2² group x[base+k + j*half] (j = 0..3) in registers
+/// between the two stages: every element still sees the same butterflies
+/// with the same operands, only the memory round trip between the stages
+/// is gone.  Lanes span k (or whole blocks when half is below the vector
+/// width), never a reduction.
+void fft_stage_pair(std::complex<double>* x, int len, int half,
+                    const std::complex<double>* tw,
+                    const std::complex<double>* tw2);
+void fft_stage_pair(std::complex<float>* x, int len, int half,
+                    const std::complex<float>* tw,
+                    const std::complex<float>* tw2);
 
 }  // namespace nitho::simd

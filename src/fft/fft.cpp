@@ -99,19 +99,29 @@ struct FftPlan<R>::Impl {
     }
   }
 
+  // Every radix-2 stage of a length-`len` transform over `total` elements
+  // (total / len contiguous segments), in the one stage schedule all
+  // transforms share: stages (1, 2), (4, 8), ... in radix-2² pairs, then an
+  // odd last stage alone.  A pair is the two stages in turn, bit for bit
+  // (simd::fft_stage_pair), and its 4*half-element blocks never straddle a
+  // segment boundary, so every segment sees its own stage sequence.
+  static void run_stages(C* x, int total, int len, const C* tables) {
+    int half = 1;
+    for (; 4 * half <= len; half *= 4) {
+      simd::fft_stage_pair(x, total, half, tables + (half - 1),
+                           tables + (2 * half - 1));
+    }
+    if (half < len) simd::fft_stage(x, total, half, tables + (half - 1));
+  }
+
   // Iterative radix-2 over the cached tables (len must be this plan's pow2
-  // length: n for native plans, m for Bluestein plans).  Each stage runs as
-  // one simd::fft_stage call — butterflies within a stage touch disjoint
-  // elements, so the vector arms stay bit-identical to the scalar one.
+  // length: n for native plans, m for Bluestein plans).
   void pow2_transform(C* x, int len, bool inverse) const {
     for (int i = 0; i < len; ++i) {
       const int j = bitrev[i];
       if (j > i) std::swap(x[i], x[j]);
     }
-    const C* tables = inverse ? stage_inv.data() : stage_fwd.data();
-    for (int half = 1; half < len; half <<= 1) {
-      simd::fft_stage(x, len, half, tables + (half - 1));
-    }
+    run_stages(x, len, len, inverse ? stage_inv.data() : stage_fwd.data());
   }
 
   void transform(C* x, bool inverse, C* scratch) const {
@@ -130,10 +140,10 @@ struct FftPlan<R>::Impl {
   }
 
   // `count` contiguous segments in one pass: per-segment bit-reversal, then
-  // one fft_stage call per stage over all segments.  Stage blocks (2*half
-  // elements) tile each segment exactly, so the butterflies — and therefore
-  // the bits — match `count` separate transform() calls; only the dispatch
-  // count changes.  The inverse 1/n scale stays one multiply per element.
+  // the shared stage schedule over all segments at once.  Stage blocks tile
+  // each segment exactly, so the butterflies — and therefore the bits —
+  // match `count` separate transform() calls; only the dispatch count
+  // changes.  The inverse 1/n scale stays one multiply per element.
   void transform_many(C* x, int count, bool inverse, C* scratch,
                       bool prerev = false) const {
     check(count >= 0 &&
@@ -158,11 +168,8 @@ struct FftPlan<R>::Impl {
         }
       }
     }
-    const C* tables = inverse ? stage_inv.data() : stage_fwd.data();
     const int total = count * n;
-    for (int half = 1; half < n; half <<= 1) {
-      simd::fft_stage(x, total, half, tables + (half - 1));
-    }
+    run_stages(x, total, n, inverse ? stage_inv.data() : stage_fwd.data());
     if (inverse) {
       const R scale = static_cast<R>(1.0 / n);
       for (int i = 0; i < total; ++i) x[i] *= scale;

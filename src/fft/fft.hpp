@@ -56,12 +56,14 @@ class FftPlan {
   /// `count` independent in-place transforms over contiguous length-size()
   /// segments starting at x.  Bit-identical to calling the single-segment
   /// overloads on each segment in turn: segments are bit-reversed
-  /// individually, then each radix-2 stage runs as ONE simd::fft_stage call
-  /// across all segments — a stage's butterfly blocks span 2*half elements
-  /// with half a power of two below size(), so no block ever straddles a
-  /// segment boundary and every segment sees exactly the per-segment stage
-  /// sequence.  This amortizes per-transform dispatch for the batched
-  /// training ops' many small row/column transforms (DESIGN.md §13.2).
+  /// individually, then each pair of radix-2 stages runs as ONE
+  /// simd::fft_stage_pair call across all segments (an odd last stage as
+  /// one simd::fft_stage call) — a pass's butterfly blocks span 4*half
+  /// (2*half) elements, a power of two no larger than size(), so no block
+  /// ever straddles a segment boundary and every segment sees exactly the
+  /// per-segment stage sequence.  This amortizes per-transform dispatch for
+  /// the batched training ops' many small row/column transforms (DESIGN.md
+  /// §13.2).
   /// Bluestein sizes fall back to the per-segment path over `scratch`.
   void forward_many(std::complex<R>* x, int count,
                     std::complex<R>* scratch) const;

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -68,6 +70,45 @@ std::vector<float> random_fvec(int n, Rng& rng) {
   std::vector<float> v(static_cast<std::size_t>(n));
   for (auto& x : v) x = static_cast<float>(rng.normal());
   return v;
+}
+
+// Overwrites about a third of the components with +Inf, -Inf, NaN or -0.0,
+// the inputs on which complex-multiply recovery or a sign slip would show.
+template <typename C>
+void sprinkle_specials(std::vector<C>& v, Rng& rng) {
+  using R = typename C::value_type;
+  const R specials[] = {std::numeric_limits<R>::infinity(),
+                        -std::numeric_limits<R>::infinity(),
+                        std::numeric_limits<R>::quiet_NaN(), R(-0.0)};
+  for (auto& z : v) {
+    R re = z.real(), im = z.imag();
+    if (rng.bernoulli(0.3)) re = specials[rng.randint(0, 3)];
+    if (rng.bernoulli(0.3)) im = specials[rng.randint(0, 3)];
+    z = C(re, im);
+  }
+}
+
+// Bit equality in which any two NaNs are equal: NaN sign and payload bits
+// are outside the bit-identity protocol (DESIGN.md §13.2), NaN positions
+// and every other bit are not.
+template <typename C>
+::testing::AssertionResult bits_equal_nan(const std::vector<C>& a,
+                                          const std::vector<C>& b) {
+  using R = typename C::value_type;
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure() << "size mismatch";
+  }
+  const R* pa = reinterpret_cast<const R*>(a.data());
+  const R* pb = reinterpret_cast<const R*>(b.data());
+  for (std::size_t i = 0; i < 2 * a.size(); ++i) {
+    if (std::isnan(pa[i]) && std::isnan(pb[i])) continue;
+    if (std::memcmp(pa + i, pb + i, sizeof(R)) != 0) {
+      return ::testing::AssertionFailure()
+             << "bit mismatch at component " << i << ": " << pa[i] << " vs "
+             << pb[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 TEST(Simd, DispatchAndForce) {
@@ -199,6 +240,94 @@ TEST(Simd, FftStageBitIdentical) {
             << "cf len=" << len << " half=" << half << " arm="
             << simd::arm_name(arm);
       });
+    }
+  }
+  // Non-finite and -0 lanes, in the data and in the twiddles: every arm
+  // computes the same 4-mul/2-add product, so ±Inf, NaN positions and zero
+  // signs agree too (only NaN sign/payload bits may differ).
+  for (const int len : {8, 16, 64}) {
+    for (int half = 1; half < len; half <<= 1) {
+      auto xd0 = random_cvec<cd>(len, rng);
+      auto xf0 = random_cvec<cf>(len, rng);
+      auto twd = random_cvec<cd>(half, rng);
+      auto twf = random_cvec<cf>(half, rng);
+      sprinkle_specials(xd0, rng);
+      sprinkle_specials(xf0, rng);
+      sprinkle_specials(twd, rng);
+      sprinkle_specials(twf, rng);
+      std::vector<cd> refd = xd0;
+      std::vector<cf> reff = xf0;
+      {
+        ArmGuard guard;
+        simd::force_arm(simd::Arm::kScalar);
+        simd::fft_stage(refd.data(), len, half, twd.data());
+        simd::fft_stage(reff.data(), len, half, twf.data());
+      }
+      for_each_vector_arm([&](simd::Arm arm) {
+        std::vector<cd> xd = xd0;
+        std::vector<cf> xf = xf0;
+        simd::fft_stage(xd.data(), len, half, twd.data());
+        simd::fft_stage(xf.data(), len, half, twf.data());
+        EXPECT_TRUE(bits_equal_nan(xd, refd))
+            << "specials cd len=" << len << " half=" << half
+            << " arm=" << simd::arm_name(arm);
+        EXPECT_TRUE(bits_equal_nan(xf, reff))
+            << "specials cf len=" << len << " half=" << half
+            << " arm=" << simd::arm_name(arm);
+      });
+    }
+  }
+}
+
+// The paired pass against its reference, two fft_stage calls on the scalar
+// arm: every half that divides len into 4*half blocks (a superset of the
+// halves 1, 4, 16, ... the plans pair), lengths that leave a lone last
+// block for the two-block lanes (len % 8 == 4 at half 1, len % 16 == 8 at
+// half 2), an unaligned offset, and a second round with ±Inf/NaN/-0 lanes.
+template <typename C>
+void stage_pair_pin(int len, int half, bool specials, Rng& rng) {
+  auto x0 = random_cvec<C>(len + 1, rng);
+  auto tw = random_cvec<C>(half, rng);
+  auto tw2 = random_cvec<C>(2 * half, rng);
+  if (specials) {
+    sprinkle_specials(x0, rng);
+    sprinkle_specials(tw, rng);
+    sprinkle_specials(tw2, rng);
+  }
+  std::vector<C> ref = x0;
+  {
+    ArmGuard guard;
+    simd::force_arm(simd::Arm::kScalar);
+    simd::fft_stage(ref.data() + 1, len, half, tw.data());
+    simd::fft_stage(ref.data() + 1, len, 2 * half, tw2.data());
+    std::vector<C> pair = x0;
+    simd::fft_stage_pair(pair.data() + 1, len, half, tw.data(), tw2.data());
+    EXPECT_TRUE(bits_equal(pair, ref))
+        << "scalar pair len=" << len << " half=" << half;
+  }
+  for_each_vector_arm([&](simd::Arm arm) {
+    std::vector<C> x = x0;
+    simd::fft_stage_pair(x.data() + 1, len, half, tw.data(), tw2.data());
+    if (specials) {
+      EXPECT_TRUE(bits_equal_nan(x, ref))
+          << "specials len=" << len << " half=" << half
+          << " sizeof(C)=" << sizeof(C) << " arm=" << simd::arm_name(arm);
+    } else {
+      EXPECT_TRUE(bits_equal(x, ref))
+          << "len=" << len << " half=" << half << " sizeof(C)=" << sizeof(C)
+          << " arm=" << simd::arm_name(arm);
+    }
+  });
+}
+
+TEST(Simd, FftStagePairBitIdentical) {
+  Rng rng = make_rng(12);
+  for (const bool specials : {false, true}) {
+    for (const int len : {4, 8, 12, 16, 20, 24, 40, 64, 128, 1024}) {
+      for (int half = 1; len % (4 * half) == 0; half <<= 1) {
+        stage_pair_pin<cd>(len, half, specials, rng);
+        stage_pair_pin<cf>(len, half, specials, rng);
+      }
     }
   }
 }
@@ -359,6 +488,66 @@ TEST(Simd, FftBitIdenticalAcrossArms) {
   for (const int n : {8, 64, 97, 251, 509, 512}) {
     fft_bit_identity(fft_plan_d(n), ++salt);
     fft_bit_identity(fft_plan_f(n), ++salt);
+  }
+}
+
+// The multi-segment entry points under the shared stage schedule: every
+// radix-2 size 2..2048 (odd and even stage counts, so both a trailing lone
+// stage and none) and Bluestein sizes, over an odd segment count, each
+// arm's output memcmp-equal to the scalar arm's.
+template <typename R>
+void fft_many_bit_identity(const FftPlan<R>& plan, int salt) {
+  using C = std::complex<R>;
+  constexpr int kCount = 3;
+  Rng rng = make_rng(200 + salt);
+  const int n = plan.size();
+  const auto x0 = random_cvec<C>(n * kCount, rng);
+  std::vector<C> scratch(static_cast<std::size_t>(plan.scratch_size()));
+  const int* rev = plan.bitrev_table();
+  std::vector<C> x0_rev = x0;
+  if (rev != nullptr) {
+    for (int t = 0; t < kCount; ++t) {
+      for (int i = 0; i < n; ++i) x0_rev[t * n + rev[i]] = x0[t * n + i];
+    }
+  }
+  const auto run = [&] {
+    std::vector<std::vector<C>> out(6, x0);
+    plan.forward(out[0].data());
+    plan.inverse(out[1].data());
+    plan.forward_many(out[2].data(), kCount, scratch.data());
+    plan.inverse_many(out[3].data(), kCount, scratch.data());
+    if (rev != nullptr) {
+      out[4] = x0_rev;
+      out[5] = x0_rev;
+      plan.forward_many_prerev(out[4].data(), kCount, scratch.data());
+      plan.inverse_many_prerev(out[5].data(), kCount, scratch.data());
+    }
+    return out;
+  };
+  std::vector<std::vector<C>> ref;
+  {
+    ArmGuard guard;
+    simd::force_arm(simd::Arm::kScalar);
+    ref = run();
+  }
+  for_each_vector_arm([&](simd::Arm arm) {
+    const auto out = run();
+    for (std::size_t e = 0; e < out.size(); ++e) {
+      EXPECT_TRUE(bits_equal(out[e], ref[e]))
+          << "entry " << e << " n=" << n << " arm=" << simd::arm_name(arm);
+    }
+  });
+}
+
+TEST(Simd, FftManyBitIdenticalAcrossArms) {
+  int salt = 0;
+  for (int n = 2; n <= 2048; n <<= 1) {
+    fft_many_bit_identity(fft_plan_d(n), ++salt);
+    fft_many_bit_identity(fft_plan_f(n), ++salt);
+  }
+  for (const int n : {29, 97, 509}) {
+    fft_many_bit_identity(fft_plan_d(n), ++salt);
+    fft_many_bit_identity(fft_plan_f(n), ++salt);
   }
 }
 
