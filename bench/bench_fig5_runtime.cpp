@@ -6,11 +6,8 @@
 // network at inference, paper §III-C1); the reference simulator runs
 // full Abbe source-point summation.
 //
-// The Nitho row is measured three ways: the pre-AerialEngine single-mask
-// loop (reimplemented below, with its per-kernel allocations and plain
-// complex mask FFT), the current single-mask API, and the batched
-// AerialEngine sweep.  The batch/pre-refactor ratio is the engine
-// acceptance number tracked in bench/baselines/fig5_runtime.csv.
+// The Nitho row is measured two ways: the single-mask API and the batched
+// AerialEngine sweep.
 
 #include <cstdio>
 #include <vector>
@@ -18,7 +15,6 @@
 #include "baselines/image_trainer.hpp"
 #include "common.hpp"
 #include "common/timer.hpp"
-#include "fft/fft.hpp"
 #include "fft/spectral.hpp"
 #include "io/csv.hpp"
 #include "layout/raster.hpp"
@@ -26,59 +22,6 @@
 
 using namespace nitho;
 using namespace nitho::bench;
-
-namespace {
-
-// Pre-refactor mask->aerial pipeline, kept verbatim for the before/after
-// comparison: full complex row FFTs (no real-row pairing), then per kernel
-// a fresh product grid, a centered embed, an ifftshift copy and a
-// full-grid inverse transform.
-Grid<cd> legacy_fft2_crop_centered(const Grid<double>& img, int crop) {
-  const int rows = img.rows(), cols = img.cols();
-  const int half = crop / 2;
-  const FftPlan<double>& row_plan = fft_plan_d(cols);
-  Grid<cd> partial(rows, crop);
-  std::vector<cd> buf(cols);
-  for (int r = 0; r < rows; ++r) {
-    const double* src = img.row(r);
-    for (int c = 0; c < cols; ++c) buf[c] = cd(src[c], 0.0);
-    row_plan.forward(buf.data());
-    for (int k = -half; k <= half; ++k)
-      partial(r, k + half) = buf[(k + cols) % cols];
-  }
-  const FftPlan<double>& col_plan = fft_plan_d(rows);
-  Grid<cd> out(crop, crop);
-  std::vector<cd> col(rows);
-  for (int j = 0; j < crop; ++j) {
-    for (int r = 0; r < rows; ++r) col[r] = partial(r, j);
-    col_plan.forward(col.data());
-    for (int k = -half; k <= half; ++k)
-      out(k + half, j) = col[(k + rows) % rows];
-  }
-  return out;
-}
-
-Grid<double> legacy_aerial_from_mask(const std::vector<Grid<cd>>& kernels,
-                                     const Grid<double>& mask, int out_px) {
-  const int kdim = kernels[0].rows();
-  Grid<cd> c = legacy_fft2_crop_centered(mask, kdim);
-  const double inv_n2 =
-      1.0 / (static_cast<double>(mask.rows()) * mask.cols());
-  for (auto& z : c) z *= inv_n2;
-  Grid<double> intensity(out_px, out_px, 0.0);
-  const double scale = static_cast<double>(out_px) * out_px;
-  for (const Grid<cd>& k : kernels) {
-    Grid<cd> prod(kdim, kdim);
-    for (std::size_t a = 0; a < prod.size(); ++a) prod[a] = k[a] * c[a];
-    Grid<cd> e = ifftshift(center_embed(prod, out_px, out_px));
-    ifft2_inplace(e);
-    for (std::size_t a = 0; a < intensity.size(); ++a)
-      intensity[a] += norm2(e[a] * scale);
-  }
-  return intensity;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
@@ -133,15 +76,8 @@ int main(int argc, char** argv) {
       },
       tiles);
   const int socs_px = 2 * fast.kernel_dim() <= 64 ? 64 : px;
-  // Before/after for the engine refactor: the pre-refactor loop, the
-  // current single-mask API, and the batched sweep, all on the same
-  // kernel set and masks.
-  const double nitho_pre_tp = time_model(
-      [&](const Grid<double>& m) {
-        (void)spectral_resample(
-            legacy_aerial_from_mask(fast.kernels(), m, socs_px), px, px);
-      },
-      tiles);
+  // The single-mask API and the batched sweep, on the same kernel set and
+  // masks.
   const double nitho_tp = time_model(
       [&](const Grid<double>& m) {
         (void)spectral_resample(fast.aerial_from_mask(m, socs_px), px, px);
@@ -167,8 +103,6 @@ int main(int argc, char** argv) {
   TablePrinter tp({"Model", "um2/s", "paper um2/s", "speed vs ref"}, 14);
   tp.row({"TEMPO", fmt(tempo_tp, 2), "28", fmt(tempo_tp / ref_tp, 1) + "x"});
   tp.row({"DOINN", fmt(doinn_tp, 2), "34", fmt(doinn_tp / ref_tp, 1) + "x"});
-  tp.row({"Nitho (pre-refactor)", fmt(nitho_pre_tp, 2), "-",
-          fmt(nitho_pre_tp / ref_tp, 1) + "x"});
   tp.row({"Nitho (single)", fmt(nitho_tp, 2), "45",
           fmt(nitho_tp / ref_tp, 1) + "x"});
   tp.row({"Nitho (batch)", fmt(nitho_batch_tp, 2), "45",
@@ -176,21 +110,12 @@ int main(int argc, char** argv) {
   tp.row({"Ref (Abbe)", fmt(ref_tp, 2), "0.4-0.5", "1x"});
   tp.rule();
 
-  CsvWriter csv(out_dir() + "/fig5_runtime.csv",
-                {"model", "um2_per_s", "vs_prerefactor"});
-  csv.row({"TEMPO", fmt(tempo_tp, 4), "-"});
-  csv.row({"DOINN", fmt(doinn_tp, 4), "-"});
-  csv.row({"Nitho_prerefactor", fmt(nitho_pre_tp, 4), "1.00"});
-  csv.row({"Nitho_single", fmt(nitho_tp, 4),
-           fmt(nitho_tp / nitho_pre_tp, 2)});
-  csv.row({"Nitho_batch", fmt(nitho_batch_tp, 4),
-           fmt(nitho_batch_tp / nitho_pre_tp, 2)});
-  csv.row({"Reference", fmt(ref_tp, 4), "-"});
-
-  std::printf(
-      "\nEngine acceptance: batched path is %.2fx the pre-refactor "
-      "single-mask loop (target >= 1.5x).\n",
-      nitho_batch_tp / nitho_pre_tp);
+  CsvWriter csv(out_dir() + "/fig5_runtime.csv", {"model", "um2_per_s"});
+  csv.row({"TEMPO", fmt(tempo_tp, 4)});
+  csv.row({"DOINN", fmt(doinn_tp, 4)});
+  csv.row({"Nitho_single", fmt(nitho_tp, 4)});
+  csv.row({"Nitho_batch", fmt(nitho_batch_tp, 4)});
+  csv.row({"Reference", fmt(ref_tp, 4)});
   std::printf(
       "\nPaper shape: Nitho > DOINN > TEMPO >> rigorous simulator (~90x).\n"
       "All numbers above are measured on this machine's CPU (the paper\n"

@@ -21,7 +21,6 @@
 #include "optics/resolution.hpp"
 #include "optics/socs.hpp"
 #include "optics/tcc.hpp"
-#include "train_ref.hpp"
 
 namespace nitho {
 namespace {
@@ -240,9 +239,8 @@ void BM_GemmNNDense(benchmark::State& state) {
 BENCHMARK(BM_GemmNNDense)->Arg(0)->Arg(50);
 
 // One Algorithm-1 optimizer step at paper scale (kdim 29, rank 24, px 64,
-// batch 4) on synthetic spectra/targets: legacy per-mask chain vs the
-// tensor-batched trainer.  Items processed counts optimizer steps, so the
-// two rates are directly comparable (and to bench_train's steps/s).
+// batch 4) on synthetic spectra/targets through the tensor-batched trainer.
+// Items processed counts optimizer steps.
 TrainingSet synthetic_training_set(int samples, int kdim, int px) {
   Rng rng(12);
   TrainingSet set;
@@ -270,21 +268,6 @@ NithoConfig train_step_model_config() {
   mc.blocks = 2;
   return mc;
 }
-
-void BM_TrainStepLegacy(benchmark::State& state) {
-  const TrainingSet set = synthetic_training_set(4, 29, 64);
-  NithoModel model(train_step_model_config(), 1000, 193.0, 1.35);
-  NithoTrainConfig cfg;
-  cfg.epochs = 5;  // 5 one-batch steps per call
-  cfg.batch = 4;
-  cfg.train_px = 64;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bench::legacy_train_nitho(model, set, cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * cfg.epochs);
-  state.SetLabel("kdim=29 rank=24 px=64 batch=4");
-}
-BENCHMARK(BM_TrainStepLegacy)->Unit(benchmark::kMillisecond);
 
 void BM_TrainStepBatched(benchmark::State& state) {
   const TrainingSet set = synthetic_training_set(4, 29, 64);

@@ -1,17 +1,12 @@
-// Serving-layer throughput: LithoServer micro-batching vs naive
-// concurrency (DESIGN.md §7.6).
+// Serving-layer throughput: LithoServer micro-batching against the raw
+// compute floor (DESIGN.md §7.6).
 //
 // Kernel values do not affect runtime, so the kernel set is synthesized
-// directly (no training) at the golden engine's shape class.  Four
+// directly (no training) at the golden engine's shape class.  Three
 // strategies answer the same stream of mask->aerial requests:
 //
 //   direct_serial            one thread, one aerial_from_mask per request —
 //                            the raw compute floor, no serving overhead.
-//   naive_thread_per_request the obvious "server": spawn a thread per
-//                            request, every request computes independently.
-//                            This is the baseline the serving layer must
-//                            beat (vs_naive column, acceptance >= 1.3x for
-//                            served_open_loop).
 //   served_open_loop         LithoServer, one submitter streaming every
 //                            request through the bounded queue (backpressure
 //                            paces it), then collecting futures — the
@@ -20,8 +15,9 @@
 //                            pipeline of outstanding requests (closed loop,
 //                            like examples/serve_demo.cpp).
 //
-// The acceptance number is recorded in bench/baselines/serve_throughput.csv
-// and gated by bench/check_baselines.py.
+// They land in serve_throughput.csv (absolute reqs/s, not gated; the
+// repository benchmark's `serve` workload carries the noise-banded serving
+// figures).
 //
 // A second scenario (DESIGN.md §9.5) measures *overload*: an open-loop
 // arrival schedule at ~2x the measured open-loop capacity, where requests
@@ -96,7 +92,7 @@ int main(int argc, char** argv) {
   // Default workload: batch-friendly load — many small tiles (an OPC-style
   // tile sweep), where per-request overhead rivals compute and coalescing
   // pays.  At heavier per-request compute (e.g. --mask-px 64 --rank 16)
-  // every strategy converges on the compute floor and the ratio tends to 1.
+  // every strategy converges on the compute floor.
   const int reqs = flags.get_int("reqs", 512);
   const int mask_px = flags.get_int("mask-px", 32);
   const int out_px = flags.get_int("out-px", 16);
@@ -108,7 +104,7 @@ int main(int argc, char** argv) {
   const int clients = flags.get_int("clients", 4);
   const int depth = flags.get_int("depth", 16);
 
-  std::printf("== Serving throughput: micro-batched LithoServer vs naive ==\n");
+  std::printf("== Serving throughput: micro-batched LithoServer ==\n");
   std::printf("reqs=%d mask=%dpx out=%dpx rank=%d kdim=%d shards=%d "
               "max_batch=%d max_delay=%dus\n\n",
               reqs, mask_px, out_px, rank, kdim, shards, max_batch,
@@ -133,23 +129,6 @@ int main(int argc, char** argv) {
     (void)fast.aerial_from_mask(masks[0], out_px);  // warm plans + cache
     WallTimer t;
     for (const Grid<double>& m : masks) (void)fast.aerial_from_mask(m, out_px);
-    return reqs / t.seconds();
-  }();
-
-  // --- naive one-thread-per-request loop ---------------------------------
-  const double naive_tp = [&] {
-    const FastLitho fast{std::vector<Grid<cd>>(kernels)};
-    (void)fast.aerial_from_mask(masks[0], out_px);
-    std::vector<Grid<double>> results(masks.size());
-    WallTimer t;
-    std::vector<std::thread> threads;
-    threads.reserve(masks.size());
-    for (std::size_t i = 0; i < masks.size(); ++i) {
-      threads.emplace_back([&, i] {
-        results[i] = fast.aerial_from_mask(masks[i], out_px);
-      });
-    }
-    for (auto& th : threads) th.join();
     return reqs / t.seconds();
   }();
 
@@ -200,28 +179,16 @@ int main(int argc, char** argv) {
     return clients * per_client / t.seconds();
   }();
 
-  TablePrinter tp({"Mode", "reqs/s", "vs naive"}, 16);
-  tp.row({"direct_serial", fmt(direct_tp, 1), fmt(direct_tp / naive_tp, 2) + "x"});
-  tp.row({"naive_thread_per_request", fmt(naive_tp, 1), "1.00x"});
-  tp.row({"served_open_loop", fmt(served_open_tp, 1),
-          fmt(served_open_tp / naive_tp, 2) + "x"});
-  tp.row({"served_closed_loop", fmt(served_closed_tp, 1),
-          fmt(served_closed_tp / naive_tp, 2) + "x"});
+  TablePrinter tp({"Mode", "reqs/s"}, 16);
+  tp.row({"direct_serial", fmt(direct_tp, 1)});
+  tp.row({"served_open_loop", fmt(served_open_tp, 1)});
+  tp.row({"served_closed_loop", fmt(served_closed_tp, 1)});
   tp.rule();
 
-  CsvWriter csv(out_dir() + "/serve_throughput.csv",
-                {"mode", "reqs_per_s", "vs_naive"});
-  csv.row({"direct_serial", fmt(direct_tp, 1), fmt(direct_tp / naive_tp, 2)});
-  csv.row({"naive_thread_per_request", fmt(naive_tp, 1), "1.00"});
-  csv.row({"served_open_loop", fmt(served_open_tp, 1),
-           fmt(served_open_tp / naive_tp, 2)});
-  csv.row({"served_closed_loop", fmt(served_closed_tp, 1),
-           fmt(served_closed_tp / naive_tp, 2)});
-
-  std::printf(
-      "\nServing acceptance: open-loop served throughput is %.2fx the naive "
-      "one-thread-per-request loop (target >= 1.3x).\n",
-      served_open_tp / naive_tp);
+  CsvWriter csv(out_dir() + "/serve_throughput.csv", {"mode", "reqs_per_s"});
+  csv.row({"direct_serial", fmt(direct_tp, 1)});
+  csv.row({"served_open_loop", fmt(served_open_tp, 1)});
+  csv.row({"served_closed_loop", fmt(served_closed_tp, 1)});
 
   // --- overload: open-loop arrivals at ~over_factor x capacity ------------
   // Heavier per-request compute than the coalescing scenario above

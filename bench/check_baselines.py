@@ -4,10 +4,12 @@
 Compares bench output CSVs (``build/bench_out/*.csv``) against the
 snapshots committed under ``bench/baselines/`` and fails (exit 1) when a
 gated ratio regresses.  Only machine-independent *ratio* columns are gated
-(e.g. ``vs_prerefactor``, ``vs_naive``): absolute throughputs move with the
-hardware, but a ratio of two runs on the same box should not fall below its
-committed value by more than the tolerance, and acceptance floors from the
-PR that introduced each subsystem must keep holding outright.
+(e.g. ``vs_scalar``, ``goodput_vs_capacity``): absolute throughputs move
+with the hardware, but a ratio of two runs on the same box should not fall
+below its committed value by more than the tolerance, and acceptance floors
+from the change that introduced each subsystem must keep holding outright.
+Absolute, noise-banded end-to-end figures live in the repository benchmark
+(``perfbench/``), not here.
 
 Usage:
   check_baselines.py [--baseline-dir bench/baselines] [--out-dir build/bench_out]
@@ -15,7 +17,7 @@ Usage:
 
 Typical flow (see bench/README.md):
   1. cmake --preset release && cmake --build --preset release
-  2. ./build/bench_fig5_runtime <flags>  &&  ./build/bench_serve
+  2. ./build/bench_serve && ./build/bench_rollout && ./build/bench_simd_kernels
   3. python3 bench/check_baselines.py          # or: cmake --build build --target check_baselines
 
 By default a bench whose output CSV is absent is skipped (so the gate can
@@ -40,13 +42,6 @@ import tempfile
 # candidate fails when it rises above the ceiling, and has no relative
 # check — it may improve (drop) freely.
 GATES = {
-    "fig5_runtime.csv": [
-        ("Nitho_single", "vs_prerefactor", None, True, None),
-        ("Nitho_batch", "vs_prerefactor", 1.5, True, None),
-    ],
-    "serve_throughput.csv": [
-        ("served_open_loop", "vs_naive", 1.3, True, None),
-    ],
     "serve_slo.csv": [
         # Overload acceptance (ISSUE 5): at ~2x single-shard capacity with
         # admission control + autotune on, accepted-request p99 must meet
@@ -54,12 +49,6 @@ GATES = {
         # >= 0.9x the measured closed-loop capacity.
         ("overload_admission", "slo_headroom", 1.0, False, None),
         ("overload_admission", "goodput_vs_capacity", 0.9, True, None),
-    ],
-    "train_throughput.csv": [
-        ("batched", "vs_legacy", 1.3, True, None),
-    ],
-    "opc_throughput.csv": [
-        ("batched", "vs_permask", 1.3, True, None),
     ],
     "rollout_swap.csv": [
         # Rollout hot-swap acceptance (ISSUE 7): served p99 across
@@ -281,29 +270,34 @@ def lint_config(baseline_dir):
                 f"lint-config self-check: seeded defect not caught ({label}: "
                 f"expected a failure mentioning {fragment!r}, got {hits!r})")
 
-    expect({"x.csv": [("row", "col", None, True, None),
-                      ("row", "col", None, True, None)]},
-           "duplicate gate", "duplicate")
-    expect({"x.csv": [("row", "col", None, False, None)]},
-           "checks nothing", "vacuous gate")
-    expect({"x.csv": [("row", "col", 1.2, True, 1.5)]},
-           "must not also carry", "floor+ceiling contradiction")
-    expect({"x.csv": [("row", "col", -1.0, True, None)]},
-           "must be > 0", "negative floor")
-    expect({"x.txt": [("row", "col", 1.0, True, None)]},
-           "not a .csv", "non-csv name")
-    expect({"fig5_runtime.csv": [("Nitho_batch", "no_such_column", 1.0,
-                                  True, None)]},
-           "no_such_column", "column missing from committed baseline")
-    expect({"fig5_runtime.csv": [("Nitho_batch", "vs_prerefactor", 99.0,
-                                  True, None)]},
-           "under its own acceptance floor", "baseline below floor")
+    seeded = [
+        ({"x.csv": [("row", "col", None, True, None),
+                    ("row", "col", None, True, None)]},
+         "duplicate gate", "duplicate"),
+        ({"x.csv": [("row", "col", None, False, None)]},
+         "checks nothing", "vacuous gate"),
+        ({"x.csv": [("row", "col", 1.2, True, 1.5)]},
+         "must not also carry", "floor+ceiling contradiction"),
+        ({"x.csv": [("row", "col", -1.0, True, None)]},
+         "must be > 0", "negative floor"),
+        ({"x.txt": [("row", "col", 1.0, True, None)]},
+         "not a .csv", "non-csv name"),
+        ({"simd_kernels.csv": [("butterfly_f32", "no_such_column", 1.0,
+                                True, None)]},
+         "no_such_column", "column missing from committed baseline"),
+        ({"simd_kernels.csv": [("butterfly_f32", "vs_scalar", 99.0,
+                                True, None)]},
+         "under its own acceptance floor", "baseline below floor"),
+    ]
+    for broken, fragment, label in seeded:
+        expect(broken, fragment, label)
 
     for f in failures:
         print(f"FAIL {f}", file=sys.stderr)
     if not failures:
         print(f"lint-config OK ({sum(len(v) for v in GATES.values())} gates "
-              f"across {len(GATES)} files, 7 seeded defects caught)")
+              f"across {len(GATES)} files, {len(seeded)} seeded defects "
+              f"caught)")
     return 1 if failures else 0
 
 
@@ -314,144 +308,91 @@ def self_test():
         outdir = os.path.join(tmp, "out")
         os.mkdir(basedir)
         os.mkdir(outdir)
-        header = ["model", "um2_per_s", "vs_prerefactor"]
+        simd_header = ["kernel", "scalar_ns", "simd_ns", "vs_scalar", "arm"]
         base_rows = [
-            ["Nitho_prerefactor", "55.4", "1.00"],
-            ["Nitho_single", "95.7", "1.73"],
-            ["Nitho_batch", "95.2", "1.72"],
+            ["fused_scatter", "18000", "12000", "1.50", "avx2"],
+            ["butterfly_f64", "5800", "2400", "2.42", "avx2"],
+            ["butterfly_f32", "5700", "1600", "3.56", "avx2"],
+            ["gemm_nn_dense", "19700", "14600", "1.35", "avx2"],
         ]
-        write_csv(os.path.join(basedir, "fig5_runtime.csv"), header, base_rows)
+        simd_base = os.path.join(basedir, "simd_kernels.csv")
+        simd_out = os.path.join(outdir, "simd_kernels.csv")
+        write_csv(simd_base, simd_header, base_rows)
 
         # 1. identical candidate passes.
-        write_csv(os.path.join(outdir, "fig5_runtime.csv"), header, base_rows)
+        write_csv(simd_out, simd_header, base_rows)
         assert run(basedir, outdir, 0.25, require=False) == 0
 
-        # 2. absolute throughput may move freely; the ratio within tolerance
-        #    still passes (1.60 >= 0.75 * 1.72 and >= floor 1.5).
+        # 2. absolute times may move freely; ratios within tolerance still
+        #    pass (butterfly_f32 3.00 >= 0.75 * 3.56, every gated ratio
+        #    >= its 1.2 floor).
         write_csv(
-            os.path.join(outdir, "fig5_runtime.csv"),
-            header,
+            simd_out,
+            simd_header,
             [
-                ["Nitho_prerefactor", "31.0", "1.00"],
-                ["Nitho_single", "52.1", "1.68"],
-                ["Nitho_batch", "49.6", "1.60"],
+                ["fused_scatter", "9100", "6270", "1.45", "avx2"],
+                ["butterfly_f64", "2900", "1300", "2.23", "avx2"],
+                ["butterfly_f32", "2850", "950", "3.00", "avx2"],
+                ["gemm_nn_dense", "9900", "7600", "1.30", "avx2"],
             ],
         )
         assert run(basedir, outdir, 0.25, require=False) == 0
 
         # 3. a collapsed ratio fails both the relative check and the floor.
         write_csv(
-            os.path.join(outdir, "fig5_runtime.csv"),
-            header,
+            simd_out,
+            simd_header,
             [
-                ["Nitho_prerefactor", "55.0", "1.00"],
-                ["Nitho_single", "56.0", "1.02"],
-                ["Nitho_batch", "57.0", "1.04"],
+                ["fused_scatter", "18100", "12100", "1.49", "avx2"],
+                ["butterfly_f64", "5900", "2500", "2.36", "avx2"],
+                ["butterfly_f32", "5800", "5690", "1.02", "avx2"],
+                ["gemm_nn_dense", "19800", "14800", "1.34", "avx2"],
             ],
         )
         assert run(basedir, outdir, 0.25, require=False) == 1
+        failures = check_file("simd_kernels.csv", simd_base, simd_out, 0.25)
+        assert len(failures) == 2, failures
+        assert any("regressed below" in f for f in failures), failures
+        assert any("acceptance floor" in f for f in failures), failures
 
         # 4. above the floor but > tol below the committed ratio fails.
         write_csv(
-            os.path.join(outdir, "fig5_runtime.csv"),
-            header,
+            simd_out,
+            simd_header,
             [
-                ["Nitho_prerefactor", "55.0", "1.00"],
-                ["Nitho_single", "60.0", "1.09"],
-                ["Nitho_batch", "85.0", "1.55"],
+                ["fused_scatter", "18100", "12100", "1.49", "avx2"],
+                ["butterfly_f64", "5900", "2500", "2.36", "avx2"],
+                ["butterfly_f32", "5800", "1930", "3.00", "avx2"],
+                ["gemm_nn_dense", "19800", "14800", "1.34", "avx2"],
             ],
         )
         assert run(basedir, outdir, 0.10, require=False) == 1
 
         # 5. a missing gated row is a failure, not a silent pass.
         write_csv(
-            os.path.join(outdir, "fig5_runtime.csv"),
-            header,
-            [["Nitho_prerefactor", "55.0", "1.00"]],
+            simd_out,
+            simd_header,
+            [
+                ["fused_scatter", "18100", "12100", "1.49", "avx2"],
+                ["butterfly_f64", "5900", "2500", "2.36", "avx2"],
+            ],
         )
         assert run(basedir, outdir, 0.25, require=False) == 1
 
         # 6. missing candidate: skip by default, failure under --require.
-        os.remove(os.path.join(outdir, "fig5_runtime.csv"))
+        os.remove(simd_out)
         assert run(basedir, outdir, 0.25, require=False) == 0
         assert run(basedir, outdir, 0.25, require=True) == 1
 
-        # 7. serve gate: the 1.3x acceptance floor binds even when the
-        #    committed baseline is higher.
-        serve_header = ["mode", "reqs_per_s", "vs_naive"]
-        write_csv(
-            os.path.join(basedir, "serve_throughput.csv"),
-            serve_header,
-            [
-                ["naive_thread_per_request", "1000", "1.00"],
-                ["served_open_loop", "1800", "1.80"],
-            ],
-        )
-        write_csv(
-            os.path.join(outdir, "serve_throughput.csv"),
-            serve_header,
-            [
-                ["naive_thread_per_request", "900", "1.00"],
-                ["served_open_loop", "1150", "1.28"],
-            ],
-        )
-        assert run(basedir, outdir, 0.40, require=False) == 1
-        write_csv(
-            os.path.join(outdir, "serve_throughput.csv"),
-            serve_header,
-            [
-                ["naive_thread_per_request", "900", "1.00"],
-                ["served_open_loop", "1500", "1.67"],
-            ],
-        )
-        assert run(basedir, outdir, 0.25, require=False) == 0
-
-        # 8. train gate: the 1.3x batched-vs-legacy acceptance floor binds,
-        #    and extra (ungated) timing columns are ignored.
-        train_header = ["mode", "steps_per_s", "fwd_s", "bwd_s", "step_s",
-                        "vs_legacy"]
-        write_csv(
-            os.path.join(basedir, "train_throughput.csv"),
-            train_header,
-            [
-                ["legacy_per_mask", "2.0", "", "", "", "1.00"],
-                ["batched", "3.0", "1.0", "1.2", "0.1", "1.50"],
-            ],
-        )
-        write_csv(
-            os.path.join(outdir, "train_throughput.csv"),
-            train_header,
-            [
-                ["legacy_per_mask", "2.1", "", "", "", "1.00"],
-                ["batched", "2.6", "1.1", "1.4", "0.1", "1.24"],
-            ],
-        )
-        assert run(basedir, outdir, 0.40, require=False) == 1
-        write_csv(
-            os.path.join(outdir, "train_throughput.csv"),
-            train_header,
-            [
-                ["legacy_per_mask", "2.1", "", "", "", "1.00"],
-                ["batched", "3.1", "1.1", "1.3", "0.1", "1.48"],
-            ],
-        )
-        assert run(basedir, outdir, 0.25, require=False) == 0
-
-        # 9. duplicate row keys in a gated CSV are an error, not a silent
-        #    last-row-wins (either side of the comparison).
-        write_csv(
-            os.path.join(outdir, "train_throughput.csv"),
-            train_header,
-            [
-                ["legacy_per_mask", "2.1", "", "", "", "1.00"],
-                ["batched", "3.1", "1.1", "1.3", "0.1", "1.48"],
-                ["batched", "0.1", "9.9", "9.9", "9.9", "0.05"],
-            ],
-        )
+        # 7. duplicate row keys in a gated CSV are an error, not a silent
+        #    last-row-wins.
+        write_csv(simd_out, simd_header,
+                  base_rows + [["butterfly_f32", "5700", "5600", "1.02",
+                                "avx2"]])
         assert run(basedir, outdir, 0.25, require=False) == 1
-        os.remove(os.path.join(outdir, "train_throughput.csv"))
+        os.remove(simd_out)
 
-        # 10. serve_slo gate: both overload floors bind (SLO headroom >= 1,
+        # 8. serve_slo gate: both overload floors bind (SLO headroom >= 1,
         #     goodput >= 0.9x capacity).
         slo_header = ["mode", "offered_rps", "goodput_rps", "p99_us",
                       "slo_headroom", "goodput_vs_capacity"]
@@ -499,37 +440,7 @@ def self_test():
         )
         assert run(basedir, outdir, 0.25, require=False) == 0
 
-        # 11. opc gate: the 1.3x batched-vs-per-mask acceptance floor binds;
-        #     the (ungated) EPE column is informational only.
-        opc_header = ["mode", "masks_per_s", "mean_epe_px", "vs_permask"]
-        write_csv(
-            os.path.join(basedir, "opc_throughput.csv"),
-            opc_header,
-            [
-                ["per_mask", "800.0", "16.5", "1.00"],
-                ["batched", "3000.0", "16.5", "3.75"],
-            ],
-        )
-        write_csv(
-            os.path.join(outdir, "opc_throughput.csv"),
-            opc_header,
-            [
-                ["per_mask", "790.0", "16.5", "1.00"],
-                ["batched", "950.0", "16.5", "1.20"],
-            ],
-        )
-        assert run(basedir, outdir, 0.75, require=False) == 1
-        write_csv(
-            os.path.join(outdir, "opc_throughput.csv"),
-            opc_header,
-            [
-                ["per_mask", "790.0", "17.1", "1.00"],
-                ["batched", "2700.0", "17.1", "3.42"],
-            ],
-        )
-        assert run(basedir, outdir, 0.25, require=False) == 0
-
-        # 12. rollout gate: swap_p99_vs_steady is *ceiling*-gated (smaller
+        # 9. rollout gate: swap_p99_vs_steady is *ceiling*-gated (smaller
         #     is better).  Over the 1.5 ceiling fails; far *below* the
         #     committed baseline passes — an improved (cheaper) swap must
         #     never trip the relative floor that guards larger-is-better
@@ -566,7 +477,7 @@ def self_test():
         )
         assert run(basedir, outdir, 0.25, require=False) == 0
 
-        # 13. obs gate: overhead_vs_off is ceiling-gated at 1.05 (smaller
+        # 10. obs gate: overhead_vs_off is ceiling-gated at 1.05 (smaller
         #     is better).  Instrumentation costing > 5% fails; a traced run
         #     that happens to beat the untraced one (ratio < 1) passes.
         obs_header = ["mode", "reqs_per_s", "overhead_vs_off"]
@@ -597,7 +508,7 @@ def self_test():
         )
         assert run(basedir, outdir, 0.25, require=False) == 0
 
-        # 14. one run reports ALL failing gates: a candidate whose first
+        # 11. one run reports ALL failing gates: a candidate whose first
         #     gated row is missing AND whose second gated value fails must
         #     surface both problems — a broken gate never masks another.
         write_csv(
@@ -632,7 +543,7 @@ def self_test():
             0.25,
         )
         assert len(failures) >= 2, failures
-        # restore a passing serve_slo.csv so the case-13 state stays green.
+        # restore a passing serve_slo.csv so the case-10 state stays green.
         write_csv(
             os.path.join(outdir, "serve_slo.csv"),
             slo_header,
@@ -643,7 +554,7 @@ def self_test():
             ],
         )
         assert run(basedir, outdir, 0.25, require=False) == 0
-        # 15. simd gate: all three vector-vs-scalar floors bind at 1.2x and
+        # 12. simd gate: all three vector-vs-scalar floors bind at 1.2x and
         #     the relative check guards committed headroom; the arm column
         #     is informational and ignored by the gate.
         simd_header = ["kernel", "scalar_ns", "simd_ns", "vs_scalar", "arm"]

@@ -368,6 +368,35 @@ void ifft2_inplace(Grid<cd>& g) {
 void fft2_inplace(Grid<cd>& g, Fft2Workspace& ws) { fft2_dir(g, false, ws); }
 void ifft2_inplace(Grid<cd>& g, Fft2Workspace& ws) { fft2_dir(g, true, ws); }
 
+void fft2_plane(float* plane, int h, int w, bool inverse) {
+  using cfl = std::complex<float>;
+  auto* z = reinterpret_cast<cfl*>(plane);
+  const FftPlan<float>& row_plan = fft_plan_f(w);
+  for (int r = 0; r < h; ++r) {
+    if (inverse) {
+      row_plan.inverse(z + static_cast<std::ptrdiff_t>(r) * w);
+    } else {
+      row_plan.forward(z + static_cast<std::ptrdiff_t>(r) * w);
+    }
+  }
+  const FftPlan<float>& col_plan = fft_plan_f(h);
+  std::vector<cfl> buf(static_cast<std::size_t>(h));
+  for (int c = 0; c < w; ++c) {
+    for (int r = 0; r < h; ++r) buf[static_cast<std::size_t>(r)] = z[r * w + c];
+    if (inverse) {
+      col_plan.inverse(buf.data());
+    } else {
+      col_plan.forward(buf.data());
+    }
+    for (int r = 0; r < h; ++r) z[r * w + c] = buf[static_cast<std::size_t>(r)];
+  }
+  if (inverse) {
+    const float scale = static_cast<float>(h) * static_cast<float>(w);
+    const std::int64_t n = static_cast<std::int64_t>(h) * w * 2;
+    for (std::int64_t i = 0; i < n; ++i) plane[i] *= scale;
+  }
+}
+
 Grid<cd> fft2(const Grid<cd>& g) {
   Grid<cd> out = g;
   fft2_inplace(out);

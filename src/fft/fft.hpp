@@ -136,6 +136,12 @@ void ifft2_inplace(Grid<cd>& g);
 /// once the workspace has warmed up.
 void fft2_inplace(Grid<cd>& g, Fft2Workspace& ws);
 void ifft2_inplace(Grid<cd>& g, Fft2Workspace& ws);
+/// Dense in-place 2-D DFT over an interleaved [h, w, 2] float plane, rows
+/// then columns.  inverse=false: unnormalized forward (sign -);
+/// inverse=true: unnormalized inverse (sign +), i.e. h*w times the
+/// normalized inverse.  The FNO mixing layer (nn::spectral_conv2d) runs on
+/// it; the hot nn ops use the pruned transforms of fft/pruned.hpp instead.
+void fft2_plane(float* plane, int h, int w, bool inverse);
 Grid<cd> fft2(const Grid<cd>& g);
 Grid<cd> ifft2(const Grid<cd>& g);
 /// Forward transform of a real image.

@@ -1,6 +1,7 @@
 #include "nitho/fast_litho.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
@@ -24,8 +25,18 @@ FastLitho::FastLitho(std::shared_ptr<const std::vector<Grid<cd>>> kernels,
   check(kernels_ != nullptr && !kernels_->empty(),
         "FastLitho needs at least one kernel");
   kdim_ = (*kernels_)[0].rows();
+  // Fail closed: a NaN/Inf kernel (corrupt file, diverged model) would be
+  // served as NaN aerials.  Every entry — load, from_model, a snapshot
+  // handed to LithoServer::swap_kernels — builds through here, so a bad
+  // set throws before anything is published.
   for (const auto& k : *kernels_) {
     check(k.rows() == kdim_ && k.cols() == kdim_, "kernel shape mismatch");
+    check(std::all_of(k.begin(), k.end(),
+                      [](const cd& z) {
+                        return std::isfinite(z.real()) &&
+                               std::isfinite(z.imag());
+                      }),
+          "FastLitho: non-finite kernel value");
   }
 }
 

@@ -11,7 +11,9 @@
 #include <numeric>
 #include <sstream>
 
+#include "common/check.hpp"
 #include "fft/spectral.hpp"
+#include "io/tensor_io.hpp"
 #include "layout/raster.hpp"
 #include "litho/golden.hpp"
 #include "metrics/metrics.hpp"
@@ -20,10 +22,9 @@
 #include "nitho/fast_litho.hpp"
 #include "nitho/model.hpp"
 #include "nitho/trainer.hpp"
-#include "bench/train_ref.hpp"
 #include "nn/ops.hpp"
-#include "nn/ops_fft.hpp"
 #include "nn/optimizer.hpp"
+#include "support/per_mask_ref.hpp"
 #include "support/test_support.hpp"
 
 namespace nitho {
@@ -426,6 +427,37 @@ TEST_F(TrainedNitho, KernelPersistenceRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(FastLitho, RejectsNonFiniteKernelsFromEveryEntry) {
+  // Fail closed: a NaN/Inf kernel would be served as NaN aerials.  The
+  // constructor, a corrupt kernel file and a diverged model all throw.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "nitho_nonfinite_kernels";
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "kernels.bin").string();
+  Rng rng = test::make_rng(61);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    std::vector<Grid<cd>> kernels = test::random_kernels(4, 7, rng);
+    kernels[2](3, 1) = cd(0.25, bad);
+    EXPECT_THROW((void)FastLitho{std::vector<Grid<cd>>(kernels)}, check_error)
+        << bad;
+    save_kernels(path, kernels);
+    EXPECT_THROW((void)FastLitho::load(path), check_error) << bad;
+
+    NithoModel model(small_model_config(), 512, 193.0, 1.35);
+    const nn::Var out_bias = model.parameters().back();
+    for (std::int64_t i = 0; i < out_bias->value.numel(); ++i) {
+      out_bias->value[i] = static_cast<float>(bad);
+    }
+    EXPECT_THROW((void)FastLitho::from_model(model), check_error) << bad;
+  }
+  // A finite set still loads.
+  save_kernels(path, test::random_kernels(4, 7, rng));
+  EXPECT_EQ(FastLitho::load(path).rank(), 4);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Trainer, DeterministicAcrossRuns) {
   const Dataset ds = engine().make_dataset(DatasetKind::B1, 4, 55);
   auto run = [&]() {
@@ -459,18 +491,17 @@ TEST(Trainer, SeedDeterminesFullLossTrajectory) {
 
 // The verbatim reimplementation of the pre-batching per-mask training loop
 // (one socs_field/abs2_sum0/mse_loss chain per mask per step, reduced
-// through add()) lives in bench/train_ref.hpp, shared with
-// bench_train/bench_micro so the pin and the throughput baseline always
-// measure the same legacy arithmetic.  The tensor-batched trainer must
-// reproduce its loss trajectory and trained weights bit for bit at a fixed
-// seed — the repo-wide invariant.
+// through add()) is the oracle test::legacy_train_nitho
+// (support/per_mask_ref.hpp).  The tensor-batched trainer must reproduce
+// its loss trajectory and trained weights bit for bit at a fixed seed —
+// the repo-wide invariant.
 void expect_bit_identical_training(const Dataset& ds,
                                    const NithoTrainConfig& cfg) {
   NithoModel legacy(small_model_config(), 512, 193.0, 1.35);
   NithoModel batched(small_model_config(), 512, 193.0, 1.35);
   const TrainingSet set = prepare_training_set(
       sample_ptrs(ds), legacy.kernel_dim(), cfg.train_px);
-  const TrainStats sl = bench::legacy_train_nitho(legacy, set, cfg);
+  const TrainStats sl = test::legacy_train_nitho(legacy, set, cfg);
   const TrainStats sb = train_nitho(batched, set, cfg);
   ASSERT_EQ(sl.epoch_losses.size(), sb.epoch_losses.size());
   for (std::size_t e = 0; e < sl.epoch_losses.size(); ++e) {

@@ -17,6 +17,7 @@
 #include "nn/ops_fft.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/serialize.hpp"
+#include "support/per_mask_ref.hpp"
 
 namespace nitho::nn {
 namespace {
@@ -237,43 +238,52 @@ TEST(GradCheck, ShapeOps) {
 }
 
 TEST(GradCheck, SocsFieldAndIntensity) {
+  // A batch of one: the per-mask case of the shipped batched ops.
   Rng rng(10);
-  Tensor spectrum = random_tensor({3, 3, 2}, rng, 0.3f);
+  Tensor spectra = random_tensor({1, 3, 3, 2}, rng, 0.3f);
   const std::vector<Tensor> init = {random_tensor({2, 3, 3, 2}, rng, 0.5f)};
-  Tensor target({8, 8});
+  Tensor target({1, 8, 8});
   for (std::int64_t i = 0; i < target.numel(); ++i)
     target[i] = static_cast<float>(rng.uniform());
-  expect_gradcheck(init, [spectrum, target](const std::vector<Var>& v) {
-    Var fields = socs_field(v[0], spectrum, 8);
-    return mse_loss(abs2_sum0(fields), target);
+  expect_gradcheck(init, [spectra, target](const std::vector<Var>& v) {
+    Var fields = socs_field_batch(v[0], spectra, 8);
+    return mse_loss(abs2_sum0_batch(fields), target);
   });
 }
 
 TEST(SocsField, MatchesPhysicsSubstrate) {
   // The differentiable SOCS path must agree with litho::socs_aerial on the
-  // same kernels and spectrum — this pins all FFT scaling conventions.
-  Rng rng(11);
-  const int r = 3, n = 5, out = 16;
-  Tensor kt = random_tensor({r, n, n, 2}, rng, 0.5f);
-  Tensor st = random_tensor({n, n, 2}, rng, 0.3f);
-  std::vector<Grid<cd>> kernels;
-  Grid<cd> spectrum(n, n);
-  for (int i = 0; i < r; ++i) {
-    Grid<cd> k(n, n);
-    for (int a = 0; a < n * n; ++a) {
-      k[a] = cd(kt[(i * n * n + a) * 2], kt[(i * n * n + a) * 2 + 1]);
+  // same kernels and spectrum — this pins all FFT scaling conventions.  A
+  // batch of one is the per-mask case; a batch of two checks that every
+  // sample images its own spectrum.
+  for (const int batch : {1, 2}) {
+    Rng rng(11);
+    const int r = 3, n = 5, out = 16;
+    Tensor kt = random_tensor({r, n, n, 2}, rng, 0.5f);
+    Tensor st = random_tensor({batch, n, n, 2}, rng, 0.3f);
+    std::vector<Grid<cd>> kernels;
+    for (int i = 0; i < r; ++i) {
+      Grid<cd> k(n, n);
+      for (int a = 0; a < n * n; ++a) {
+        k[a] = cd(kt[(i * n * n + a) * 2], kt[(i * n * n + a) * 2 + 1]);
+      }
+      kernels.push_back(std::move(k));
     }
-    kernels.push_back(std::move(k));
-  }
-  for (int a = 0; a < n * n; ++a) spectrum[a] = cd(st[a * 2], st[a * 2 + 1]);
-
-  const Grid<double> expected = socs_aerial(kernels, spectrum, out);
-  Var fields = socs_field(make_leaf(kt), st, out);
-  Var intensity = abs2_sum0(fields);
-  for (int a = 0; a < out * out; ++a) {
-    EXPECT_NEAR(intensity->value[a], expected[a],
-                1e-3 * (1.0 + std::abs(expected[a])))
-        << a;
+    Var fields = socs_field_batch(make_leaf(kt), st, out);
+    Var intensity = abs2_sum0_batch(fields);
+    for (int b = 0; b < batch; ++b) {
+      Grid<cd> spectrum(n, n);
+      for (int a = 0; a < n * n; ++a) {
+        const std::int64_t si = (static_cast<std::int64_t>(b) * n * n + a) * 2;
+        spectrum[a] = cd(st[si], st[si + 1]);
+      }
+      const Grid<double> expected = socs_aerial(kernels, spectrum, out);
+      for (int a = 0; a < out * out; ++a) {
+        EXPECT_NEAR(intensity->value[b * out * out + a], expected[a],
+                    1e-3 * (1.0 + std::abs(expected[a])))
+            << "batch " << batch << " sample " << b << " pixel " << a;
+      }
+    }
   }
 }
 
@@ -298,7 +308,7 @@ void expect_batched_matches_chain(int batch, int r, int n, int out_px) {
     for (std::int64_t i = 0; i < splane; ++i) spec[i] = spectra[b * splane + i];
     Tensor tgt({out_px, out_px});
     for (std::int64_t i = 0; i < tplane; ++i) tgt[i] = targets[b * tplane + i];
-    Var pred = abs2_sum0(socs_field(k_legacy, spec, out_px));
+    Var pred = test::abs2_sum0(test::socs_field(k_legacy, spec, out_px));
     preds.push_back(pred);
     Var l = mse_loss(pred, tgt);
     loss_legacy = loss_legacy ? add(loss_legacy, l) : l;
@@ -424,31 +434,37 @@ TEST(GraphArena, EvictsExternallyHeldNodes) {
 
 TEST(GradCheck, Fft2cCrop) {
   Rng rng(20);
-  expect_gradcheck({random_tensor({8, 8}, rng)},
+  expect_gradcheck({random_tensor({1, 8, 8}, rng)},
                    [](const std::vector<Var>& v) {
-                     return mean(square(fft2c_crop(v[0], 5)));
+                     return mean(square(fft2c_crop_batch(v[0], 5)));
                    });
 }
 
 TEST(Fft2cCrop, DcIsMean) {
-  Rng rng(21);
-  Tensor mask = random_tensor({8, 8}, rng, 1.0f, 0.5f);
-  Var spec = fft2c_crop(make_leaf(mask), 3);
-  float mean_v = 0.0f;
-  for (std::int64_t i = 0; i < mask.numel(); ++i) mean_v += mask[i];
-  mean_v /= 64.0f;
-  // Centered crop: DC sits at (1,1) of the 3x3 crop.
-  EXPECT_NEAR(spec->value[(1 * 3 + 1) * 2], mean_v, 1e-5);
-  EXPECT_NEAR(spec->value[(1 * 3 + 1) * 2 + 1], 0.0f, 1e-5);
+  // Batch of one, then a batch of two: each sample's DC is its own mean.
+  for (const int batch : {1, 2}) {
+    Rng rng(21);
+    Tensor masks = random_tensor({batch, 8, 8}, rng, 1.0f, 0.5f);
+    Var spec = fft2c_crop_batch(make_leaf(masks), 3);
+    for (int b = 0; b < batch; ++b) {
+      float mean_v = 0.0f;
+      for (std::int64_t i = 0; i < 64; ++i) mean_v += masks[b * 64 + i];
+      mean_v /= 64.0f;
+      // Centered crop: DC sits at (1,1) of each 3x3 crop.
+      const float* dc = spec->value.data() + b * 3 * 3 * 2 + (1 * 3 + 1) * 2;
+      EXPECT_NEAR(dc[0], mean_v, 1e-5) << "sample " << b;
+      EXPECT_NEAR(dc[1], 0.0f, 1e-5) << "sample " << b;
+    }
+  }
 }
 
 TEST(GradCheck, SocsFieldFromSpectrum) {
   Rng rng(22);
   Tensor kernels = random_tensor({2, 3, 3, 2}, rng, 0.5f);
-  expect_gradcheck({random_tensor({3, 3, 2}, rng, 0.3f)},
+  expect_gradcheck({random_tensor({1, 3, 3, 2}, rng, 0.3f)},
                    [kernels](const std::vector<Var>& v) {
-                     return mean(square(
-                         abs2_sum0(socs_field_from_spectrum(v[0], kernels, 8))));
+                     return mean(square(abs2_sum0_batch(
+                         socs_field_from_spectrum_batch(v[0], kernels, 8))));
                    });
 }
 
@@ -456,12 +472,81 @@ TEST(SocsFieldFromSpectrum, MatchesKernelSidePath) {
   // Swapping which argument is differentiable must not change the value.
   Rng rng(23);
   Tensor kernels = random_tensor({3, 5, 5, 2}, rng, 0.5f);
-  Tensor spectrum = random_tensor({5, 5, 2}, rng, 0.3f);
-  Var a = socs_field(make_leaf(kernels), spectrum, 16);
-  Var b = socs_field_from_spectrum(make_leaf(spectrum), kernels, 16);
+  Tensor spectra = random_tensor({1, 5, 5, 2}, rng, 0.3f);
+  Var a = socs_field_batch(make_leaf(kernels), spectra, 16);
+  Var b = socs_field_from_spectrum_batch(make_leaf(spectra), kernels, 16);
   for (std::int64_t i = 0; i < a->value.numel(); ++i) {
     EXPECT_NEAR(a->value[i], b->value[i], 1e-5);
   }
+}
+
+// The OPC ops (fft2c_crop_batch -> socs_field_from_spectrum_batch ->
+// abs2_sum0_batch) must reproduce one per-mask oracle chain per sample bit
+// for bit: the same intensities and — each sample's mse loss seeing the
+// root gradient unchanged — the same mask gradients.
+void expect_opc_ops_match_chain(int batch, int r, int n, int mask_px,
+                                int out_px) {
+  Rng rng(37);
+  Tensor kt = random_tensor({r, n, n, 2}, rng, 0.5f);
+  Tensor masks = random_tensor({batch, mask_px, mask_px}, rng, 0.3f, 0.5f);
+  Tensor targets = random_tensor({batch, out_px, out_px}, rng, 0.2f, 0.5f);
+  const std::int64_t mplane = static_cast<std::int64_t>(mask_px) * mask_px;
+  const std::int64_t tplane = static_cast<std::int64_t>(out_px) * out_px;
+
+  Var m_batched = make_leaf(masks, true);
+  Var pred_b = abs2_sum0_batch(socs_field_from_spectrum_batch(
+      fft2c_crop_batch(m_batched, n), kt, out_px));
+  Var loss_b = mse_loss_batch_ordered(pred_b, targets);
+  backward(loss_b);
+
+  float loss_fold = 0.0f;
+  for (int b = 0; b < batch; ++b) {
+    Tensor mask({mask_px, mask_px});
+    for (std::int64_t i = 0; i < mplane; ++i) mask[i] = masks[b * mplane + i];
+    Tensor tgt({out_px, out_px});
+    for (std::int64_t i = 0; i < tplane; ++i) tgt[i] = targets[b * tplane + i];
+    Var m = make_leaf(mask, true);
+    Var pred = test::abs2_sum0(test::socs_field_from_spectrum(
+        test::fft2c_crop(m, n), kt, out_px));
+    Var l = mse_loss(pred, tgt);
+    backward(l);
+    loss_fold = b == 0 ? l->value[0] : loss_fold + l->value[0];
+    for (std::int64_t i = 0; i < tplane; ++i) {
+      ASSERT_EQ(pred->value[i], pred_b->value[b * tplane + i])
+          << "intensity sample " << b << " elem " << i;
+    }
+    for (std::int64_t i = 0; i < mplane; ++i) {
+      ASSERT_EQ(m->grad[i], m_batched->grad[b * mplane + i])
+          << "mask grad sample " << b << " elem " << i;
+    }
+  }
+  EXPECT_EQ(loss_fold, loss_b->value[0]);
+}
+
+TEST(BatchedOpcOps, BitIdenticalToPerMaskChainPow2) {
+  expect_opc_ops_match_chain(/*batch=*/3, /*r=*/2, /*n=*/5, /*mask_px=*/16,
+                             /*out_px=*/16);
+}
+
+TEST(BatchedOpcOps, BitIdenticalToPerMaskChainBluestein) {
+  // Non-pow2 out_px runs the float Bluestein plans in the SOCS pass; a
+  // non-pow2 mask_px runs them in the crop too.
+  expect_opc_ops_match_chain(3, 2, 5, 16, 12);
+  expect_opc_ops_match_chain(3, 3, 5, 15, 15);
+}
+
+TEST(BatchedOpcOps, BitIdenticalAcrossSeveralColumnBlocks) {
+  // out_px 64 splits the float column passes into several L1 blocks and the
+  // n = 29 band wraps across row 0; out_px 45 (Bluestein) ends in a
+  // partial block.
+  expect_opc_ops_match_chain(3, 2, 29, 64, 64);
+  expect_opc_ops_match_chain(3, 2, 9, 45, 45);
+}
+
+TEST(BatchedOpcOps, BitIdenticalUnderWorkerPool) {
+  set_parallel_workers(4);
+  expect_opc_ops_match_chain(3, 5, 5, 16, 16);
+  set_parallel_workers(0);
 }
 
 TEST(GradCheck, SpectralConv) {

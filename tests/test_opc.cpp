@@ -23,10 +23,10 @@
 #include "metrics/metrics.hpp"
 #include "nitho/fast_litho.hpp"
 #include "nn/ops.hpp"
-#include "nn/ops_fft.hpp"
 #include "nn/optimizer.hpp"
 #include "opc/engine.hpp"
 #include "serve/server.hpp"
+#include "support/per_mask_ref.hpp"
 #include "support/test_support.hpp"
 
 namespace nitho {
@@ -263,9 +263,9 @@ std::vector<float> per_mask_reference(const std::vector<Grid<cd>>& kernels,
   for (int it = 0; it < iters; ++it) {
     opt.zero_grad();
     nn::Var mask = nn::sigmoid(vtheta);
-    nn::Var spectrum = nn::fft2c_crop(mask, kdim);
-    nn::Var aerial =
-        nn::abs2_sum0(nn::socs_field_from_spectrum(spectrum, kt, cfg.sim_px));
+    nn::Var spectrum = test::fft2c_crop(mask, kdim);
+    nn::Var aerial = test::abs2_sum0(
+        test::socs_field_from_spectrum(spectrum, kt, cfg.sim_px));
     nn::Var fit = nn::mse_loss(aerial, target);
     nn::Var bin = nn::sub(nn::mean(mask), nn::mean(nn::square(mask)));
     nn::Var loss = nn::add(fit, nn::scale(bin, cfg.bin_weight));

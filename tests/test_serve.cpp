@@ -729,6 +729,28 @@ TEST(LithoServer, RejectsNonFiniteMasks) {
   EXPECT_EQ(server.stats().submitted, 1u);
 }
 
+TEST(LithoServer, SwapKernelsRejectsNonFiniteSetAndKeepsGeneration) {
+  // A NaN is never published: a NaN/Inf kernel set throws while its
+  // FastLitho is built, before swap_kernels bumps the generation, and the
+  // server keeps serving the old snapshot bit for bit.
+  ServerHarness h(109);
+  LithoServer server(h.make_litho());
+  const std::uint64_t gen = server.generation();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    std::vector<Grid<cd>> kernels = random_kernels(12, 9, h.rng);
+    kernels[4](2, 6) = cd(bad, 0.5);
+    EXPECT_THROW(server.swap_kernels(FastLitho(std::move(kernels))),
+                 check_error)
+        << bad;
+    EXPECT_EQ(server.generation(), gen) << bad;
+  }
+  const Grid<double> mask = random_mask(32, 32, h.rng);
+  EXPECT_EQ(server.submit(mask, 16).get(),
+            h.expected(mask, 16, RequestKind::kAerial));
+}
+
 TEST(LithoServer, ExecuteTimeFailureResolvesFutureWithException) {
   ServerHarness h(108);  // kdim 9: a 4x4 mask cannot host the spectrum crop
   LithoServer server(h.make_litho());
