@@ -217,9 +217,10 @@ void gemm_bench(benchmark::State& state, bool skip_zeros, double zero_frac) {
   for (auto& v : b) v = static_cast<float>(rng.normal());
   for (auto _ : state) {
     if (skip_zeros) {
-      nn::gemm_nn<true>(m, n, k, a.data(), b.data(), c.data(), false);
+      nn::gemm_nn(m, n, k, a.data(), b.data(), c.data(), false);
     } else {
-      nn::gemm_nn<false>(m, n, k, a.data(), b.data(), c.data(), false);
+      nn::gemm_dense(m, n, k, a.data(), k, 1, b.data(), n, c.data(), n,
+                     false);
     }
     benchmark::DoNotOptimize(c.data());
   }

@@ -297,23 +297,40 @@ int main(int argc, char** argv) {
     return r;
   };
 
-  // Each phase runs twice and keeps the higher-goodput window: the phases
-  // are ~1 s apiece on a shared box, and a host stall landing in just one
-  // of them would otherwise put multi-percent noise into the gated ratio.
-  const auto best_of = [](OverloadResult a, OverloadResult b) {
-    return a.goodput_rps >= b.goodput_rps ? std::move(a) : std::move(b);
+  // kGateRepeats rounds, each a capacity run followed by an admission run
+  // offered over_factor x that round's capacity, so both halves of a
+  // round's goodput ratio share the box's state.  The gated figures are
+  // medians over the rounds (one host stall moves one round, not the
+  // gate); the rows report the median of each column.
+  std::vector<double> cap_offered, cap_goodput, cap_p99, adm_offered,
+      adm_goodput, adm_p99, ratios;
+  OverloadResult cap, adm;
+  for (int round = 0; round < kGateRepeats; ++round) {
+    cap = run_overload(/*admission=*/false, /*rate=*/0.0);
+    adm = run_overload(/*admission=*/true, over_factor * cap.goodput_rps);
+    cap_offered.push_back(cap.offered_rps);
+    cap_goodput.push_back(cap.goodput_rps);
+    cap_p99.push_back(cap.p99_us);
+    adm_offered.push_back(adm.offered_rps);
+    adm_goodput.push_back(adm.goodput_rps);
+    adm_p99.push_back(adm.p99_us);
+    ratios.push_back(adm.goodput_rps / cap.goodput_rps);
+  }
+  cap.offered_rps = median(cap_offered);
+  cap.goodput_rps = median(cap_goodput);
+  cap.p99_us = median(cap_p99);
+  adm.offered_rps = median(adm_offered);
+  adm.goodput_rps = median(adm_goodput);
+  adm.p99_us = median(adm_p99);
+  std::printf("\n== Overload: open loop at %.1fx capacity (median %.0f reqs/s "
+              "capacity over %d rounds), SLO p99 <= %d us, out_px %d ==\n",
+              over_factor, cap.goodput_rps, kGateRepeats, slo_p99_us,
+              over_out_px);
+  const auto spread = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return fmt(v.front(), 2) + ".." + fmt(v.back(), 2);
   };
-  const OverloadResult cap =
-      best_of(run_overload(/*admission=*/false, /*rate=*/0.0),
-              run_overload(/*admission=*/false, /*rate=*/0.0));
-  const double capacity = cap.goodput_rps;
-  const double offered_target = over_factor * capacity;
-  std::printf("\n== Overload: open loop at %.1fx capacity (%.0f reqs/s "
-              "offered), SLO p99 <= %d us, out_px %d ==\n",
-              over_factor, offered_target, slo_p99_us, over_out_px);
-  const OverloadResult adm =
-      best_of(run_overload(/*admission=*/true, offered_target),
-              run_overload(/*admission=*/true, offered_target));
+  std::printf("  goodput_vs_capacity per round: %s\n", spread(ratios).c_str());
 
   TablePrinter otp({"Mode", "offered r/s", "goodput r/s", "p99", "shed"}, 16);
   otp.row({"capacity_open_loop", fmt(cap.offered_rps, 1),
@@ -325,7 +342,7 @@ int main(int argc, char** argv) {
   otp.rule();
   std::printf("  capacity row = no admission control: at overload the full "
               "queue alone puts p99 at %.0f us\n", cap.p99_us);
-  std::printf("  admission: %" PRIu64 " shed at submit, %" PRIu64
+  std::printf("  admission (last round): %" PRIu64 " shed at submit, %" PRIu64
               " shed in queue, %" PRIu64 " autotune updates, tuned policy "
               "(max_batch %d, max_delay %.0f us)\n",
               adm.stats.shed.shed_at_submit, adm.stats.shed.shed_in_queue,
@@ -333,7 +350,7 @@ int main(int argc, char** argv) {
               adm.stats.max_delay_us);
 
   const double headroom = slo_p99_us / adm.p99_us;
-  const double goodput_vs_capacity = adm.goodput_rps / capacity;
+  const double goodput_vs_capacity = median(ratios);
   CsvWriter slo_csv(out_dir() + "/serve_slo.csv",
                     {"mode", "offered_rps", "goodput_rps", "p99_us",
                      "slo_headroom", "goodput_vs_capacity"});
@@ -372,14 +389,18 @@ int main(int argc, char** argv) {
     for (auto& f : futs) (void)f.get();
     return reqs / t.seconds();
   };
-  // Interleaved best-of-two per configuration: the phases are short, and a
-  // host stall landing in one run would otherwise dominate the gated ratio.
-  double off_tp = run_obs(false);
-  double on_tp = run_obs(true);
-  off_tp = std::max(off_tp, run_obs(false));
-  on_tp = std::max(on_tp, run_obs(true));
-  const double overhead_vs_off = off_tp / on_tp;
-
+  // kGateRepeats interleaved (off, on) pairs; the gated ratio is the
+  // median of the per-pair ratios, the rows the median throughputs.
+  std::vector<double> off_runs, on_runs, overheads;
+  for (int pair = 0; pair < kGateRepeats; ++pair) {
+    off_runs.push_back(run_obs(false));
+    on_runs.push_back(run_obs(true));
+    overheads.push_back(off_runs.back() / on_runs.back());
+  }
+  const double off_tp = median(off_runs);
+  const double on_tp = median(on_runs);
+  const double overhead_vs_off = median(overheads);
+  std::printf("\n  overhead_vs_off per pair: %s\n", spread(overheads).c_str());
   std::printf("\n== Observability overhead: tracing off vs on "
               "(default 1/16 sampling) ==\n");
   TablePrinter obs_tp({"Mode", "reqs/s", "vs off"}, 16);

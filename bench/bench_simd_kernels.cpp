@@ -175,8 +175,8 @@ int main(int argc, char** argv) {
   std::vector<float> gc(static_cast<std::size_t>(gm * gn));
   Workload gemm_nn{"gemm_nn_dense",
                    [&] {
-                     nn::gemm_nn<false>(gm, gn, gk, ga.data(), gb.data(),
-                                        gc.data(), false);
+                     nn::gemm_dense(gm, gn, gk, ga.data(), gk, 1, gb.data(),
+                                    gn, gc.data(), gn, false);
                    },
                    400};
   Workload gemm_nt{"gemm_nt_dense",

@@ -1,5 +1,6 @@
 #include "common.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -219,6 +220,13 @@ std::string fmt(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);
   return buf;
+}
+
+double median(std::vector<double> v) {
+  check(!v.empty(), "median of an empty sample");
+  std::sort(v.begin(), v.end());
+  const std::size_t h = v.size() / 2;
+  return v.size() % 2 == 1 ? v[h] : 0.5 * (v[h - 1] + v[h]);
 }
 
 std::string out_dir() {

@@ -99,6 +99,15 @@ class TablePrinter {
 
 std::string fmt(double v, int precision = 2);
 
+/// Repeats behind every gated serving ratio (bench_serve, bench_rollout):
+/// each ratio is measured this many times, from adjacent runs, and the
+/// median is written, so one slow spell of a shared box moves one sample,
+/// not the gated figure.
+inline constexpr int kGateRepeats = 5;
+
+/// Median of a non-empty sample (mean of the middle two for an even count).
+double median(std::vector<double> v);
+
 /// Output directories (created on demand): bench_out/, bench_cache/.
 std::string out_dir();
 std::string cache_dir();

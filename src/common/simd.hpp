@@ -81,8 +81,9 @@ inline constexpr std::int64_t kGemmPanelRows = 4;
 /// successive axpy calls (lanes span j only; each element sees the same
 /// mul-then-add sequence in ascending p, just held in registers between
 /// folds instead of round-tripping memory, which cannot change a single
-/// rounding in fp32).  `ars`/`aps` are A's row/p strides so the same kernel
-/// serves gemm_nn (ars=k, aps=1) and gemm_tn (ars=1, aps=m).
+/// rounding in fp32).  `ars`/`aps` are A's row/p strides, so the one kernel
+/// serves nn::gemm_dense for every A layout (row-major, transposed, or one
+/// plane of an interleaved complex tensor).
 void gemm_panel(float* c, std::int64_t ldc, const float* a, std::int64_t ars,
                 std::int64_t aps, const float* b, std::int64_t ldb,
                 std::int64_t mr, std::int64_t k, std::int64_t n);

@@ -27,20 +27,19 @@ Cmlp::Cmlp(const CmlpConfig& cfg) : cfg_(cfg) {
 }
 
 nn::Var Cmlp::forward(const nn::Var& input) const {
-  check(input->value.ndim() == 3 && input->value.dim(2) == 2 &&
-            input->value.dim(1) == cfg_.in_features,
-        "CMLP input must be [P, in_features, 2]");
+  const nn::Tensor& x = input->value;
+  check((x.ndim() == 3 && x.dim(2) == 2) || x.ndim() == 2,
+        "CMLP input must be [P, in_features, 2] or real [P, in_features]");
+  check(x.dim(1) == cfg_.in_features, "CMLP input width mismatch");
   // Entry CLinear (no activation, per Eq. 12).
-  nn::Var h = nn::add_bias(nn::cmatmul(input, weights_[0]), biases_[0]);
+  nn::Var h = nn::clinear(input, weights_[0], biases_[0], /*crelu=*/false);
   // (CLinear -> CReLU) x N.
   for (int b = 0; b < cfg_.blocks; ++b) {
-    h = nn::add_bias(nn::cmatmul(h, weights_[static_cast<std::size_t>(b) + 1]),
-                     biases_[static_cast<std::size_t>(b) + 1]);
-    h = nn::relu(h);  // == CReLU on interleaved complex tensors
+    const auto l = static_cast<std::size_t>(b) + 1;
+    h = nn::clinear(h, weights_[l], biases_[l], /*crelu=*/true);
   }
   // Closing CLinear.
-  h = nn::add_bias(nn::cmatmul(h, weights_.back()), biases_.back());
-  return h;
+  return nn::clinear(h, weights_.back(), biases_.back(), /*crelu=*/false);
 }
 
 std::vector<nn::Var> Cmlp::parameters() const {

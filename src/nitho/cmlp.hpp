@@ -1,9 +1,8 @@
 #pragma once
 // Complex-valued multilayer perceptron (paper Eq. 12):
 //   CMLP : CLinear -> (CLinear -> CReLU) x N -> CLinear
-// with CReLU(z) = ReLU(Re z) + i ReLU(Im z) (Eq. 11).  In the re/im tensor
-// representation CReLU is exactly an elementwise ReLU over the trailing
-// dimension, so the whole network is built from cmatmul / add_bias / relu.
+// with CReLU(z) = ReLU(Re z) + i ReLU(Im z) (Eq. 11).  Each CLinear, with
+// its CReLU where Eq. 12 has one, is one nn::clinear node (DESIGN.md §8.1).
 
 #include <cstdint>
 #include <vector>
@@ -24,7 +23,9 @@ class Cmlp {
  public:
   explicit Cmlp(const CmlpConfig& cfg);
 
-  /// [P, in, 2] -> [P, out, 2].
+  /// [P, in, 2] -> [P, out, 2].  A real input [P, in] stands for its
+  /// (1+j)-lifted complex form, the encoding's (nn::clinear); it must not
+  /// require grad.
   nn::Var forward(const nn::Var& input) const;
 
   std::vector<nn::Var> parameters() const;

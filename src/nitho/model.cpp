@@ -1,5 +1,7 @@
 #include "nitho/model.hpp"
 
+#include <cstring>
+
 #include "common/check.hpp"
 #include "nn/ops.hpp"
 #include "nn/serialize.hpp"
@@ -7,6 +9,20 @@
 
 namespace nitho {
 namespace {
+
+// The real plane of a (1+j)-lifted encoding [P, F, 2] -> [P, F].  Fails
+// closed unless every imaginary part equals its real part bit for bit.
+nn::Tensor real_plane_of_lifted(const nn::Tensor& lifted) {
+  nn::Tensor plane({lifted.dim(0), lifted.dim(1)});
+  const std::int64_t n = plane.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float re = lifted[2 * i], im = lifted[2 * i + 1];
+    check(std::memcmp(&re, &im, sizeof(float)) == 0,
+          "NithoModel: the encoding is not (1+j)-lifted (re != im)");
+    plane[i] = re;
+  }
+  return plane;
+}
 
 CmlpConfig mlp_config(const NithoConfig& cfg) {
   CmlpConfig m;
@@ -26,8 +42,9 @@ NithoModel::NithoModel(NithoConfig cfg, int tile_nm, double wavelength_nm,
       kdim_(cfg.kernel_dim > 0
                 ? cfg.kernel_dim
                 : ::nitho::kernel_dim(tile_nm, wavelength_nm, na)),
-      encoded_(encode_coordinates(kdim_, kdim_, cfg.encoding)),
-      encoded_leaf_(nn::make_leaf(encoded_, false)),
+      encoded_leaf_(nn::make_leaf(
+          real_plane_of_lifted(encode_coordinates(kdim_, kdim_, cfg.encoding)),
+          false)),
       mlp_(mlp_config(cfg)) {
   check(kdim_ % 2 == 1, "kernel dimension must be odd");
   check(cfg_.rank >= 1, "rank must be positive");

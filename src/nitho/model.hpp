@@ -52,11 +52,12 @@ class NithoModel {
  private:
   NithoConfig cfg_;
   int kdim_;
-  nn::Tensor encoded_;   ///< constant [n*m, F, 2]
-  nn::Var encoded_leaf_; ///< cached constant leaf over encoded_; built in the
-                         ///< constructor (outside any GraphArena scope) so
-                         ///< per-step training graphs neither copy the
-                         ///< encoding nor recycle this node
+  /// Cached constant leaf over the encoding's real plane [n*m, F]: every
+  /// EncodingKind lifts real features by (1+j), so re == im and the CMLP's
+  /// entry layer takes the real plane (nn::clinear).  Built in the
+  /// constructor (outside any GraphArena scope) so per-step training
+  /// graphs neither copy the encoding nor recycle this node.
+  nn::Var encoded_leaf_;
   Cmlp mlp_;
 };
 

@@ -98,6 +98,25 @@ TrainStats train_nitho(NithoModel& model,
       cfg);
 }
 
+VjpHistograms::VjpHistograms(obs::MetricsRegistry& registry,
+                             std::string prefix)
+    : registry_(registry), prefix_(std::move(prefix)) {}
+
+void VjpHistograms::record(const char* op, double seconds) {
+  obs::LogHistogram* h = nullptr;
+  for (const auto& [name, hist] : by_op_) {
+    if (name == op) {
+      h = hist;
+      break;
+    }
+  }
+  if (h == nullptr) {
+    h = &registry_.histogram(prefix_ + ".vjp." + op + "_us");
+    by_op_.emplace_back(op, h);
+  }
+  h->record(seconds * 1e6);
+}
+
 NithoTrainer::NithoTrainer(NithoModel& model, const TrainingSet& set,
                            NithoTrainConfig cfg)
     : model_(model),
@@ -152,9 +171,11 @@ void NithoTrainer::set_observer(obs::MetricsRegistry* registry,
     g_bwd_ = &registry->gauge(prefix + ".backward_seconds");
     g_step_ = &registry->gauge(prefix + ".step_seconds");
     c_steps_ = &registry->counter(prefix + ".steps");
+    vjp_timers_.emplace(*registry, prefix);
   } else {
     g_epoch_ = g_loss_ = g_fwd_ = g_bwd_ = g_step_ = nullptr;
     c_steps_ = nullptr;
+    vjp_timers_.reset();
   }
 }
 
@@ -197,7 +218,7 @@ void NithoTrainer::run_epoch() {
     stats_.forward_seconds += phase.seconds();
     if (traced) span_t1 = obs_tracer_->now_us();
     phase.reset();
-    nn::backward(loss);
+    nn::backward(loss, vjp_timers_ ? &*vjp_timers_ : nullptr);
     stats_.backward_seconds += phase.seconds();
     if (traced) span_t2 = obs_tracer_->now_us();
     phase.reset();
@@ -289,7 +310,8 @@ void NithoTrainer::load_state(std::istream& is) {
   cfg.lr = nn::read_f32(is);
   cfg.train_px = static_cast<int>(nn::read_u64(is));
   cfg.seed = nn::read_u64(is);
-  check(cfg.epochs >= 1 && cfg.batch >= 1 && cfg.lr > 0.0f,
+  check(cfg.epochs >= 1 && cfg.batch >= 1 && std::isfinite(cfg.lr) &&
+            cfg.lr > 0.0f,
         "NithoTrainer::load_state: corrupt config");
   const auto kernel_dim = static_cast<int>(nn::read_u64(is));
   const auto train_px = static_cast<int>(nn::read_u64(is));
@@ -319,6 +341,9 @@ void NithoTrainer::load_state(std::istream& is) {
     check(t.shape() == p->value.shape(),
           "NithoTrainer::load_state: stored parameter shape does not match "
           "the model");
+    check(std::all_of(t.data(), t.data() + t.numel(),
+                      [](float v) { return std::isfinite(v); }),
+          "NithoTrainer::load_state: non-finite weight");
     weights.push_back(std::move(t));
   }
   Rng staged_rng(0);

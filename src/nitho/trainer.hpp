@@ -15,7 +15,9 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -69,6 +71,23 @@ struct TrainingSet {
 TrainingSet prepare_training_set(const std::vector<const Sample*>& data,
                                  int kernel_dim, int train_px = 0);
 
+/// An nn::VjpTimer that records every vjp of a backward pass into the
+/// histogram "<prefix>.vjp.<op>_us" (microseconds: the histograms' range
+/// starts at 2^-10, below which a per-op time in seconds would clamp into
+/// the bottom bucket).  Histograms register on an op's first record.
+class VjpHistograms final : public nn::VjpTimer {
+ public:
+  VjpHistograms(obs::MetricsRegistry& registry, std::string prefix);
+  void record(const char* op, double seconds) override;
+
+ private:
+  obs::MetricsRegistry& registry_;
+  std::string prefix_;
+  /// Op-name pointer -> histogram; op names are string literals, so a
+  /// pointer hit skips the registry lookup.
+  std::vector<std::pair<const char*, obs::LogHistogram*>> by_op_;
+};
+
 /// Epoch-stepwise, checkpointable driver of the Algorithm-1 loop.  This is
 /// the class train_nitho() runs on: constructing one and calling
 /// run_epoch() until done() is arithmetic-for-arithmetic the historical
@@ -116,8 +135,10 @@ class NithoTrainer {
   /// Binds observability sinks (borrowed; must outlive the trainer — both
   /// may be null to unbind).  Each completed epoch publishes
   /// "<prefix>.epoch/loss/forward_seconds/backward_seconds/step_seconds"
-  /// gauges and a "<prefix>.steps" counter; with a tracer, sampled steps
-  /// emit forward/backward/opt_step spans on `track` (DESIGN.md §12.3).
+  /// gauges and a "<prefix>.steps" counter, and every step's backward
+  /// records each vjp into "<prefix>.vjp.<op>_us" (VjpHistograms); with a
+  /// tracer, sampled steps emit forward/backward/opt_step spans on `track`
+  /// (DESIGN.md §12.3).
   /// Observation is timing-only — the training arithmetic is untouched, so
   /// every bit-identity pin holds with or without an observer.  Not part
   /// of NithoTrainConfig on purpose: the config is serialized state
@@ -129,8 +150,10 @@ class NithoTrainer {
   /// Serializes config + epoch cursor + weights + Adam + RNG + trajectory.
   /// load_state adopts the stored config (like opc::OpcEngine::restore) and
   /// throws check_error when the stored state is structurally incompatible
-  /// with the bound model/set (kernel support, grid, set size) or the
-  /// stream is truncated/corrupt — it never partially restores.
+  /// with the bound model/set (kernel support, grid, set size), when a
+  /// weight, an Adam moment or a learning rate is not finite (or a second
+  /// moment is negative), or the stream is truncated/corrupt — it never
+  /// partially restores.
   void save_state(std::ostream& os) const;
   void load_state(std::istream& is);
 
@@ -154,6 +177,7 @@ class NithoTrainer {
   obs::Gauge* g_bwd_ = nullptr;
   obs::Gauge* g_step_ = nullptr;
   obs::Counter* c_steps_ = nullptr;
+  std::optional<VjpHistograms> vjp_timers_;
 };
 
 /// Mean per-sample imaging MSE of the model on a prepared set, through the

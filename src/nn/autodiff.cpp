@@ -1,5 +1,6 @@
 #include "nn/autodiff.hpp"
 
+#include <chrono>
 #include <unordered_set>
 
 #include "common/check.hpp"
@@ -136,7 +137,7 @@ void topo_sort(const Var& root, std::vector<Node*>& order) {
 
 }  // namespace
 
-void backward(const Var& root) {
+void backward(const Var& root, VjpTimer* timer) {
   check(root != nullptr, "backward of null var");
   check(root->value.numel() == 1, "backward requires a scalar root");
   if (!root->requires_grad) return;
@@ -146,9 +147,16 @@ void backward(const Var& root) {
   root->grad[0] = 1.0f;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     Node* n = *it;
-    if (n->backward_fn && n->grad.numel() == n->value.numel()) {
+    if (!n->backward_fn || n->grad.numel() != n->value.numel()) continue;
+    if (timer == nullptr) {
       n->backward_fn(*n);
+      continue;
     }
+    const auto t0 = std::chrono::steady_clock::now();
+    n->backward_fn(*n);
+    timer->record(n->op, std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count());
   }
 }
 

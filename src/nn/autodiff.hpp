@@ -40,9 +40,20 @@ Var make_leaf(Tensor value, bool requires_grad = false);
 Var make_node(Tensor value, std::vector<Var> inputs,
               std::function<void(Node&)> backward_fn, const char* op);
 
+/// Per-op timing sink for backward(): receives the op name and the wall
+/// time of every vjp the pass runs.  Timing only — the arithmetic is the
+/// same with or without one.
+class VjpTimer {
+ public:
+  virtual ~VjpTimer() = default;
+  virtual void record(const char* op, double seconds) = 0;
+};
+
 /// Reverse pass from a scalar root: seeds d(root)/d(root) = 1 and pushes
-/// gradients through the graph in reverse topological order.
-void backward(const Var& root);
+/// gradients through the graph in reverse topological order.  With a timer
+/// each vjp is timed and reported; without one (the default) the cost is
+/// one branch per node.
+void backward(const Var& root, VjpTimer* timer = nullptr);
 
 /// Recycles graph storage across training steps (DESIGN.md §8).
 ///

@@ -1,18 +1,20 @@
 #pragma once
 // Small dense float GEMM kernels shared by the matmul / conv / complex ops.
 // Loop orders are chosen so the innermost loop streams rows of the second
-// operand; the dense variants hand 4-row panels to the SIMD layer's
-// register-blocked `gemm_panel` (common/simd.hpp), whose arms are
+// operand.  The dense entry, gemm_dense, hands 4-row panels to the SIMD
+// layer's register-blocked `gemm_panel` (common/simd.hpp), whose arms are
 // bit-identical to the scalar loop — lanes span B-row columns of one fixed
 // A entry, never the k reduction, so every output element keeps its exact
-// left-fold order (DESIGN.md §13.2).
+// left-fold order (DESIGN.md §13.2).  It reads A through a (row, p) stride
+// pair, so one kernel serves row-major A, transposed A and one plane of an
+// interleaved complex tensor read in place.
 //
-// The kSkipZeroLhs template parameter controls the `av == 0.0f` fast path
-// that skips a whole B-row when the left-hand entry is zero.  It pays off
-// when the left operand is ReLU-sparse (conv backward, image baselines) and
-// costs a branch per k otherwise; that variant stays scalar — the branch
-// dominates and the CMLP's batched training path calls the dense variants
-// (bench_micro BM_Gemm* measures both).
+// gemm_nn / gemm_tn keep the `av == 0.0f` fast path that skips a whole
+// B-row when the left-hand entry is zero.  It pays off when the left
+// operand is ReLU-sparse (conv backward, image baselines) and costs a
+// branch per k otherwise; those variants stay scalar — the branch
+// dominates — and the CMLP's complex layers call gemm_dense (bench_micro
+// BM_Gemm* measures both).
 
 #include <algorithm>
 #include <cstdint>
@@ -28,31 +30,44 @@ namespace nitho::nn {
 /// every kernel in this header.
 inline constexpr std::int64_t kGemmParallelMacs = std::int64_t{1} << 18;
 
-/// C[M,N] (+)= A[M,K] * B[K,N]
-template <bool kSkipZeroLhs = true>
+/// C[M,N] (+)= A * B[K,N] with A's element (i, p) at a[i * ars + p * aps]
+/// and B, C rows ldb, ldc floats apart: (ars, aps) = (k, 1) reads a
+/// row-major A[M,K], (1, m) the transpose of a row-major [K,M], and
+/// (2k, 2) / (2, 2m) one plane of an interleaved complex [M,K,2] / [K,M,2]
+/// tensor in place.  Each output element is one left fold over p — from
+/// 0.0f, or from C's value with accumulate — so a GEMM over B's columns
+/// [0, n) gives every element the bits it gets in a GEMM over any column
+/// range that contains it.  Rows split across the shared pool above
+/// kGemmParallelMacs in 4-row panels, so the result is the same at every
+/// worker count.
+inline void gemm_dense(std::int64_t m, std::int64_t n, std::int64_t k,
+                       const float* a, std::int64_t ars, std::int64_t aps,
+                       const float* b, std::int64_t ldb, float* c,
+                       std::int64_t ldc, bool accumulate) {
+  const std::int64_t blocks =
+      (m + simd::kGemmPanelRows - 1) / simd::kGemmPanelRows;
+  const auto block_job = [&](std::int64_t blk) {
+    const std::int64_t i0 = blk * simd::kGemmPanelRows;
+    const std::int64_t mr = std::min(simd::kGemmPanelRows, m - i0);
+    float* cblk = c + i0 * ldc;
+    if (!accumulate) {
+      for (std::int64_t r = 0; r < mr; ++r) {
+        std::fill(cblk + r * ldc, cblk + r * ldc + n, 0.0f);
+      }
+    }
+    simd::gemm_panel(cblk, ldc, a + i0 * ars, ars, aps, b, ldb, mr, k, n);
+  };
+  if (m * n * k > kGemmParallelMacs) {
+    parallel_for(blocks, block_job);
+  } else {
+    for (std::int64_t blk = 0; blk < blocks; ++blk) block_job(blk);
+  }
+}
+
+/// C[M,N] (+)= A[M,K] * B[K,N], skipping B rows whose A entry is zero.
 inline void gemm_nn(std::int64_t m, std::int64_t n, std::int64_t k,
                     const float* a, const float* b, float* c,
                     bool accumulate) {
-  if constexpr (!kSkipZeroLhs) {
-    // Dense path: 4-row register-blocked panels with the k fold inside the
-    // dispatch arm — one kernel call per row block instead of one axpy per
-    // (row, p), same per-element fold order (DESIGN.md §13.2).
-    const std::int64_t blocks =
-        (m + simd::kGemmPanelRows - 1) / simd::kGemmPanelRows;
-    const auto block_job = [&](std::int64_t blk) {
-      const std::int64_t i0 = blk * simd::kGemmPanelRows;
-      const std::int64_t mr = std::min(simd::kGemmPanelRows, m - i0);
-      float* cblk = c + i0 * n;
-      if (!accumulate) std::fill(cblk, cblk + mr * n, 0.0f);
-      simd::gemm_panel(cblk, n, a + i0 * k, k, 1, b, n, mr, k, n);
-    };
-    if (m * n * k > kGemmParallelMacs) {
-      parallel_for(blocks, block_job);
-    } else {
-      for (std::int64_t blk = 0; blk < blocks; ++blk) block_job(blk);
-    }
-    return;
-  }
   const auto row_job = [&](std::int64_t i) {
     float* crow = c + i * n;
     if (!accumulate) std::fill(crow, crow + n, 0.0f);
@@ -85,7 +100,7 @@ inline constexpr std::int64_t kGemmNtPackCap = std::int64_t{1} << 22;
 /// cannot skip B work per left-hand zero.)
 ///
 /// When a vector arm is active and the problem is big enough, B is packed
-/// as B^T once so every row update becomes the gemm_nn axpy stream.  Bit
+/// as B^T once so every row update becomes the gemm_dense panel stream.  Bit
 /// identity is preserved: each output element is still the same left fold
 /// over p from 0.0f (the packed path just keeps n folds in flight instead
 /// of one), and with accumulate the fold lands in a scratch row that is
@@ -165,31 +180,11 @@ inline void gemm_nt(std::int64_t m, std::int64_t n, std::int64_t k,
   }
 }
 
-/// C[M,N] (+)= A[K,M]^T * B[K,N]
-template <bool kSkipZeroLhs = true>
+/// C[M,N] (+)= A[K,M]^T * B[K,N], skipping B rows whose A entry is zero.
 inline void gemm_tn(std::int64_t m, std::int64_t n, std::int64_t k,
                     const float* a, const float* b, float* c,
                     bool accumulate) {
   // Serial over k to keep writes race-free; rows of C parallelized.
-  if constexpr (!kSkipZeroLhs) {
-    // Dense path: the same panel kernel as gemm_nn, with A^T's strides
-    // (row stride 1, p stride m).
-    const std::int64_t blocks =
-        (m + simd::kGemmPanelRows - 1) / simd::kGemmPanelRows;
-    const auto block_job = [&](std::int64_t blk) {
-      const std::int64_t i0 = blk * simd::kGemmPanelRows;
-      const std::int64_t mr = std::min(simd::kGemmPanelRows, m - i0);
-      float* cblk = c + i0 * n;
-      if (!accumulate) std::fill(cblk, cblk + mr * n, 0.0f);
-      simd::gemm_panel(cblk, n, a + i0, 1, m, b, n, mr, k, n);
-    };
-    if (m * n * k > kGemmParallelMacs) {
-      parallel_for(blocks, block_job);
-    } else {
-      for (std::int64_t blk = 0; blk < blocks; ++blk) block_job(blk);
-    }
-    return;
-  }
   const auto row_job = [&](std::int64_t i) {
     float* crow = c + i * n;
     if (!accumulate) std::fill(crow, crow + n, 0.0f);

@@ -1,7 +1,10 @@
 #include "nn/ops.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/check.hpp"
 #include "nn/gemm.hpp"
@@ -58,31 +61,34 @@ Var elementwise1(const Var& a, Fwd fwd, Bwd bwd, const char* op) {
                    op);
 }
 
-// De-interleave a [..., 2] tensor into planar re/im buffers.
-void split_complex(const Tensor& t, std::vector<float>& re,
-                   std::vector<float>& im) {
-  const std::int64_t n = t.numel() / 2;
-  re.resize(static_cast<std::size_t>(n));
-  im.resize(static_cast<std::size_t>(n));
-  const float* p = t.data();
-  for (std::int64_t i = 0; i < n; ++i) {
-    re[static_cast<std::size_t>(i)] = p[2 * i];
-    im[static_cast<std::size_t>(i)] = p[2 * i + 1];
-  }
+// Grow-only per-thread scratch of clinear.  The calling thread blocks
+// inside each GEMM's parallel_for, so the pool's workers see it stable.
+struct ClinearScratch {
+  std::vector<float> w;   ///< W's planes side by side, [K, 2N] (forward)
+                          ///< or W^T's, [N, 2K] (backward)
+  std::vector<float> g;   ///< G's planes side by side, [M, 2N]
+  std::vector<float> t0;  ///< GEMM outputs and fold temporaries
+  std::vector<float> t1;
+};
+
+// relu's `keep ? x : 0.0f`, bit for bit, without a branch: CReLU masks
+// are data-dependent coin flips, and a mispredicted branch per element
+// costs more than the layer's bias and mask passes themselves.
+float keep_or_zero(bool keep, float x) {
+  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(x) &
+                              (0u - static_cast<std::uint32_t>(keep)));
 }
 
-void merge_complex(const std::vector<float>& re, const std::vector<float>& im,
-                   float* out, bool accumulate) {
-  const std::int64_t n = static_cast<std::int64_t>(re.size());
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (accumulate) {
-      out[2 * i] += re[static_cast<std::size_t>(i)];
-      out[2 * i + 1] += im[static_cast<std::size_t>(i)];
-    } else {
-      out[2 * i] = re[static_cast<std::size_t>(i)];
-      out[2 * i + 1] = im[static_cast<std::size_t>(i)];
-    }
+ClinearScratch& clinear_scratch() {
+  thread_local ClinearScratch s;
+  return s;
+}
+
+float* grow(std::vector<float>& v, std::int64_t n) {
+  if (static_cast<std::int64_t>(v.size()) < n) {
+    v.resize(static_cast<std::size_t>(n));
   }
+  return v.data();
 }
 
 }  // namespace
@@ -309,68 +315,166 @@ Var matmul(const Var& a, const Var& b) {
                    "matmul");
 }
 
-Var cmatmul(const Var& a, const Var& b) {
-  check(a->value.ndim() == 3 && a->value.dim(2) == 2, "cmatmul: a not complex");
-  check(b->value.ndim() == 3 && b->value.dim(2) == 2, "cmatmul: b not complex");
-  const int m = a->value.dim(0), k = a->value.dim(1), n = b->value.dim(1);
-  check(b->value.dim(0) == k, "cmatmul inner dimension mismatch");
+Var clinear(const Var& x, const Var& w, const Var& b, bool crelu) {
+  const Tensor& xv = x->value;
+  const bool real = xv.ndim() == 2;
+  check(real || (xv.ndim() == 3 && xv.dim(2) == 2),
+        "clinear: x must be complex [M,K,2] or real [M,K]");
+  check(!real || !x->requires_grad,
+        "clinear: a real (1+j)-lifted input cannot take a gradient");
+  const int m = xv.dim(0), k = xv.dim(1);
+  check(w->value.ndim() == 3 && w->value.dim(0) == k && w->value.dim(2) == 2,
+        "clinear: W must be [K,N,2]");
+  const int n = w->value.dim(1);
+  check(b->value.ndim() == 2 && b->value.dim(0) == n && b->value.dim(1) == 2,
+        "clinear: b must be [N,2]");
 
-  std::vector<float> ar, ai, br, bi;
-  split_complex(a->value, ar, ai);
-  split_complex(b->value, br, bi);
-  std::vector<float> cr(static_cast<std::size_t>(m) * n),
-      ci(static_cast<std::size_t>(m) * n);
-  // C = (Ar + i Ai)(Br + i Bi).  Dense kernels (no zero-skip): complex
-  // operands are essentially never exactly zero, and bench_micro BM_Gemm*
-  // measured the skip branch as a wash-to-loss even on CReLU-sparse
-  // activations (random zeros defeat the branch predictor).
-  gemm_nn<false>(m, n, k, ar.data(), br.data(), cr.data(), false);
-  gemm_nn<false>(m, n, k, ai.data(), bi.data(), ci.data(), false);
-  for (std::size_t i = 0; i < cr.size(); ++i) cr[i] -= ci[i];
-  gemm_nn<false>(m, n, k, ar.data(), bi.data(), ci.data(), false);
-  gemm_nn<false>(m, n, k, ai.data(), br.data(), ci.data(), true);
+  // Every GEMM below gives each output element the fold the historical
+  // chain gives it (tests/support/cmlp_ref.hpp): the same products, with
+  // the same operands on the left, added in the same order from 0.0f.  A
+  // GEMM against two planes side by side ([Wr | Wi] as B) folds each
+  // plane's columns exactly as a GEMM against that plane alone.
+  ClinearScratch& s = clinear_scratch();
+  float* wp = grow(s.w, 2 * static_cast<std::int64_t>(k) * n);
+  const float* wv = w->value.data();
+  for (std::int64_t p = 0; p < k; ++p) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      wp[p * 2 * n + j] = wv[2 * (p * n + j)];
+      wp[p * 2 * n + n + j] = wv[2 * (p * n + j) + 1];
+    }
+  }
+  // X's planes are read in place: row stride 2k and p stride 2 with the
+  // imaginary plane one float in, or (k, 1) for a real-lifted x, whose
+  // imaginary plane is the real one.
+  const std::int64_t ars = real ? k : 2 * k, aps = real ? 1 : 2;
+  const float* xr = xv.data();
+  const float* xi = real ? xr : xr + 1;
+  // C = (Xr + i Xi)(Wr + i Wi): t = Xr [Wr | Wi] = [Xr Wr | Xr Wi], then
+  // cr = Xr Wr - Xi Wi and ci = Xr Wi continued by Xi Wr.  Dense kernels
+  // (no zero-skip): bench_micro BM_Gemm* measured the skip branch as a
+  // wash-to-loss even on CReLU-sparse activations.  With a real-lifted x,
+  // Xi Wi is bitwise Xr Wi, already in t's right half: one GEMM fewer.
+  const std::int64_t ldt = 2 * static_cast<std::int64_t>(n);
+  float* t = grow(s.t0, m * ldt);
+  gemm_dense(m, 2 * n, k, xr, ars, aps, wp, ldt, t, ldt, false);
+  const float* xiwi = t + n;
+  std::int64_t ldu = ldt;
+  if (!real) {
+    float* u = grow(s.t1, static_cast<std::int64_t>(m) * n);
+    gemm_dense(m, n, k, xi, ars, aps, wp + n, ldt, u, n, false);
+    xiwi = u;
+    ldu = n;
+  }
+  for (std::int64_t r = 0; r < m; ++r) {
+    for (std::int64_t j = 0; j < n; ++j) t[r * ldt + j] -= xiwi[r * ldu + j];
+  }
+  gemm_dense(m, n, k, xi, ars, aps, wp, ldt, t + n, ldt, true);
 
+  // One pass: interleave, add the bias, CReLU — merge, add_bias and relu's
+  // operations in their order.
   Tensor out = arena_tensor({m, n, 2}, /*zeroed=*/false);
-  merge_complex(cr, ci, out.data(), false);
+  float* y = out.data();
+  const float* bv = b->value.data();
+  for (std::int64_t r = 0; r < m; ++r) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float yr = t[r * ldt + j] + bv[2 * j];
+      float yi = t[r * ldt + n + j] + bv[2 * j + 1];
+      if (crelu) {
+        yr = keep_or_zero(yr > 0.0f, yr);
+        yi = keep_or_zero(yi > 0.0f, yi);
+      }
+      y[2 * (r * n + j)] = yr;
+      y[2 * (r * n + j) + 1] = yi;
+    }
+  }
   return make_node(
-      std::move(out), {a, b},
-      [m, n, k](Node& node) {
-        Node& ia = *node.inputs[0];
-        Node& ib = *node.inputs[1];
-        std::vector<float> ar, ai, br, bi, gr, gi;
-        split_complex(ia.value, ar, ai);
-        split_complex(ib.value, br, bi);
-        split_complex(node.grad, gr, gi);
-        if (ia.requires_grad) {
-          // dA = dC B^H: dAr = Gr Br^T + Gi Bi^T ; dAi = Gi Br^T - Gr Bi^T.
-          std::vector<float> dar(static_cast<std::size_t>(m) * k),
-              dai(static_cast<std::size_t>(m) * k);
-          gemm_nt(m, k, n, gr.data(), br.data(), dar.data(), false);
-          gemm_nt(m, k, n, gi.data(), bi.data(), dai.data(), false);
-          for (std::size_t i = 0; i < dar.size(); ++i) dar[i] += dai[i];
-          gemm_nt(m, k, n, gi.data(), br.data(), dai.data(), false);
-          std::vector<float> tmp(static_cast<std::size_t>(m) * k);
-          gemm_nt(m, k, n, gr.data(), bi.data(), tmp.data(), false);
-          for (std::size_t i = 0; i < dai.size(); ++i) dai[i] -= tmp[i];
-          ia.ensure_grad();
-          merge_complex(dar, dai, ia.grad.data(), true);
+      std::move(out), {x, w, b},
+      [m, n, k, real, crelu](Node& node) {
+        Node& ix = *node.inputs[0];
+        Node& iw = *node.inputs[1];
+        Node& ib = *node.inputs[2];
+        ClinearScratch& s2 = clinear_scratch();
+        // G, the gradient the oracle's matmul saw: relu adds its masked
+        // gradient into a zeroed buffer and add_bias adds that into
+        // another, so G = 0.0f + gz with gz = 0.0f + mask(g) under CReLU
+        // and gz = g without.  The adds are kept: they turn -0.0f into
+        // +0.0f.  The bias folds gz over ascending rows, as add_bias does.
+        // G's planes go side by side, [Gr | Gi].
+        const std::int64_t ldg = 2 * static_cast<std::int64_t>(n);
+        float* gp = grow(s2.g, m * ldg);
+        const float* g = node.grad.data();
+        const float* yv = node.value.data();
+        float* bg = ib.requires_grad ? ib.ensure_grad().data() : nullptr;
+        for (std::int64_t r = 0; r < m; ++r) {
+          for (std::int64_t j = 0; j < n; ++j) {
+            const std::int64_t i = r * n + j;
+            float gzr = g[2 * i], gzi = g[2 * i + 1];
+            if (crelu) {
+              // y > 0 exactly where the pre-activation is > 0.
+              gzr = 0.0f + keep_or_zero(yv[2 * i] > 0.0f, gzr);
+              gzi = 0.0f + keep_or_zero(yv[2 * i + 1] > 0.0f, gzi);
+            }
+            if (bg != nullptr) {
+              bg[2 * j] += gzr;
+              bg[2 * j + 1] += gzi;
+            }
+            gp[r * ldg + j] = 0.0f + gzr;
+            gp[r * ldg + n + j] = 0.0f + gzi;
+          }
         }
-        if (ib.requires_grad) {
-          // dB = A^H dC: dBr = Ar^T Gr + Ai^T Gi ; dBi = Ar^T Gi - Ai^T Gr.
-          std::vector<float> dbr(static_cast<std::size_t>(k) * n),
-              dbi(static_cast<std::size_t>(k) * n);
-          gemm_tn<false>(k, n, m, ar.data(), gr.data(), dbr.data(), false);
-          gemm_tn<false>(k, n, m, ai.data(), gi.data(), dbi.data(), false);
-          for (std::size_t i = 0; i < dbr.size(); ++i) dbr[i] += dbi[i];
-          gemm_tn<false>(k, n, m, ar.data(), gi.data(), dbi.data(), false);
-          std::vector<float> tmp(static_cast<std::size_t>(k) * n);
-          gemm_tn<false>(k, n, m, ai.data(), gr.data(), tmp.data(), false);
-          for (std::size_t i = 0; i < dbi.size(); ++i) dbi[i] -= tmp[i];
-          ib.ensure_grad();
-          merge_complex(dbr, dbi, ib.grad.data(), true);
+        if (ix.requires_grad) {
+          // dX = G W^H: dXr = Gr Wr^T + Gi Wi^T ; dXi = Gi Wr^T - Gr Wi^T,
+          // from d1 = Gr [Wr^T | Wi^T] and d2 = Gi [Wr^T | Wi^T].  (A
+          // real-lifted x never requires grad.)
+          const std::int64_t ldw = 2 * static_cast<std::int64_t>(k);
+          float* wt = grow(s2.w, n * ldw);
+          const float* wv2 = iw.value.data();
+          for (std::int64_t p = 0; p < k; ++p) {
+            for (std::int64_t j = 0; j < n; ++j) {
+              wt[j * ldw + p] = wv2[2 * (p * n + j)];
+              wt[j * ldw + k + p] = wv2[2 * (p * n + j) + 1];
+            }
+          }
+          float* d1 = grow(s2.t0, m * ldw);
+          float* d2 = grow(s2.t1, m * ldw);
+          gemm_dense(m, 2 * k, n, gp, ldg, 1, wt, ldw, d1, ldw, false);
+          gemm_dense(m, 2 * k, n, gp + n, ldg, 1, wt, ldw, d2, ldw, false);
+          float* dx = ix.ensure_grad().data();
+          for (std::int64_t r = 0; r < m; ++r) {
+            for (std::int64_t p = 0; p < k; ++p) {
+              const std::int64_t i = r * k + p;
+              dx[2 * i] += d1[r * ldw + p] + d2[r * ldw + k + p];
+              dx[2 * i + 1] += d2[r * ldw + p] - d1[r * ldw + k + p];
+            }
+          }
+        }
+        if (iw.requires_grad) {
+          // dW = X^H G: dWr = Xr^T Gr + Xi^T Gi ; dWi = Xr^T Gi - Xi^T Gr,
+          // from e1 = Xr^T [Gr | Gi] and e2 = Xi^T [Gr | Gi], X read in
+          // place (row stride 2, p stride 2k).  For a real-lifted x, e2 is
+          // bitwise e1: one GEMM instead of two.
+          const std::int64_t ars2 = real ? 1 : 2, aps2 = real ? k : 2 * k;
+          const float* xr2 = ix.value.data();
+          float* e1 = grow(s2.t0, k * ldg);
+          gemm_dense(k, 2 * n, m, xr2, ars2, aps2, gp, ldg, e1, ldg, false);
+          const float* e2 = e1;
+          if (!real) {
+            float* e2w = grow(s2.t1, k * ldg);
+            gemm_dense(k, 2 * n, m, xr2 + 1, ars2, aps2, gp, ldg, e2w, ldg,
+                       false);
+            e2 = e2w;
+          }
+          float* dw = iw.ensure_grad().data();
+          for (std::int64_t p = 0; p < k; ++p) {
+            for (std::int64_t j = 0; j < n; ++j) {
+              const std::int64_t i = p * n + j;
+              dw[2 * i] += e1[p * ldg + j] + e2[p * ldg + n + j];
+              dw[2 * i + 1] += e1[p * ldg + n + j] - e2[p * ldg + j];
+            }
+          }
         }
       },
-      "cmatmul");
+      "clinear");
 }
 
 Var cmul_const(const Var& x, const Tensor& c) {

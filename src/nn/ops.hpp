@@ -40,8 +40,14 @@ Var mse_loss_batch_ordered(const Var& pred, const Tensor& targets);
 
 // ---- dense algebra ---------------------------------------------------------
 Var matmul(const Var& a, const Var& b);       ///< [M,K] x [K,N]
-/// Complex matmul [M,K,2] x [K,N,2] -> [M,N,2] (the CLinear core).
-Var cmatmul(const Var& a, const Var& b);
+/// One complex-linear layer of the CMLP (paper Eq. 12) as a single node:
+/// y = x W + b, then CReLU when `crelu`.  x is complex [M,K,2], or real
+/// [M,K] standing for the (1+j)-lifted input x + jx of the encoding (it
+/// must not require grad); W is [K,N,2], b is [N,2]; y is [M,N,2].
+/// Bit-identical, values and every gradient, to the historical chain of a
+/// planar complex matmul, add_bias and relu (DESIGN.md §8.1; the chain is
+/// kept as the test oracle in tests/support/cmlp_ref.hpp).
+Var clinear(const Var& x, const Var& w, const Var& b, bool crelu);
 /// Complex Hadamard with a constant complex tensor c (same trailing shape,
 /// broadcast over a leading dim of x when x.ndim == c.ndim + 1).
 Var cmul_const(const Var& x, const Tensor& c);

@@ -11,6 +11,20 @@
 #include "nn/serialize.hpp"
 
 namespace nitho::nn {
+namespace {
+
+// Restored moments must be finite, and second moments nonnegative (the
+// update takes their square root): a NaN or Inf would poison every later
+// step.
+void check_moments(const float* m, const float* v, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    check(std::isfinite(m[i]) && std::isfinite(v[i]),
+          "Adam::load_state: non-finite moment");
+    check(v[i] >= 0.0f, "Adam::load_state: negative second moment");
+  }
+}
+
+}  // namespace
 
 Adam::Adam(std::vector<Var> params, float lr, float beta1, float beta2,
            float eps)
@@ -53,6 +67,7 @@ void Adam::load_state(const std::vector<float>& flat) {
   for (const Tensor& m : m_) total += m.numel();
   check(static_cast<std::int64_t>(flat.size()) == 2 * total,
         "Adam::load_state: size mismatch");
+  check_moments(flat.data(), flat.data() + total, total);
   const float* src = flat.data();
   for (Tensor& m : m_) {
     std::copy(src, src + m.numel(), m.data());
@@ -92,6 +107,7 @@ void Adam::load_state(std::istream& is) {
               vi.shape() == params_[i]->value.shape(),
           "Adam::load_state: stored moment shape does not match the bound "
           "parameter");
+    check_moments(mi.data(), vi.data(), mi.numel());
     m.push_back(std::move(mi));
     v.push_back(std::move(vi));
   }
@@ -99,6 +115,8 @@ void Adam::load_state(std::istream& is) {
   check(t <= static_cast<std::uint64_t>(std::numeric_limits<long>::max()),
         "Adam::load_state: step count out of range");
   const float lr = read_f32(is);
+  check(std::isfinite(lr) && lr > 0.0f,
+        "Adam::load_state: learning rate must be finite and positive");
   m_ = std::move(m);
   v_ = std::move(v);
   t_ = static_cast<long>(t);

@@ -24,7 +24,9 @@ class Adam {
   /// Moment state for checkpointing: all first moments concatenated in
   /// parameter order, then all second moments.  Together with the step
   /// count and the parameter values this is the optimizer's entire state —
-  /// restoring it resumes training bit-identically.
+  /// restoring it resumes training bit-identically.  load_state throws
+  /// check_error, leaving the moments untouched, on a size mismatch, a
+  /// non-finite moment or a negative second moment.
   std::vector<float> dump_state() const;
   void load_state(const std::vector<float>& flat);
   long step_count() const { return t_; }
@@ -35,9 +37,11 @@ class Adam {
   /// step count and the learning rate.  Unlike the flat vector above,
   /// load_state(istream) range-checks the stored moment count and every
   /// stored shape against the parameters this optimizer is bound to and
-  /// throws check_error on mismatch (wrong model, wrong layer sizes) or on
-  /// a truncated/corrupt stream — restored state is the whole of Adam, so
-  /// a silent misassignment would corrupt training invisibly.
+  /// throws check_error on mismatch (wrong model, wrong layer sizes), on
+  /// a truncated/corrupt stream, on a non-finite moment, a negative second
+  /// moment or a non-finite or non-positive learning rate — restored state
+  /// is the whole of Adam, so a silent misassignment would corrupt
+  /// training invisibly.  Nothing is restored unless everything checks.
   void save_state(std::ostream& os) const;
   void load_state(std::istream& is);
 

@@ -59,6 +59,16 @@ OpcCheckpoint OpcCheckpoint::load(const std::string& path) {
   check(flat.size() >= kHeaderFloats, "OpcCheckpoint::load: truncated file");
   check(flat[0] == kCheckpointVersion,
         "OpcCheckpoint::load: unsupported version");
+  // Every float of the file is finite in a valid checkpoint except the
+  // loss trajectory: the header before its integer casts, then the
+  // intents, thetas and moments.
+  const auto finite = [&](std::size_t begin, std::size_t end) {
+    return std::all_of(flat.begin() + static_cast<std::ptrdiff_t>(begin),
+                       flat.begin() + static_cast<std::ptrdiff_t>(end),
+                       [](float v) { return std::isfinite(v); });
+  };
+  check(finite(0, kHeaderFloats),
+        "OpcCheckpoint::load: non-finite header or config value");
   OpcCheckpoint ck;
   ck.config.mask_px = static_cast<int>(flat[1]);
   ck.config.sim_px = static_cast<int>(flat[2]);
@@ -78,6 +88,8 @@ OpcCheckpoint OpcCheckpoint::load(const std::string& path) {
                         ck.config.mask_px * ck.config.mask_px;
   check(flat.size() == kHeaderFloats + 4 * n + losses,
         "OpcCheckpoint::load: size mismatch");
+  check(finite(kHeaderFloats, kHeaderFloats + 4 * n),
+        "OpcCheckpoint::load: non-finite intent, theta or Adam moment");
   auto take = [&](std::size_t offset, std::size_t count) {
     return std::vector<float>(flat.begin() + static_cast<std::ptrdiff_t>(offset),
                               flat.begin() +

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 
@@ -77,6 +78,29 @@ double max_abs_diff(const nn::Tensor& a, const nn::Tensor& b) {
 ::testing::AssertionResult tensors_close(const nn::Tensor& a,
                                          const nn::Tensor& b, double tol) {
   return close_impl(tol, a.same_shape(b), max_abs_diff(a, b));
+}
+
+::testing::AssertionResult tensors_bit_identical(const nn::Tensor& a,
+                                                 const nn::Tensor& b) {
+  if (!a.same_shape(b)) {
+    return ::testing::AssertionFailure()
+           << "shape " << a.shape_str() << " vs " << b.shape_str();
+  }
+  if (std::memcmp(a.data(), b.data(),
+                  static_cast<std::size_t>(a.numel()) * sizeof(float)) != 0) {
+    return ::testing::AssertionFailure() << "bit mismatch";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::vector<simd::Arm> vector_arms() {
+  std::vector<simd::Arm> arms;
+  if (!simd::simd_compiled()) return arms;
+  arms.push_back(simd::Arm::kSse2);
+  if (simd::detected_arm() == simd::Arm::kAvx2) {
+    arms.push_back(simd::Arm::kAvx2);
+  }
+  return arms;
 }
 
 std::vector<cd> dft_reference(const std::vector<cd>& x) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "math/cplx.hpp"
 #include "math/grid.hpp"
 #include "nn/tensor.hpp"
@@ -36,6 +37,19 @@ double max_abs_diff(const nn::Tensor& a, const nn::Tensor& b);
                                          const std::vector<cd>& b, double tol);
 ::testing::AssertionResult tensors_close(const nn::Tensor& a,
                                          const nn::Tensor& b, double tol);
+/// gtest assertion: pass iff shapes match and every float is the same bit
+/// pattern (memcmp; NaN payloads and signed zeros included).
+::testing::AssertionResult tensors_bit_identical(const nn::Tensor& a,
+                                                 const nn::Tensor& b);
+
+/// Restores the CPU-detected SIMD arm when a test scope ends, so a failing
+/// EXPECT cannot leak a forced arm into later tests.
+struct ArmGuard {
+  ~ArmGuard() { simd::force_arm(simd::detected_arm()); }
+};
+
+/// The non-scalar SIMD arms this build and CPU can run.
+std::vector<simd::Arm> vector_arms();
 
 /// O(n^2) reference DFT (forward: negative exponent, no normalisation).
 std::vector<cd> dft_reference(const std::vector<cd>& x);

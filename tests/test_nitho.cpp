@@ -5,13 +5,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <limits>
+#include <map>
 #include <numeric>
+#include <set>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 #include "fft/spectral.hpp"
 #include "io/tensor_io.hpp"
 #include "layout/raster.hpp"
@@ -23,7 +27,11 @@
 #include "nitho/model.hpp"
 #include "nitho/trainer.hpp"
 #include "nn/ops.hpp"
+#include "nn/ops_fft.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/serialize.hpp"
+#include "obs/metrics.hpp"
+#include "support/cmlp_ref.hpp"
 #include "support/per_mask_ref.hpp"
 #include "support/test_support.hpp"
 
@@ -186,6 +194,70 @@ double cmlp_ref_loss(const CmlpConfig& cfg,
   double loss = 0.0;
   for (double v : h) loss += v * v;
   return loss;
+}
+
+// The CMLP is one clinear node per layer and reproduces the oracle chain
+// (tests/support/cmlp_ref.hpp) bit for bit at Table-I size: P = 841
+// coordinates (kdim 29) of the RFF encoding, F = 96, hidden 48, 2 blocks,
+// rank 24.  The model path feeds the encoding's real plane; the oracle gets
+// the (1+j)-lifted complex tensor.  A general complex input that takes a
+// gradient is pinned too.
+TEST(Cmlp, ForwardBackwardBitIdenticalToOracleAtTableOneSize) {
+  CmlpConfig cfg;
+  cfg.in_features = 96;
+  cfg.hidden = 48;
+  cfg.blocks = 2;
+  cfg.out = 24;
+  EncodingConfig ec;
+  ec.features = cfg.in_features;
+  const nn::Tensor lifted = encode_coordinates(29, 29, ec);
+  const int p = 29 * 29;
+  nn::Tensor plane({p, cfg.in_features});
+  for (std::int64_t i = 0; i < plane.numel(); ++i) plane[i] = lifted[2 * i];
+  Rng rng = test::make_rng(12);
+  nn::Tensor complex_in({p, cfg.in_features, 2});
+  for (std::int64_t i = 0; i < complex_in.numel(); ++i) {
+    complex_in[i] = static_cast<float>(rng.normal(0.0, 0.5));
+  }
+
+  struct Input {
+    nn::Tensor fused, oracle;
+    bool grad;
+  };
+  for (const Input& in : {Input{plane, lifted, false},
+                          Input{complex_in, complex_in, true}}) {
+    const Cmlp fused(cfg), oracle(cfg);
+    const nn::Var xf = nn::make_leaf(in.fused, in.grad);
+    const nn::Var xo = nn::make_leaf(in.oracle, in.grad);
+    const nn::Var yf = fused.forward(xf);
+    const nn::Var yo = test::cmlp_forward(oracle, xo);
+    nn::backward(nn::mean(nn::square(yf)));
+    nn::backward(nn::mean(nn::square(yo)));
+    EXPECT_TRUE(test::tensors_bit_identical(yf->value, yo->value))
+        << "output, grad " << in.grad;
+    const std::vector<nn::Var> pf = fused.parameters();
+    const std::vector<nn::Var> po = oracle.parameters();
+    ASSERT_EQ(pf.size(), po.size());
+    for (std::size_t i = 0; i < pf.size(); ++i) {
+      EXPECT_TRUE(test::tensors_bit_identical(pf[i]->grad, po[i]->grad))
+          << "parameter " << i << ", grad " << in.grad;
+    }
+    if (in.grad) {
+      EXPECT_TRUE(test::tensors_bit_identical(xf->grad, xo->grad))
+          << "input grad";
+    }
+
+    // One node per layer: clinear all the way down to the input leaf.
+    int layers = 0;
+    nn::Var node = yf;
+    while (node != xf) {
+      ASSERT_STREQ(node->op, "clinear");
+      ASSERT_EQ(node->inputs.size(), 3u);
+      node = node->inputs[0];
+      ++layers;
+    }
+    EXPECT_EQ(layers, cfg.blocks + 2);
+  }
 }
 
 TEST(Cmlp, FiniteDifferenceGradientsMatchBackprop) {
@@ -539,6 +611,100 @@ TEST(Trainer, BatchedMatchesLegacyOnBluesteinGrid) {
   expect_bit_identical_training(ds, cfg);
 }
 
+// The whole step — the CMLP's row-split GEMMs and their scratch, the
+// batched SOCS ops, the loss and Adam — is the same at every worker count.
+// With the small model the entry layer (225 x 64 x 32 MACs per GEMM) is
+// above kGemmParallelMacs, so 4 workers split its rows.
+TEST(Trainer, BitIdenticalAcrossWorkerCounts) {
+  const Dataset ds = engine().make_dataset(DatasetKind::B1, 4, 31);
+  NithoTrainConfig cfg;
+  cfg.epochs = 3;  // one step per epoch: epoch losses are step losses
+  cfg.batch = 4;
+  cfg.train_px = 32;
+  cfg.seed = 3;
+  const auto run = [&](int workers) {
+    set_parallel_workers(workers);
+    NithoModel m(small_model_config(), 512, 193.0, 1.35);
+    const TrainStats st = train_nitho(m, sample_ptrs(ds), cfg);
+    return std::make_pair(st.epoch_losses, nn::dump_parameters(m.parameters()));
+  };
+  const auto [losses1, weights1] = run(1);
+  const auto [losses4, weights4] = run(4);
+  set_parallel_workers(0);
+  ASSERT_EQ(losses1.size(), 3u);
+  ASSERT_EQ(losses4.size(), losses1.size());
+  EXPECT_EQ(std::memcmp(losses1.data(), losses4.data(),
+                        losses1.size() * sizeof(double)),
+            0);
+  ASSERT_EQ(weights4.size(), weights1.size());
+  EXPECT_EQ(std::memcmp(weights1.data(), weights4.data(),
+                        weights1.size() * sizeof(float)),
+            0);
+}
+
+// Per-op vjp timers: binding a registry leaves every bit of the run as it
+// is, and each step's backward records every op of the step's graph into
+// "train.vjp.<op>_us", one sample per node.
+TEST(Trainer, VjpTimersRecordEveryOpWithoutChangingBits) {
+  const Dataset ds = engine().make_dataset(DatasetKind::B1, 4, 33);
+  NithoTrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.batch = 4;
+  cfg.train_px = 32;
+  NithoModel plain(small_model_config(), 512, 193.0, 1.35);
+  NithoModel timed(small_model_config(), 512, 193.0, 1.35);
+  const TrainingSet set =
+      prepare_training_set(sample_ptrs(ds), plain.kernel_dim(), cfg.train_px);
+  NithoTrainer plain_trainer(plain, set, cfg);
+  NithoTrainer timed_trainer(timed, set, cfg);
+  obs::MetricsRegistry registry;
+  timed_trainer.set_observer(&registry);
+  while (!plain_trainer.done()) plain_trainer.run_epoch();
+  while (!timed_trainer.done()) timed_trainer.run_epoch();
+  EXPECT_EQ(plain_trainer.epoch_losses(), timed_trainer.epoch_losses());
+  const std::vector<float> wp = nn::dump_parameters(plain.parameters());
+  const std::vector<float> wt = nn::dump_parameters(timed.parameters());
+  ASSERT_EQ(wp.size(), wt.size());
+  EXPECT_EQ(std::memcmp(wp.data(), wt.data(), wp.size() * sizeof(float)), 0);
+
+  // The ops of one step's graph, counted per node that has a vjp.
+  nn::Tensor spectra({4, set.kernel_dim, set.kernel_dim, 2});
+  nn::Tensor targets({4, set.train_px, set.train_px});
+  const nn::Var loss = nn::scale(
+      nn::mse_loss_batch_ordered(
+          nn::abs2_sum0_batch(nn::socs_field_batch(timed.predict_kernels(),
+                                                   spectra, set.train_px)),
+          targets),
+      0.25f);
+  std::map<std::string, std::uint64_t> per_step;
+  std::vector<nn::Node*> stack{loss.get()};
+  std::set<nn::Node*> seen{loss.get()};
+  while (!stack.empty()) {
+    nn::Node* n = stack.back();
+    stack.pop_back();
+    if (n->backward_fn) ++per_step[n->op];
+    for (const nn::Var& in : n->inputs) {
+      if (seen.insert(in.get()).second) stack.push_back(in.get());
+    }
+  }
+  EXPECT_EQ(per_step["clinear"], 4u);  // entry, 2 blocks, closing layer
+
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  std::map<std::string, std::uint64_t> recorded;
+  const std::string prefix = "train.vjp.";
+  for (const obs::MetricValue& m : snap.metrics) {
+    if (m.name.rfind(prefix, 0) != 0) continue;
+    ASSERT_EQ(m.kind, obs::MetricKind::kHistogram) << m.name;
+    recorded[m.name.substr(prefix.size())] = m.hist.count;
+  }
+  const auto steps = static_cast<std::uint64_t>(timed_trainer.stats().steps);
+  ASSERT_EQ(steps, 2u);
+  ASSERT_EQ(recorded.size(), per_step.size());
+  for (const auto& [op, count] : per_step) {
+    EXPECT_EQ(recorded[op + "_us"], count * steps) << op;
+  }
+}
+
 TEST(Trainer, TinyEpochSmoke) {
   // CI smoke for the batched path: 2 epochs over 8 samples (the ci.sh
   // Debug/-Werror leg runs this via ctest).
@@ -675,6 +841,43 @@ TEST(Trainer, LoadStateRejectsIncompatibleStateWithoutPartialRestore) {
   std::stringstream cut(bytes.substr(0, bytes.size() / 3));
   NithoTrainer t3(m2, set2, cfg);
   EXPECT_THROW(t3.load_state(cut), check_error);
+}
+
+// A checkpoint whose weights went NaN or infinite is refused: load_state
+// throws before committing anything, so the target keeps its weights, its
+// epoch cursor and its loss trajectory.
+TEST(Trainer, LoadStateRejectsNonFiniteWeightsWithoutPartialRestore) {
+  const Dataset ds = engine().make_dataset(DatasetKind::B1, 3, 8);
+  NithoTrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.batch = 2;
+  cfg.train_px = 32;
+  const NithoModel shape(small_model_config(), 512, 193.0, 1.35);
+  const TrainingSet set =
+      prepare_training_set(sample_ptrs(ds), shape.kernel_dim(), cfg.train_px);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    NithoModel src(small_model_config(), 512, 193.0, 1.35);
+    NithoTrainer ts(src, set, cfg);
+    ts.run_epoch();
+    // Poison one weight of the last layer, then checkpoint.
+    src.parameters()[3]->value[5] = bad;
+    std::stringstream state;
+    ts.save_state(state);
+
+    NithoModel dst(small_model_config(), 512, 193.0, 1.35);
+    NithoTrainer td(dst, set, cfg);
+    const std::vector<float> before = nn::dump_parameters(dst.parameters());
+    EXPECT_THROW(td.load_state(state), check_error) << bad;
+    const std::vector<float> after = nn::dump_parameters(dst.parameters());
+    EXPECT_EQ(std::memcmp(before.data(), after.data(),
+                          before.size() * sizeof(float)),
+              0)
+        << bad;
+    EXPECT_EQ(td.epochs_done(), 0);
+    EXPECT_TRUE(td.epoch_losses().empty());
+  }
 }
 
 TEST(Trainer, EvaluateNithoIsDeterministicAndTracksTraining) {

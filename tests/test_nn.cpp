@@ -5,11 +5,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 
+#include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "litho/simulator.hpp"
 #include "nn/autodiff.hpp"
 #include "nn/ops.hpp"
@@ -17,7 +20,9 @@
 #include "nn/ops_fft.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/serialize.hpp"
+#include "support/cmlp_ref.hpp"
 #include "support/per_mask_ref.hpp"
+#include "support/test_support.hpp"
 
 namespace nitho::nn {
 namespace {
@@ -191,7 +196,9 @@ TEST(Cmatmul, MatchesComplexReference) {
   const int m = 3, k = 4, n = 2;
   Tensor a = random_tensor({m, k, 2}, rng);
   Tensor b = random_tensor({k, n, 2}, rng);
-  Var out = cmatmul(make_leaf(a), make_leaf(b));
+  // clinear with a zero bias and no CReLU is the bare complex matmul.
+  Var out = clinear(make_leaf(a), make_leaf(b), make_leaf(Tensor({n, 2})),
+                    /*crelu=*/false);
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {
       std::complex<float> acc{};
@@ -210,8 +217,9 @@ TEST(GradCheck, Cmatmul) {
   Rng rng(7);
   const std::vector<Tensor> init = {random_tensor({2, 3, 2}, rng),
                                     random_tensor({3, 2, 2}, rng)};
-  expect_gradcheck(init, [](const std::vector<Var>& v) {
-    return mean(square(cmatmul(v[0], v[1])));
+  const Var zero_bias = make_leaf(Tensor({2, 2}));
+  expect_gradcheck(init, [zero_bias](const std::vector<Var>& v) {
+    return mean(square(clinear(v[0], v[1], zero_bias, /*crelu=*/false)));
   });
 }
 
@@ -654,20 +662,21 @@ TEST(Serialize, RoundTrip) {
 
 // --------------------------------------------------------------------------
 // Double-precision finite differences for the complex MLP building block
-// (CLinear -> CReLU, i.e. cmatmul + add_bias + relu).  The float-based
+// (CLinear -> CReLU, one clinear node).  The float-based
 // expect_gradcheck above can only certify ~3e-2; here the loss is replicated
 // in double so central differences resolve the gradient to ~1e-9 and the
 // float backprop must match to 1e-5 on both real and imaginary slots.
 // --------------------------------------------------------------------------
 
-// Loss of the block in double: L = sum |CReLU(x w + b)|^2 over all points.
+// Loss of the block in double: L = sum |CReLU(x w + b)|^2 over all points
+// (sum |x w + b|^2 without crelu).
 // x: [P, in, 2], w: [in, out, 2], b: [out, 2], all flattened row-major.
 // min_preact (optional) receives the smallest |component| entering the ReLU
 // so tests can assert the evaluation point is safely away from the kink.
 double complex_block_loss(const std::vector<double>& x,
                           const std::vector<double>& w,
                           const std::vector<double>& b, int P, int in, int out,
-                          double* min_preact = nullptr) {
+                          double* min_preact = nullptr, bool crelu = true) {
   double loss = 0.0;
   double min_abs = std::numeric_limits<double>::infinity();
   for (int p = 0; p < P; ++p) {
@@ -680,8 +689,9 @@ double complex_block_loss(const std::vector<double>& x,
         im += xr * wi + xi * wr;
       }
       min_abs = std::min({min_abs, std::abs(re), std::abs(im)});
-      const double ar = re > 0.0 ? re : 0.0;  // CReLU acts per component
-      const double ai = im > 0.0 ? im : 0.0;
+      // CReLU acts per component.
+      const double ar = !crelu || re > 0.0 ? re : 0.0;
+      const double ai = !crelu || im > 0.0 ? im : 0.0;
       loss += ar * ar + ai * ai;
     }
   }
@@ -697,7 +707,8 @@ TEST(GradCheck, ComplexBlockRealImagPerturbationTight) {
                                     random_tensor({out, 2}, rng, 0.5f)};
 
   std::vector<Var> leaves = as_leaves(init);
-  Var loss = sum(square(relu(add_bias(cmatmul(leaves[0], leaves[1]), leaves[2]))));
+  Var loss =
+      sum(square(clinear(leaves[0], leaves[1], leaves[2], /*crelu=*/true)));
   backward(loss);
 
   // Double copies of the float parameters (exact conversion).
@@ -727,6 +738,189 @@ TEST(GradCheck, ComplexBlockRealImagPerturbationTight) {
       EXPECT_NEAR(analytic, fd, 1e-5 * (1.0 + std::abs(analytic) + std::abs(fd)))
           << "leaf " << li << " elem " << i << " (" << slot << " slot)";
     }
+  }
+}
+
+
+// The real-lifted entry: a real x [P, in] is the complex x + jx, so the
+// double loss runs on the lifted copy.  x takes no gradient; W and b must
+// match central differences on both slots, with and without CReLU.
+TEST(GradCheck, ClinearRealLiftedEntryTight) {
+  const int P = 5, in = 4, out = 3;
+  Rng rng(22);
+  const Tensor x = random_tensor({P, in}, rng);
+  const std::vector<Tensor> init = {random_tensor({in, out, 2}, rng, 0.5f),
+                                    random_tensor({out, 2}, rng, 0.5f)};
+  std::vector<double> lifted;
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    lifted.push_back(static_cast<double>(x[i]));
+    lifted.push_back(static_cast<double>(x[i]));
+  }
+  for (const bool crelu : {false, true}) {
+    std::vector<Var> leaves = as_leaves(init);
+    Var loss = sum(square(clinear(make_leaf(x), leaves[0], leaves[1], crelu)));
+    backward(loss);
+    std::vector<std::vector<double>> params(2);
+    for (int li = 0; li < 2; ++li) {
+      for (std::int64_t i = 0; i < init[li].numel(); ++i) {
+        params[li].push_back(static_cast<double>(init[li][i]));
+      }
+    }
+    double min_preact = 0.0;
+    complex_block_loss(lifted, params[0], params[1], P, in, out, &min_preact,
+                       crelu);
+    if (crelu) {
+      ASSERT_GT(min_preact, 1e-3);
+    }
+    const double eps = 1e-6;
+    for (int li = 0; li < 2; ++li) {
+      for (std::size_t i = 0; i < params[li].size(); ++i) {
+        auto eval = [&](double delta) {
+          std::vector<std::vector<double>> p = params;
+          p[li][i] += delta;
+          return complex_block_loss(lifted, p[0], p[1], P, in, out, nullptr,
+                                    crelu);
+        };
+        const double fd = (eval(eps) - eval(-eps)) / (2.0 * eps);
+        const double analytic = static_cast<double>(leaves[li]->grad[i]);
+        EXPECT_NEAR(analytic, fd,
+                    1e-5 * (1.0 + std::abs(analytic) + std::abs(fd)))
+            << "crelu " << crelu << " leaf " << li << " elem " << i;
+      }
+    }
+  }
+}
+
+TEST(Clinear, RealInputMustNotRequireGrad) {
+  const Var x = make_leaf(Tensor({3, 2}), /*requires_grad=*/true);
+  const Var w = make_leaf(Tensor({2, 4, 2}), true);
+  const Var b = make_leaf(Tensor({4, 2}), true);
+  EXPECT_THROW(clinear(x, w, b, false), check_error);
+  EXPECT_THROW(clinear(make_leaf(Tensor({3, 3})), w, b, false), check_error);
+  const Var wrong_bias = make_leaf(Tensor({3, 2}));
+  EXPECT_THROW(clinear(make_leaf(Tensor({3, 2, 2})), w, wrong_bias, false),
+               check_error);
+}
+
+// ---- clinear against the oracle chain, bit for bit ----------------------
+// tests/support/cmlp_ref.hpp keeps the historical layer chain (planar
+// complex matmul -> add_bias -> relu).  The fused node must reproduce its
+// forward values and every gradient bit for bit, for complex and
+// real-lifted inputs, on every SIMD arm, at 1 and 4 workers.
+
+// A scalar sink that hands its input a fixed upstream gradient (assigned,
+// not added, so -0.0f entries reach the layer as they are).
+Var seed_gradient(const Var& y, const Tensor& upstream) {
+  return make_node(Tensor({1}), {y},
+                   [upstream](Node& node) {
+                     Node& iy = *node.inputs[0];
+                     iy.ensure_grad();
+                     std::copy(upstream.data(),
+                               upstream.data() + upstream.numel(),
+                               iy.grad.data());
+                   },
+                   "seed_gradient");
+}
+
+struct LayerBits {
+  Tensor y, dx, dw, db;
+};
+
+struct LayerCase {
+  int m, k, n;
+  bool real_x, crelu;
+};
+
+LayerBits run_layer(const LayerCase& c, const Tensor& x, const Tensor& w,
+                    const Tensor& b, const Tensor& upstream, bool fused) {
+  Var xl;
+  if (c.real_x && fused) {
+    // The real plane; the oracle takes the lifted complex tensor.
+    Tensor plane({c.m, c.k});
+    for (std::int64_t i = 0; i < plane.numel(); ++i) plane[i] = x[2 * i];
+    xl = make_leaf(plane, false);
+  } else {
+    xl = make_leaf(x, !c.real_x);
+  }
+  const Var wl = make_leaf(w, true), bl = make_leaf(b, true);
+  const Var y = fused ? clinear(xl, wl, bl, c.crelu)
+                      : test::clinear_chain(xl, wl, bl, c.crelu);
+  backward(seed_gradient(y, upstream));
+  return {y->value, xl->grad, wl->grad, bl->grad};
+}
+
+void expect_clinear_matches_chain(const LayerCase& c) {
+  Rng rng(static_cast<std::uint64_t>(41 + c.m * 7 + c.k * 3 + c.n));
+  Tensor x = random_tensor({c.m, c.k, 2}, rng);
+  if (c.real_x) {
+    for (std::int64_t i = 0; i < x.numel(); i += 2) x[i + 1] = x[i];
+  }
+  const Tensor w = random_tensor({c.k, c.n, 2}, rng, 0.3f);
+  const Tensor b = random_tensor({c.n, 2}, rng, 0.5f);
+  Tensor upstream = random_tensor({c.m, c.n, 2}, rng);
+  // Signed zeros in the upstream gradient: the chain's zero-initialized
+  // grad buffers turn -0.0f into +0.0f, and so must the fused node.
+  for (std::int64_t i = 0; i < upstream.numel(); i += 7) {
+    upstream[i] = (i / 7) % 2 == 0 ? -0.0f : 0.0f;
+  }
+
+  test::ArmGuard guard;
+  LayerBits ref;
+  {
+    simd::force_arm(simd::Arm::kScalar);
+    set_parallel_workers(1);
+    ref = run_layer(c, x, w, b, upstream, /*fused=*/false);
+  }
+  std::vector<simd::Arm> arms = test::vector_arms();
+  arms.insert(arms.begin(), simd::Arm::kScalar);
+  for (const simd::Arm arm : arms) {
+    simd::force_arm(arm);
+    for (const int workers : {1, 4}) {
+      set_parallel_workers(workers);
+      const LayerBits got = run_layer(c, x, w, b, upstream, /*fused=*/true);
+      const std::string where = std::string(simd::arm_name(arm)) + " w" +
+                                std::to_string(workers) + " m" +
+                                std::to_string(c.m) + " k" +
+                                std::to_string(c.k) + " n" +
+                                std::to_string(c.n) +
+                                (c.real_x ? " real" : " complex") +
+                                (c.crelu ? " crelu" : "");
+      EXPECT_TRUE(test::tensors_bit_identical(got.y, ref.y)) << "y " << where;
+      EXPECT_TRUE(test::tensors_bit_identical(got.dw, ref.dw))
+          << "dW " << where;
+      EXPECT_TRUE(test::tensors_bit_identical(got.db, ref.db))
+          << "db " << where;
+      if (c.real_x) {
+        EXPECT_EQ(got.dx.numel(), 0) << where;
+      } else {
+        EXPECT_TRUE(test::tensors_bit_identical(got.dx, ref.dx))
+            << "dX " << where;
+      }
+    }
+  }
+  set_parallel_workers(0);
+}
+
+TEST(Clinear, BitIdenticalToChainAtTableOneShapes) {
+  // P = 841 (kdim 29), F = 96, hidden 48, rank 24: entry (real-lifted and
+  // complex), a CReLU block and the closing layer.  Each GEMM is above
+  // kGemmParallelMacs, so 4 workers split its rows.
+  for (const bool real_x : {true, false}) {
+    expect_clinear_matches_chain({841, 96, 48, real_x, false});
+  }
+  expect_clinear_matches_chain({841, 48, 48, false, true});
+  expect_clinear_matches_chain({841, 48, 24, false, false});
+}
+
+TEST(Clinear, BitIdenticalToChainAtOddShapes) {
+  // m not a multiple of the 4-row panel, n not a multiple of 16 (every
+  // vector tail), and one ragged shape above the pool threshold.
+  for (const LayerCase& c :
+       {LayerCase{7, 5, 19, false, true}, LayerCase{7, 5, 19, true, true},
+        LayerCase{13, 9, 33, false, false}, LayerCase{13, 9, 33, true, false},
+        LayerCase{1, 3, 1, false, true}, LayerCase{203, 97, 37, true, true},
+        LayerCase{203, 97, 37, false, true}}) {
+    expect_clinear_matches_chain(c);
   }
 }
 

@@ -325,6 +325,80 @@ TEST(SerializeAdam, MismatchedStateThrowsWithoutPartialRestore) {
   EXPECT_THROW(c.opt.load_state(cut), check_error);
 }
 
+// A restored Adam state must be finite, with nonnegative second moments and
+// a finite positive learning rate.  Each poisoned stream (NaN, +Inf and -Inf
+// in a first moment, a second moment and the rate; a negative second
+// moment; a zero rate) throws and leaves the optimizer as it was.
+TEST(SerializeAdam, RejectsNonFiniteStateWithoutPartialRestore) {
+  AdamFixture a(7);
+  a.run(3);
+  const std::vector<float> moments = a.opt.dump_state();
+  const std::int64_t half = static_cast<std::int64_t>(moments.size()) / 2;
+  // The stream of a.opt with first moment i0, second moment i1 (flat
+  // dump_state indices) and the rate overridden.
+  const auto stream = [&](std::int64_t i0, float m0, std::int64_t i1, float v1,
+                          float lr) {
+    std::vector<float> flat = moments;
+    if (i0 >= 0) flat[static_cast<std::size_t>(i0)] = m0;
+    if (i1 >= 0) flat[static_cast<std::size_t>(half + i1)] = v1;
+    std::stringstream ss;
+    nn::write_u64(ss, 2);
+    std::int64_t off = 0;
+    for (const Var& p : {a.w, a.b}) {
+      Tensor m(p->value.shape()), v(p->value.shape());
+      for (std::int64_t i = 0; i < m.numel(); ++i) {
+        m[i] = flat[static_cast<std::size_t>(off + i)];
+        v[i] = flat[static_cast<std::size_t>(half + off + i)];
+      }
+      off += m.numel();
+      nn::write_tensor(ss, m);
+      nn::write_tensor(ss, v);
+    }
+    nn::write_u64(ss, 3);
+    nn::write_f32(ss, lr);
+    return ss.str();
+  };
+  // The unpoisoned stream loads (the poisoned ones fail on the poison).
+  {
+    AdamFixture ok(99);
+    std::stringstream ss(stream(-1, 0.0f, -1, 0.0f, 1e-2f));
+    ok.opt.load_state(ss);
+    EXPECT_EQ(ok.opt.dump_state(), moments);
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<std::string> bad;
+  for (const float x : {nan, inf, -inf}) {
+    bad.push_back(stream(half - 1, x, -1, 0.0f, 1e-2f));  // first moment
+    bad.push_back(stream(-1, 0.0f, 2, x, 1e-2f));         // second moment
+    bad.push_back(stream(-1, 0.0f, -1, 0.0f, x));         // learning rate
+  }
+  bad.push_back(stream(-1, 0.0f, 0, -1e-6f, 1e-2f));
+  bad.push_back(stream(-1, 0.0f, -1, 0.0f, 0.0f));
+  for (std::size_t c = 0; c < bad.size(); ++c) {
+    AdamFixture b(1234, 5e-4f);
+    b.run(2);
+    const std::vector<float> before = b.opt.dump_state();
+    std::stringstream ss(bad[c]);
+    EXPECT_THROW(b.opt.load_state(ss), check_error) << "case " << c;
+    EXPECT_EQ(b.opt.dump_state(), before) << "case " << c;
+    EXPECT_EQ(b.opt.step_count(), 2) << "case " << c;
+    EXPECT_EQ(b.opt.lr(), 5e-4f) << "case " << c;
+  }
+  // The flat loader checks the moments the same way.
+  for (const float x : {nan, inf, -inf}) {
+    for (const std::int64_t i : {std::int64_t{0}, half}) {
+      AdamFixture b(1234);
+      b.run(2);
+      const std::vector<float> before = b.opt.dump_state();
+      std::vector<float> flat = moments;
+      flat[static_cast<std::size_t>(i)] = x;
+      EXPECT_THROW(b.opt.load_state(flat), check_error);
+      EXPECT_EQ(b.opt.dump_state(), before);
+    }
+  }
+}
+
 TEST(SerializeRng, StateRoundTripContinuesTheExactStream) {
   Rng a = test::make_rng(5);
   for (int i = 0; i < 100; ++i) a.uniform();

@@ -23,26 +23,11 @@
 namespace nitho {
 namespace {
 
+using test::ArmGuard;
 using test::make_rng;
 using test::random_kernels;
 using test::random_spectrum;
-
-// Restores the CPU-detected arm when a test scope ends, so a failing
-// EXPECT cannot leak a forced arm into later tests.
-struct ArmGuard {
-  ~ArmGuard() { simd::force_arm(simd::detected_arm()); }
-};
-
-// The non-scalar arms this build + CPU can actually run.
-std::vector<simd::Arm> vector_arms() {
-  std::vector<simd::Arm> arms;
-  if (!simd::simd_compiled()) return arms;
-  arms.push_back(simd::Arm::kSse2);
-  if (simd::detected_arm() == simd::Arm::kAvx2) {
-    arms.push_back(simd::Arm::kAvx2);
-  }
-  return arms;
-}
+using test::vector_arms;
 
 template <typename T>
 ::testing::AssertionResult bits_equal(const std::vector<T>& a,
@@ -399,7 +384,7 @@ TEST(Simd, AxpyAddInplaceBitIdentical) {
 }
 
 // The register-blocked panel kernel: every row height, both A layouts
-// (gemm_nn's row-major strides and gemm_tn's transposed strides), and
+// (row-major strides and transposed strides), and
 // column counts that leave 16-, 8-, 4-wide and scalar tails.
 TEST(Simd, GemmPanelBitIdentical) {
   Rng rng = make_rng(9);
@@ -410,7 +395,7 @@ TEST(Simd, GemmPanelBitIdentical) {
       const auto b = random_fvec(static_cast<int>(k * n), rng);
       const auto c0 = random_fvec(static_cast<int>(mr * n), rng);
       // Layouts: (ars=k, aps=1) reads a row-major; (ars=1, aps=mr) reads
-      // the same buffer as a column-major (gemm_tn's A^T view).
+      // the same buffer as a column-major (the A^T view).
       struct Layout {
         std::int64_t ars, aps;
       };
@@ -572,21 +557,21 @@ TEST(Simd, GemmBitIdenticalAcrossArms) {
       {
         ArmGuard guard;
         simd::force_arm(simd::Arm::kScalar);
-        nn::gemm_nn<false>(sh.m, sh.n, sh.k, a.data(), b_nn.data(),
-                           ref_nn.data(), accumulate);
+        nn::gemm_dense(sh.m, sh.n, sh.k, a.data(), sh.k, 1, b_nn.data(),
+                       sh.n, ref_nn.data(), sh.n, accumulate);
         nn::gemm_nt(sh.m, sh.n, sh.k, a.data(), b_nt.data(), ref_nt.data(),
                     accumulate);
-        nn::gemm_tn<false>(sh.m, sh.n, sh.k, a_tn.data(), b_nn.data(),
-                           ref_tn.data(), accumulate);
+        nn::gemm_dense(sh.m, sh.n, sh.k, a_tn.data(), 1, sh.m, b_nn.data(),
+                       sh.n, ref_tn.data(), sh.n, accumulate);
       }
       for_each_vector_arm([&](simd::Arm arm) {
         std::vector<float> c_nn = c0, c_nt = c0, c_tn = c0;
-        nn::gemm_nn<false>(sh.m, sh.n, sh.k, a.data(), b_nn.data(),
-                           c_nn.data(), accumulate);
+        nn::gemm_dense(sh.m, sh.n, sh.k, a.data(), sh.k, 1, b_nn.data(),
+                       sh.n, c_nn.data(), sh.n, accumulate);
         nn::gemm_nt(sh.m, sh.n, sh.k, a.data(), b_nt.data(), c_nt.data(),
                     accumulate);
-        nn::gemm_tn<false>(sh.m, sh.n, sh.k, a_tn.data(), b_nn.data(),
-                           c_tn.data(), accumulate);
+        nn::gemm_dense(sh.m, sh.n, sh.k, a_tn.data(), 1, sh.m, b_nn.data(),
+                       sh.n, c_tn.data(), sh.n, accumulate);
         EXPECT_TRUE(bits_equal(c_nn, ref_nn))
             << "nn m=" << sh.m << " acc=" << accumulate
             << " arm=" << simd::arm_name(arm);
@@ -644,9 +629,10 @@ TEST(Simd, GemmSkipZeroLhsUnchanged) {
   std::vector<float> sparse(static_cast<std::size_t>(m * n));
   ArmGuard guard;
   simd::force_arm(simd::Arm::kScalar);
-  nn::gemm_nn<false>(m, n, k, a.data(), b.data(), dense.data(), false);
+  nn::gemm_dense(m, n, k, a.data(), k, 1, b.data(), n, dense.data(), n,
+                 false);
   simd::force_arm(simd::detected_arm());
-  nn::gemm_nn<true>(m, n, k, a.data(), b.data(), sparse.data(), false);
+  nn::gemm_nn(m, n, k, a.data(), b.data(), sparse.data(), false);
   // Skipping av == 0 terms only removes exact-zero contributions of the
   // form 0 * b, which cannot change the sum when b is finite.
   EXPECT_TRUE(bits_equal(dense, sparse));
