@@ -22,9 +22,9 @@ cmake --preset scalar
 cmake --build --preset scalar -j "${jobs}"
 ctest --preset scalar -j "${jobs}"
 
-echo "=== ThreadSanitizer (serve / autotune / engine / common / nn / opc / serialize / rollout / obs / simd) ==="
+echo "=== ThreadSanitizer (serve / autotune / engine / common / nn / nitho / opc / serialize / rollout / obs / simd) ==="
 cmake --preset tsan
-cmake --build --preset tsan -j "${jobs}" --target test_serve test_autotune test_engine test_common test_nn test_opc test_serialize test_rollout test_obs test_simd
+cmake --build --preset tsan -j "${jobs}" --target test_serve test_autotune test_engine test_common test_nn test_nitho test_opc test_serialize test_rollout test_obs test_simd
 ctest --preset tsan -j 1
 
 echo "=== Lint: bit-identity protocol + gate-config self-tests ==="

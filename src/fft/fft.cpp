@@ -343,6 +343,12 @@ std::complex<R>* Fft2WorkspaceT<R>::scratch_for(const FftPlan<R>& plan) {
   return scratch_.data();
 }
 
+template <typename R>
+std::complex<R>* Fft2WorkspaceT<R>::plane_buffer(int elems) {
+  if (static_cast<int>(plane_.size()) < elems) plane_.resize(elems);
+  return plane_.data();
+}
+
 template class Fft2WorkspaceT<double>;
 template class Fft2WorkspaceT<float>;
 

@@ -96,11 +96,12 @@ const FftPlan<double>& fft_plan_d(int n);
 const FftPlan<float>& fft_plan_f(int n);
 
 /// Reusable scratch for the workspace-taking 2-D transforms: a column
-/// gather buffer, the pruned transforms' band rows (fft/pruned.hpp) and
-/// Bluestein scratch, each sized on demand and retained across calls.  Not
-/// thread-safe — use one workspace per thread.  Templated on the scalar
-/// type so the double-precision litho substrate and the float autodiff ops
-/// (nn/ops_fft) share one implementation.
+/// gather buffer, the pruned transforms' band rows (fft/pruned.hpp),
+/// Bluestein scratch and one caller-owned grid plane, each sized on demand
+/// and retained across calls.  Not thread-safe — use one workspace per
+/// thread.  Templated on the scalar type so the double-precision litho
+/// substrate and the float autodiff ops (nn/ops_fft) share one
+/// implementation.
 template <typename R>
 class Fft2WorkspaceT {
  public:
@@ -110,6 +111,10 @@ class Fft2WorkspaceT {
   std::complex<R>* band_buffer(int elems);
   /// Scratch sized for `plan` (nullptr when the plan needs none).
   std::complex<R>* scratch_for(const FftPlan<R>& plan);
+  /// Whole-grid plane holding `elems` elements (grown, never shrunk).  No
+  /// transform here touches it, so a caller may hold a plane in it across
+  /// band_inverse / crop_forward calls on this workspace.
+  std::complex<R>* plane_buffer(int elems);
 
  private:
   // Aligned so the SIMD butterfly/pointwise kernels run on cache-line
@@ -117,6 +122,7 @@ class Fft2WorkspaceT {
   aligned_vector<std::complex<R>> col_;
   aligned_vector<std::complex<R>> band_;
   aligned_vector<std::complex<R>> scratch_;
+  aligned_vector<std::complex<R>> plane_;
 };
 
 using Fft2Workspace = Fft2WorkspaceT<double>;

@@ -1,7 +1,9 @@
 #include "math/hermitian_eig.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -41,9 +43,20 @@ Reflector make_reflector(const std::vector<cd>& x) {
   return r;
 }
 
+// Transposes a square grid in place.
+void transpose_square(Grid<cd>& z) {
+  const int n = z.rows();
+  for (int i = 0; i < n; ++i)
+    for (int j = i + 1; j < n; ++j) std::swap(z(i, j), z(j, i));
+}
+
 // Implicit-shift QL on a real symmetric tridiagonal (d diag, e subdiag with
 // e[i] coupling i and i+1), accumulating the real plane rotations into the
-// complex column basis z.  Classic EISPACK tql2.
+// complex column basis z.  Classic EISPACK tql2.  Each rotation mixes two
+// columns of z; they are run on two contiguous rows of z^T instead (z is
+// transposed in place once before and once after), which performs the
+// same multiplies and adds on the same values, so the bits are those of
+// the column walk.
 void tridiag_ql(std::vector<double>& d, std::vector<double>& e, Grid<cd>& z) {
   const int n = static_cast<int>(d.size());
   if (n <= 1) return;
@@ -61,6 +74,7 @@ void tridiag_ql(std::vector<double>& d, std::vector<double>& e, Grid<cd>& z) {
   }
   const double floor_tol = 1e-15 * anorm;
 
+  transpose_square(z);
   for (int l = 0; l < n; ++l) {
     int iter = 0;
     int m = l;
@@ -95,10 +109,12 @@ void tridiag_ql(std::vector<double>& d, std::vector<double>& e, Grid<cd>& z) {
           p = s * r;
           d[i + 1] = g + p;
           g = c * r - b;
+          cd* zi = z.row(i);
+          cd* zi1 = z.row(i + 1);
           for (int k = 0; k < n; ++k) {
-            const cd fk = z(k, i + 1);
-            z(k, i + 1) = s * z(k, i) + c * fk;
-            z(k, i) = c * z(k, i) - s * fk;
+            const cd fk = zi1[k];
+            zi1[k] = s * zi[k] + c * fk;
+            zi[k] = c * zi[k] - s * fk;
           }
         }
         if (underflow && i >= l) continue;
@@ -108,34 +124,17 @@ void tridiag_ql(std::vector<double>& d, std::vector<double>& e, Grid<cd>& z) {
       }
     } while (m != l);
   }
-}
-
-void sort_ascending(EighResult& r) {
-  const int n = static_cast<int>(r.eigenvalues.size());
-  std::vector<int> order(n);
-  for (int i = 0; i < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return r.eigenvalues[a] < r.eigenvalues[b];
-  });
-  std::vector<double> w(n);
-  Grid<cd> v(n, n);
-  for (int j = 0; j < n; ++j) {
-    w[j] = r.eigenvalues[order[j]];
-    for (int i = 0; i < n; ++i) v(i, j) = r.eigenvectors(i, order[j]);
-  }
-  r.eigenvalues = std::move(w);
-  r.eigenvectors = std::move(v);
+  transpose_square(z);
 }
 
 }  // namespace
 
-EighResult eigh(const Grid<cd>& a_in) {
+HermitianTridiagonal hermitian_tridiagonalize(const Grid<cd>& a_in) {
   const int n = a_in.rows();
   check(a_in.cols() == n, "eigh requires a square matrix");
-  EighResult res;
-  res.eigenvalues.assign(n, 0.0);
-  res.eigenvectors = Grid<cd>(n, n);
-  if (n == 0) return res;
+  HermitianTridiagonal t;
+  t.q = Grid<cd>(n, n);
+  if (n == 0) return t;
 
   // Work on the Hermitian average so slightly asymmetric inputs (numerical
   // noise from TCC accumulation) are handled gracefully.
@@ -144,10 +143,13 @@ EighResult eigh(const Grid<cd>& a_in) {
     for (int j = 0; j < n; ++j)
       a(i, j) = 0.5 * (a_in(i, j) + std::conj(a_in(j, i)));
 
-  Grid<cd>& q = res.eigenvectors;
+  Grid<cd>& q = t.q;
   for (int i = 0; i < n; ++i) q(i, i) = cd(1.0, 0.0);
 
-  std::vector<double> d(n), e(n > 1 ? n - 1 : 0, 0.0);
+  std::vector<double>& d = t.d;
+  std::vector<double>& e = t.e;
+  d.assign(n, 0.0);
+  e.assign(n > 1 ? n - 1 : 0, 0.0);
 
   // Householder tridiagonalization: for each column k zero A[k+2.., k] and
   // make the subdiagonal real; accumulate Q = H_0 H_1 ... .
@@ -202,9 +204,33 @@ EighResult eigh(const Grid<cd>& a_in) {
   }
   for (int i = 0; i < n; ++i) d[i] = a(i, i).real();
 
-  tridiag_ql(d, e, q);
-  res.eigenvalues = std::move(d);
-  sort_ascending(res);
+  return t;
+}
+
+void sort_eigenpairs(EighResult& r) {
+  const int n = static_cast<int>(r.eigenvalues.size());
+  std::vector<int> order(n);
+  for (int i = 0; i < n; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    return r.eigenvalues[a] < r.eigenvalues[b];
+  });
+  std::vector<double> w(n);
+  Grid<cd> v(n, n);
+  for (int j = 0; j < n; ++j) {
+    w[j] = r.eigenvalues[order[j]];
+    for (int i = 0; i < n; ++i) v(i, j) = r.eigenvectors(i, order[j]);
+  }
+  r.eigenvalues = std::move(w);
+  r.eigenvectors = std::move(v);
+}
+
+EighResult eigh(const Grid<cd>& a) {
+  HermitianTridiagonal t = hermitian_tridiagonalize(a);
+  EighResult res;
+  tridiag_ql(t.d, t.e, t.q);
+  res.eigenvalues = std::move(t.d);
+  res.eigenvectors = std::move(t.q);
+  sort_eigenpairs(res);
   return res;
 }
 
@@ -237,7 +263,7 @@ EighResult eigh_jacobi(const Grid<cd>& a_in, int max_sweeps) {
       for (int j = i + 1; j < n; ++j) off += norm2(a(i, j));
     if (off <= tol) {
       for (int i = 0; i < n; ++i) res.eigenvalues[i] = a(i, i).real();
-      sort_ascending(res);
+      sort_eigenpairs(res);
       return res;
     }
     for (int p = 0; p < n - 1; ++p) {

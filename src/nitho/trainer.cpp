@@ -210,8 +210,7 @@ void NithoTrainer::run_epoch() {
     // then the batch images as a single chain of batched nodes
     // (DESIGN.md §8; node shells and buffers recycle through the arena).
     const nn::Var kernels = model_.predict_kernels();
-    nn::Var pred = nn::abs2_sum0_batch(
-        nn::socs_field_batch(kernels, batch_spectra_, px));
+    nn::Var pred = nn::socs_intensity_batch(kernels, batch_spectra_, px);
     nn::Var loss =
         nn::scale(nn::mse_loss_batch_ordered(pred, batch_targets_),
                   1.0f / static_cast<float>(count));
@@ -413,8 +412,7 @@ double evaluate_nitho(const NithoModel& model, const TrainingSet& set,
     arena.reset();
     nn::GraphArena::Scope scope(arena);
     const nn::Var kernels = model.predict_kernels();
-    nn::Var pred =
-        nn::abs2_sum0_batch(nn::socs_field_batch(kernels, spectra, px));
+    nn::Var pred = nn::socs_intensity_batch(kernels, spectra, px);
     nn::Var loss = nn::mse_loss_batch_ordered(pred, targets);
     // Unscaled: the batch loss is the ordered sum of per-sample MSEs;
     // accumulate the raw sums and divide once at the end.

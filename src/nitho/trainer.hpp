@@ -4,12 +4,12 @@
 // Per optimization step the CMLP predicts the kernel stack once; the whole
 // mask batch is then imaged in a single tensor-batched graph: the
 // (precomputed, constant) cropped mask spectra are stacked [B, k, k, 2],
-// multiplied in and inverse-transformed to coherent fields by
-// nn::socs_field_batch, converted to intensity by nn::abs2_sum0_batch and
-// compared against the golden aerials with an ordered per-sample MSE
-// (DESIGN.md §8).  The complex weights are updated by Adam through the
-// differentiable FFTs.  The loss trajectory is bit-identical to the
-// historical one-graph-chain-per-mask loop at a fixed seed (pinned in
+// multiplied in, inverse-transformed to coherent fields and summed to
+// intensity in one node, nn::socs_intensity_batch, and compared against
+// the golden aerials with an ordered per-sample MSE (DESIGN.md §8).  The
+// complex weights are updated by Adam through the differentiable FFTs.
+// The loss trajectory is bit-identical to the historical
+// one-graph-chain-per-mask loop at a fixed seed (pinned in
 // tests/test_nitho.cpp against a verbatim legacy reimplementation).
 
 #include <cstdint>

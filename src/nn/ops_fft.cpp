@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <complex>
+#include <source_location>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -15,11 +17,61 @@ namespace {
 
 using cfl = std::complex<float>;
 
-// Batched SOCS forward shared by socs_field_batch and
-// socs_field_from_spectrum_batch: fields[b, i] = the unnormalized inverse
-// 2-D DFT of the centered embed of K_i . C_b on the s-grid, for kernels
-// [r, n, m, 2] and spectra [B, n, m, 2].  Every plane element is written,
-// so the arena tensor is handed out without a memset.
+// One SOCS field plane, the arithmetic every SOCS op shares: dst = the
+// unnormalized inverse 2-D DFT of the centered embed of K . C (both
+// [n, m] complex) on the s-grid, s = plan.size().  Every element of dst is
+// written.
+void socs_plane(const FftPlan<float>& plan, const cfl* k, const cfl* c,
+                int n, int m, cfl* dst, Fft2WorkspaceF& ws) {
+  const int s = plan.size();
+  band_inverse(
+      plan, n, m, ws,
+      [&](int a, cfl* row) {
+        const std::int64_t off = static_cast<std::int64_t>(a) * m;
+        simd::cmul(row, k + off, c + off, m);
+      },
+      [&](int c0, int cb, const cfl* cols, float scale) {
+        for (int rr = 0; rr < s; ++rr) {
+          cfl* d = dst + static_cast<std::ptrdiff_t>(rr) * s + c0;
+          for (int q = 0; q < cb; ++q) d[q] = cols[q * s + rr] * scale;
+        }
+      });
+}
+
+// vjp of socs_plane in one factor: the unnormalized forward DFT of the
+// field gradient g (an s x s plane, consumed) read at the crop, multiplied
+// by conj of the other factor c ([n, m] interleaved) and accumulated into
+// acc ([n, m] interleaved), a-major.
+void socs_plane_adjoint(const FftPlan<float>& plan, cfl* g, const float* c,
+                        int n, int m, float* acc, Fft2WorkspaceF& ws) {
+  crop_forward(plan, g, n, m, ws, [&](int a, int col, cfl gz) {
+    const std::int64_t ki = (static_cast<std::int64_t>(a) * m + col) * 2;
+    const float cr = c[ki], ci = c[ki + 1];
+    // d(factor) += conj(c) . dE
+    acc[ki] += gz.real() * cr + gz.imag() * ci;
+    acc[ki + 1] += gz.imag() * cr - gz.real() * ci;
+  });
+}
+
+// vjp of one plane's |E|^2 term, then of its socs_plane: the field
+// gradient 2E . gy is formed in ws's plane buffer exactly as
+// abs2_sum0_batch's vjp forms it in a zeroed gradient (0 + (2e)·gy), then
+// fed to socs_plane_adjoint.
+void intensity_plane_adjoint(const FftPlan<float>& plan, const float* field,
+                             const float* gy, const float* c, int n, int m,
+                             float* acc, Fft2WorkspaceF& ws) {
+  const std::int64_t plane = static_cast<std::int64_t>(plan.size()) *
+                             plan.size();
+  cfl* g = ws.plane_buffer(static_cast<int>(plane));
+  std::fill(g, g + plane, cfl(0.0f, 0.0f));
+  simd::abs2_backprop(reinterpret_cast<float*>(g), field, gy, plane);
+  socs_plane_adjoint(plan, g, c, n, m, acc, ws);
+}
+
+// Batched SOCS fields shared by socs_field_batch and
+// socs_field_from_spectrum_batch: fields[b, i] = socs_plane(K_i, C_b) for
+// kernels [r, n, m, 2] and spectra [B, n, m, 2].  Every plane element is
+// written, so the arena tensor is handed out without a memset.
 Tensor socs_batch_forward(const float* kernels, const float* spectra,
                           int batch, int r, int n, int m, int s) {
   const std::int64_t plane = static_cast<std::int64_t>(s) * s;
@@ -27,40 +79,71 @@ Tensor socs_batch_forward(const float* kernels, const float* spectra,
   const FftPlan<float>& plan = fft_plan_f(s);
   Tensor out = arena_tensor({batch, r, s, s, 2}, /*zeroed=*/false);
   parallel_for(static_cast<std::int64_t>(batch) * r, [&](std::int64_t t) {
-    const cfl* k = reinterpret_cast<const cfl*>(kernels) + (t % r) * kplane;
-    const cfl* sp = reinterpret_cast<const cfl*>(spectra) + (t / r) * kplane;
-    cfl* dst = reinterpret_cast<cfl*>(out.data()) + t * plane;
-    band_inverse(
-        plan, n, m, fft_thread_workspace<float>(),
-        [&](int a, cfl* row) {
-          const std::int64_t off = static_cast<std::int64_t>(a) * m;
-          simd::cmul(row, k + off, sp + off, m);
-        },
-        [&](int c0, int cb, const cfl* cols, float scale) {
-          for (int rr = 0; rr < s; ++rr) {
-            cfl* d = dst + static_cast<std::ptrdiff_t>(rr) * s + c0;
-            for (int q = 0; q < cb; ++q) d[q] = cols[q * s + rr] * scale;
-          }
-        });
+    socs_plane(plan,
+               reinterpret_cast<const cfl*>(kernels) + (t % r) * kplane,
+               reinterpret_cast<const cfl*>(spectra) + (t / r) * kplane, n,
+               m, reinterpret_cast<cfl*>(out.data()) + t * plane,
+               fft_thread_workspace<float>());
   });
   return out;
+}
+
+// Batched SOCS intensity shared by socs_intensity_batch and
+// socs_intensity_from_spectrum_batch: I[b] = sum over i ascending of
+// |socs_plane(K_i, C_b)|^2, each plane added by simd::abs2_accum right
+// after it is written — the per-pixel fold of abs2_sum0_batch.  With
+// `fields` ([B, r, S, S, 2]) every plane is kept there for the backward;
+// without, each plane lives in the thread's plane buffer and is dropped.
+Tensor socs_intensity_forward(const float* kernels, const float* spectra,
+                              int batch, int r, int n, int m, int s,
+                              float* fields) {
+  const std::int64_t plane = static_cast<std::int64_t>(s) * s;
+  const std::int64_t kplane = static_cast<std::int64_t>(n) * m;
+  const FftPlan<float>& plan = fft_plan_f(s);
+  Tensor out = arena_tensor({batch, s, s});
+  parallel_for(batch, [&](std::int64_t b) {
+    Fft2WorkspaceF& ws = fft_thread_workspace<float>();
+    const cfl* sp = reinterpret_cast<const cfl*>(spectra) + b * kplane;
+    float* o = out.data() + b * plane;
+    for (int i = 0; i < r; ++i) {
+      cfl* e = fields != nullptr
+                   ? reinterpret_cast<cfl*>(fields) + (b * r + i) * plane
+                   : ws.plane_buffer(static_cast<int>(plane));
+      socs_plane(plan, reinterpret_cast<const cfl*>(kernels) + i * kplane,
+                 sp, n, m, e, ws);
+      simd::abs2_accum(o, reinterpret_cast<const float*>(e), plane);
+    }
+  });
+  return out;
+}
+
+// Shape checks shared by the SOCS ops: kernels [r, n, m, 2] and spectra
+// [B, n, m, 2] on the kernel support, out_px covering it.
+void check_socs_shapes(const Tensor& kernels, const Tensor& spectra,
+                       int out_px, const char* op,
+                       const std::source_location& loc =
+                           std::source_location::current()) {
+  const auto require = [&](bool ok, const char* what) {
+    if (!ok) check_fail(std::string(op) + ": " + what, loc);
+  };
+  require(kernels.ndim() == 4 && kernels.dim(3) == 2,
+          "kernels must be [r,n,m,2]");
+  require(spectra.ndim() == 4 && spectra.dim(1) == kernels.dim(1) &&
+              spectra.dim(2) == kernels.dim(2) && spectra.dim(3) == 2,
+          "spectra must be [B,n,m,2] on the kernel support");
+  require(spectra.dim(0) >= 1, "empty batch");
+  require(out_px >= kernels.dim(1) && out_px >= kernels.dim(2),
+          "output grid too small");
 }
 
 }  // namespace
 
 Var socs_field_batch(const Var& kernels, const Tensor& spectra, int out_px) {
-  check(kernels->value.ndim() == 4 && kernels->value.dim(3) == 2,
-        "socs_field_batch: kernels must be [r,n,m,2]");
+  check_socs_shapes(kernels->value, spectra, out_px, "socs_field_batch");
   const int r = kernels->value.dim(0);
   const int n = kernels->value.dim(1);
   const int m = kernels->value.dim(2);
-  check(spectra.ndim() == 4 && spectra.dim(1) == n && spectra.dim(2) == m &&
-            spectra.dim(3) == 2,
-        "socs_field_batch: spectra must be [B,n,m,2] on the kernel support");
   const int batch = spectra.dim(0);
-  check(batch >= 1, "socs_field_batch: empty batch");
-  check(out_px >= n && out_px >= m, "socs_field_batch: output grid too small");
-
   const int s = out_px;
   const std::int64_t plane = static_cast<std::int64_t>(s) * s * 2;
   const std::int64_t kplane = static_cast<std::int64_t>(n) * m * 2;
@@ -75,32 +158,68 @@ Var socs_field_batch(const Var& kernels, const Tensor& spectra, int out_px) {
         if (!ik.requires_grad) return;
         ik.ensure_grad();
         const FftPlan<float>& plan = fft_plan_f(s);
-        // vjp of the unnormalized inverse DFT is the unnormalized forward
-        // DFT read at the crop, then a multiply by conj(spectrum).
         // node.grad is transformed in place (documented: the output
         // gradient is consumed).  Kernel planes are disjoint across i;
         // within one kernel the batch accumulates in descending order —
         // exactly the reverse-topological order in which the per-mask
         // graph's socs_field nodes run their backward.
         parallel_for(r, [&](std::int64_t i) {
-          float* kg = ik.grad.data() + i * kplane;
           for (std::int64_t b = batch; b-- > 0;) {
-            const float* sp = spec.data() + b * kplane;
-            crop_forward(plan,
-                         reinterpret_cast<cfl*>(node.grad.data() +
-                                                (b * r + i) * plane),
-                         n, m, fft_thread_workspace<float>(),
-                         [&](int a, int c, cfl gz) {
-                           const std::int64_t ki =
-                               (static_cast<std::int64_t>(a) * m + c) * 2;
-                           const float cr = sp[ki], ci = sp[ki + 1];
-                           kg[ki] += gz.real() * cr + gz.imag() * ci;
-                           kg[ki + 1] += gz.imag() * cr - gz.real() * ci;
-                         });
+            socs_plane_adjoint(
+                plan,
+                reinterpret_cast<cfl*>(node.grad.data() + (b * r + i) * plane),
+                spec.data() + b * kplane, n, m,
+                ik.grad.data() + i * kplane, fft_thread_workspace<float>());
           }
         });
       },
       "socs_field_batch");
+}
+
+Var socs_intensity_batch(const Var& kernels, const Tensor& spectra,
+                         int out_px) {
+  check_socs_shapes(kernels->value, spectra, out_px, "socs_intensity_batch");
+  const int r = kernels->value.dim(0);
+  const int n = kernels->value.dim(1);
+  const int m = kernels->value.dim(2);
+  const int batch = spectra.dim(0);
+  const int s = out_px;
+  if (!kernels->requires_grad) {
+    return make_node(socs_intensity_forward(kernels->value.data(),
+                                            spectra.data(), batch, r, n, m, s,
+                                            /*fields=*/nullptr),
+                     {kernels}, nullptr, "socs_intensity_batch");
+  }
+  // The fields ride in a constant leaf input, so the graph arena recycles
+  // them with the rest of the step's tensors.
+  const Var fields =
+      make_leaf(arena_tensor({batch, r, s, s, 2}, /*zeroed=*/false));
+  Tensor out = socs_intensity_forward(kernels->value.data(), spectra.data(),
+                                      batch, r, n, m, s,
+                                      fields->value.data());
+  const std::int64_t plane = static_cast<std::int64_t>(s) * s;
+  const std::int64_t kplane = static_cast<std::int64_t>(n) * m * 2;
+  Tensor spec = spectra;
+
+  return make_node(
+      std::move(out), {kernels, fields},
+      [spec = std::move(spec), batch, r, n, m, s, plane, kplane](Node& node) {
+        Node& ik = *node.inputs[0];
+        const float* e = node.inputs[1]->value.data();
+        ik.ensure_grad();
+        const FftPlan<float>& plan = fft_plan_f(s);
+        // Per kernel, the batch descends: socs_field_batch's order.
+        parallel_for(r, [&](std::int64_t i) {
+          for (std::int64_t b = batch; b-- > 0;) {
+            intensity_plane_adjoint(plan, e + (b * r + i) * plane * 2,
+                                    node.grad.data() + b * plane,
+                                    spec.data() + b * kplane, n, m,
+                                    ik.grad.data() + i * kplane,
+                                    fft_thread_workspace<float>());
+          }
+        });
+      },
+      "socs_intensity_batch");
 }
 
 Var abs2_sum0_batch(const Var& fields) {
@@ -212,20 +331,12 @@ Var fft2c_crop_batch(const Var& masks, int crop) {
 
 Var socs_field_from_spectrum_batch(const Var& spectra, const Tensor& kernels,
                                    int out_px) {
-  check(spectra->value.ndim() == 4 && spectra->value.dim(3) == 2,
-        "socs_field_from_spectrum_batch: spectra must be [B,n,m,2]");
-  check(kernels.ndim() == 4 && kernels.dim(3) == 2,
-        "socs_field_from_spectrum_batch: kernels must be [r,n,m,2]");
+  check_socs_shapes(kernels, spectra->value, out_px,
+                    "socs_field_from_spectrum_batch");
   const int r = kernels.dim(0);
   const int n = kernels.dim(1);
   const int m = kernels.dim(2);
   const int batch = spectra->value.dim(0);
-  check(batch >= 1, "socs_field_from_spectrum_batch: empty batch");
-  check(spectra->value.dim(1) == n && spectra->value.dim(2) == m,
-        "socs_field_from_spectrum_batch: shape mismatch");
-  check(out_px >= n && out_px >= m,
-        "socs_field_from_spectrum_batch: output grid too small");
-
   const int s = out_px;
   const std::int64_t plane = static_cast<std::int64_t>(s) * s * 2;
   const std::int64_t kplane = static_cast<std::int64_t>(n) * m * 2;
@@ -240,30 +351,67 @@ Var socs_field_from_spectrum_batch(const Var& spectra, const Tensor& kernels,
         if (!is.requires_grad) return;
         is.ensure_grad();
         const FftPlan<float>& plan = fft_plan_f(s);
-        // vjp as in socs_field_batch, with conj(K) in place of conj(C).
-        // Spectrum planes are disjoint across b; within one sample the
-        // kernels accumulate in ascending order — the same order as the
-        // per-mask op's serial kernel loop.
+        // The adjoint of socs_field_batch's, with conj(K) in place of
+        // conj(C).  Spectrum planes are disjoint across b; within one
+        // sample the kernels accumulate in ascending order — the same
+        // order as the per-mask op's serial kernel loop.
         parallel_for(batch, [&](std::int64_t b) {
-          float* sg = is.grad.data() + b * kplane;
           for (std::int64_t i = 0; i < r; ++i) {
-            const float* k = ks.data() + i * kplane;
-            crop_forward(plan,
-                         reinterpret_cast<cfl*>(node.grad.data() +
-                                                (b * r + i) * plane),
-                         n, m, fft_thread_workspace<float>(),
-                         [&](int a, int c, cfl gz) {
-                           const std::int64_t ki =
-                               (static_cast<std::int64_t>(a) * m + c) * 2;
-                           const float kr = k[ki], kim = k[ki + 1];
-                           // dC += conj(K) . dE
-                           sg[ki] += gz.real() * kr + gz.imag() * kim;
-                           sg[ki + 1] += gz.imag() * kr - gz.real() * kim;
-                         });
+            socs_plane_adjoint(
+                plan,
+                reinterpret_cast<cfl*>(node.grad.data() + (b * r + i) * plane),
+                ks.data() + i * kplane, n, m, is.grad.data() + b * kplane,
+                fft_thread_workspace<float>());
           }
         });
       },
       "socs_field_from_spectrum_batch");
+}
+
+Var socs_intensity_from_spectrum_batch(const Var& spectra,
+                                       const Tensor& kernels, int out_px) {
+  check_socs_shapes(kernels, spectra->value, out_px,
+                    "socs_intensity_from_spectrum_batch");
+  const int r = kernels.dim(0);
+  const int n = kernels.dim(1);
+  const int m = kernels.dim(2);
+  const int batch = spectra->value.dim(0);
+  const int s = out_px;
+  if (!spectra->requires_grad) {
+    return make_node(socs_intensity_forward(kernels.data(),
+                                            spectra->value.data(), batch, r,
+                                            n, m, s, /*fields=*/nullptr),
+                     {spectra}, nullptr, "socs_intensity_from_spectrum_batch");
+  }
+  const Var fields =
+      make_leaf(arena_tensor({batch, r, s, s, 2}, /*zeroed=*/false));
+  Tensor out = socs_intensity_forward(kernels.data(), spectra->value.data(),
+                                      batch, r, n, m, s,
+                                      fields->value.data());
+  const std::int64_t plane = static_cast<std::int64_t>(s) * s;
+  const std::int64_t kplane = static_cast<std::int64_t>(n) * m * 2;
+  Tensor ks = kernels;
+
+  return make_node(
+      std::move(out), {spectra, fields},
+      [ks = std::move(ks), batch, r, n, m, s, plane, kplane](Node& node) {
+        Node& is = *node.inputs[0];
+        const float* e = node.inputs[1]->value.data();
+        is.ensure_grad();
+        const FftPlan<float>& plan = fft_plan_f(s);
+        // Per sample, the kernels ascend: socs_field_from_spectrum_batch's
+        // order.
+        parallel_for(batch, [&](std::int64_t b) {
+          for (std::int64_t i = 0; i < r; ++i) {
+            intensity_plane_adjoint(plan, e + (b * r + i) * plane * 2,
+                                    node.grad.data() + b * plane,
+                                    ks.data() + i * kplane, n, m,
+                                    is.grad.data() + b * kplane,
+                                    fft_thread_workspace<float>());
+          }
+        });
+      },
+      "socs_intensity_from_spectrum_batch");
 }
 
 Var spectral_conv2d(const Var& x, const Var& w) {

@@ -2,15 +2,19 @@
 // FFT-backed differentiable ops.  The batched ops are the only SOCS path:
 // a batch of one is the per-mask case.
 //
-//   socs_field_batch — Algorithm 1 line 11: E_i = F^-1(K_i . F(M)) for every
-//                      predicted kernel and every mask of the batch, with
-//                      the (constant) cropped mask spectra folded in.
-//                      Linear in K, so its vjp is the adjoint transform
-//                      (unnormalized forward DFT + crop).
-//   abs2_sum0_batch  — Algorithm 1 line 12: I = sum_i |E_i|^2 per mask.
-//   fft2c_crop_batch / socs_field_from_spectrum_batch — the same imaging
+//   socs_intensity_batch — Algorithm 1 lines 11-12 in one node:
+//                      I = sum_i |F^-1(K_i . F(M))|^2 for every mask of the
+//                      batch, with the (constant) cropped mask spectra
+//                      folded in and the gradient flowing to the kernels
+//                      (training, NithoTrainer).
+//   fft2c_crop_batch / socs_intensity_from_spectrum_batch — the same imaging
 //                      chain with the gradient flowing to the mask pixels
 //                      (inverse lithography, opc::OpcEngine).
+//   socs_field_batch / socs_field_from_spectrum_batch / abs2_sum0_batch —
+//                      the same model as two nodes, fields then intensity,
+//                      for callers that time or read the fields themselves.
+//                      The intensity nodes share their per-plane arithmetic
+//                      and give the same bits.
 //   spectral_conv2d  — the Fourier Neural Operator mixing layer used by the
 //                      DOINN-like baseline.
 //
@@ -45,6 +49,19 @@ Var socs_field_batch(const Var& kernels, const Tensor& spectra, int out_px);
 /// of the oracle test::abs2_sum0, so values are bit-identical).
 Var abs2_sum0_batch(const Var& fields);
 
+/// abs2_sum0_batch(socs_field_batch(kernels, spectra, out_px)) as one graph
+/// node, bit for bit: intensities [B, S, S], the gradient flowing to the
+/// kernels.  Each sample runs its kernels in ascending order and adds each
+/// field plane's |E|^2 while the plane is still in cache.  The fields are
+/// kept ([B, r, S, S, 2], recycled through the graph arena) only when the
+/// kernels require a gradient, since only a backward reads them; otherwise
+/// each plane is dropped once added.  The backward forms each plane's
+/// field gradient in a per-thread plane buffer just before its adjoint
+/// transform, so no [B, r, S, S] gradient is ever stored; per kernel the
+/// batch accumulates in descending order, as in socs_field_batch.
+Var socs_intensity_batch(const Var& kernels, const Tensor& spectra,
+                         int out_px);
+
 /// FNO spectral convolution: x [Cin, H, W] real, w [Cout, Cin, mh, mw, 2]
 /// complex mode weights (centered layout).  Returns [Cout, H, W] real.
 Var spectral_conv2d(const Var& x, const Var& w);
@@ -70,5 +87,13 @@ Var fft2c_crop_batch(const Var& masks, int crop);
 /// output gradient is consumed — never read it after backward()).
 Var socs_field_from_spectrum_batch(const Var& spectra, const Tensor& kernels,
                                    int out_px);
+
+/// abs2_sum0_batch(socs_field_from_spectrum_batch(spectra, kernels, out_px))
+/// as one graph node, bit for bit: intensities [B, S, S], the gradient
+/// flowing to the spectra.  Forward, field keeping and backward as in
+/// socs_intensity_batch; per sample the kernels accumulate in ascending
+/// order, as in socs_field_from_spectrum_batch.
+Var socs_intensity_from_spectrum_batch(const Var& spectra,
+                                       const Tensor& kernels, int out_px);
 
 }  // namespace nitho::nn

@@ -112,6 +112,14 @@ OpcEngine::OpcEngine(std::shared_ptr<const std::vector<Grid<cd>>> kernels,
   for (const Grid<cd>& k : *kernels_) {
     check(k.rows() == kdim_ && k.cols() == kdim_,
           "OpcEngine: kernels must be square and uniform");
+    // A NaN or Inf kernel tap would spread through every aerial and every
+    // gradient of the job; refuse it here, as FastLitho does.
+    check(std::all_of(k.begin(), k.end(),
+                      [](const cd& z) {
+                        return std::isfinite(z.real()) &&
+                               std::isfinite(z.imag());
+                      }),
+          "OpcEngine: non-finite kernel value");
   }
   const int r = static_cast<int>(kernels_->size());
   kt_ = nn::Tensor({r, kdim_, kdim_, 2});
@@ -228,9 +236,8 @@ OpcStepStats OpcEngine::step() {
   opt_->zero_grad();
   nn::Var mask = nn::sigmoid(vtheta_);
   nn::Var spectra = nn::fft2c_crop_batch(mask, kdim_);
-  nn::Var fields =
-      nn::socs_field_from_spectrum_batch(spectra, kt_, config_.sim_px);
-  nn::Var aerial = nn::abs2_sum0_batch(fields);
+  nn::Var aerial =
+      nn::socs_intensity_from_spectrum_batch(spectra, kt_, config_.sim_px);
   nn::Var fit = nn::mse_loss_batch_ordered(aerial, targets_);
   // Binarization penalty, summed over the batch of per-mask means:
   // sum_b mean_b(m) - mean_b(m^2) == (sum(m) - sum(m^2)) / mask_px^2.
@@ -241,7 +248,7 @@ OpcStepStats OpcEngine::step() {
   nn::Var bin =
       nn::scale(nn::sub(nn::sum(mask), nn::sum(nn::square(mask))), inv);
   nn::Var loss = nn::add(fit, nn::scale(bin, config_.bin_weight));
-  nn::backward(loss);
+  nn::backward(loss, vjp_timer_);
   opt_->step();
   ++iteration_;
   OpcStepStats stats;
@@ -292,13 +299,13 @@ std::vector<Grid<double>> OpcEngine::binary_masks() const {
 nn::Tensor OpcEngine::forward_aerial() const {
   check(batch_ > 0, "OpcEngine::forward_aerial: no job bound");
   // No-grad evaluation through the same float forward the optimizer uses
-  // (a constant copy of theta keeps backward closures from being built).
+  // (a constant copy of theta keeps backward closures from being built and
+  // lets the SOCS node drop each field plane once it is added).
   nn::Var t = nn::make_leaf(vtheta_->value, /*requires_grad=*/false);
   nn::Var mask = nn::sigmoid(t);
   nn::Var spectra = nn::fft2c_crop_batch(mask, kdim_);
-  nn::Var fields =
-      nn::socs_field_from_spectrum_batch(spectra, kt_, config_.sim_px);
-  return nn::abs2_sum0_batch(fields)->value;
+  return nn::socs_intensity_from_spectrum_batch(spectra, kt_, config_.sim_px)
+      ->value;
 }
 
 std::vector<Grid<double>> OpcEngine::printed() const {

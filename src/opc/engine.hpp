@@ -9,7 +9,7 @@
 //
 // — lifted from one mask per graph to a whole batch per graph.  Each step
 // builds a single autodiff graph over [B, S, S] theta through the batched
-// FFT ops (fft2c_crop_batch / socs_field_from_spectrum_batch), recycled
+// FFT ops (fft2c_crop_batch / socs_intensity_from_spectrum_batch), recycled
 // through a GraphArena, so steady-state steps allocate (almost) nothing.
 // Per mask the arithmetic is bit-identical to running the per-mask loop:
 // the batched ops are per-sample bit-identical, the loss is an ordered
@@ -77,7 +77,7 @@ class OpcEngine {
  public:
   /// Kernels are borrowed the way serving shards borrow them
   /// (FastLitho::kernels_shared) — shared, never copied.  All kernels must
-  /// be square with one odd dimension <= sim_px.
+  /// be square with one odd dimension <= sim_px, and every value finite.
   explicit OpcEngine(std::shared_ptr<const std::vector<Grid<cd>>> kernels,
                      OpcConfig config = {});
 
@@ -96,6 +96,11 @@ class OpcEngine {
 
   /// One Adam step over the whole batch through a single recycled graph.
   OpcStepStats step();
+
+  /// Times every vjp of step()'s backward into `timer` (borrowed; must
+  /// outlive the engine's use of it; null, the default, times nothing).
+  /// Timing only: the arithmetic is the same with or without one.
+  void set_vjp_timer(nn::VjpTimer* timer) { vjp_timer_ = timer; }
 
   int batch() const { return batch_; }
   long iteration() const { return iteration_; }
@@ -139,6 +144,7 @@ class OpcEngine {
   int batch_ = 0;
   long iteration_ = 0;
   std::vector<float> losses_;
+  nn::VjpTimer* vjp_timer_ = nullptr;  ///< borrowed; may be null
 };
 
 /// Mean edge-placement error between two same-shape binary grids, in

@@ -39,6 +39,7 @@ OpcService::OpcService(BusyFn busy, obs::MetricsRegistry* registry,
       registry_(registry),
       tracer_(tracer),
       track_(track) {
+  if (registry_ != nullptr) vjp_timers_.emplace(*registry_, "opc");
   worker_ = std::thread([this] { worker_loop(); });
 }
 
@@ -159,6 +160,7 @@ void OpcService::run_job(Job& job) {
   }
   try {
     opc::OpcEngine engine(job.kernels, job.opts.config);
+    engine.set_vjp_timer(vjp_timers_ ? &*vjp_timers_ : nullptr);
     if (job.checkpoint) {
       engine.restore(*job.checkpoint);
     } else {

@@ -38,6 +38,7 @@
 #include "common/mutex.hpp"
 #include "math/cplx.hpp"
 #include "math/grid.hpp"
+#include "nitho/trainer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "opc/engine.hpp"
@@ -127,8 +128,9 @@ class OpcService {
   /// Observability sinks are borrowed (must outlive the service) and bound
   /// at construction — before the worker thread starts, so no publication
   /// race.  With them null the service runs exactly as before.  Job
-  /// progress publishes as "opc.*" gauges; sampled per-step spans land on
-  /// tracer track `track` (DESIGN.md §12.3).
+  /// progress publishes as "opc.*" gauges and each step's vjps as
+  /// "opc.vjp.<op>_us" histograms; sampled per-step spans land on tracer
+  /// track `track` (DESIGN.md §12.3).
   explicit OpcService(BusyFn busy, obs::MetricsRegistry* registry = nullptr,
                       obs::Tracer* tracer = nullptr, std::uint32_t track = 0);
   ~OpcService();
@@ -162,6 +164,8 @@ class OpcService {
   obs::MetricsRegistry* registry_ = nullptr;  ///< borrowed; may be null
   obs::Tracer* tracer_ = nullptr;             ///< borrowed; may be null
   std::uint32_t track_ = 0;
+  /// Bound with the registry; only the worker thread records into it.
+  std::optional<VjpHistograms> vjp_timers_;
   std::atomic<bool> stop_{false};
   mutable Mutex mu_;
   CondVar cv_;

@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "math/cplx.hpp"
 #include "math/grid.hpp"
 #include "math/hermitian_eig.hpp"
 #include "math/stats.hpp"
+#include "optics/resolution.hpp"
+#include "optics/tcc.hpp"
+#include "support/eigh_ref.hpp"
 #include "support/test_support.hpp"
 
 namespace nitho {
@@ -189,6 +193,36 @@ TEST(Eigh, RejectsNonSquare) {
   Grid<cd> a(2, 3);
   EXPECT_THROW(eigh(a), check_error);
   EXPECT_THROW(eigh_jacobi(a), check_error);
+}
+
+// eigh runs its QL rotations on rows of the transposed eigenvector grid;
+// the historical column walk (tests/support/eigh_ref) must give the same
+// eigenvalue and eigenvector bytes.
+void expect_eigh_matches_column_ql(const Grid<cd>& a, const char* what) {
+  const EighResult got = eigh(a);
+  const EighResult ref = test::eigh_column_ql(a);
+  const std::size_t n = ref.eigenvalues.size();
+  ASSERT_EQ(got.eigenvalues.size(), n) << what;
+  ASSERT_EQ(got.eigenvectors.size(), ref.eigenvectors.size()) << what;
+  EXPECT_EQ(std::memcmp(got.eigenvalues.data(), ref.eigenvalues.data(),
+                        n * sizeof(double)),
+            0)
+      << what;
+  EXPECT_EQ(std::memcmp(got.eigenvectors.data(), ref.eigenvectors.data(),
+                        ref.eigenvectors.size() * sizeof(cd)),
+            0)
+      << what;
+}
+
+TEST(Eigh, BitIdenticalToColumnWalkQl) {
+  Rng rng(211);
+  expect_eigh_matches_column_ql(random_hermitian(1, rng), "n=1");
+  expect_eigh_matches_column_ql(random_hermitian(61, rng), "random n=61");
+  // The 512-nm tile's TCC (kdim 15 -> 225 x 225): rank-deficient, so the
+  // QL's deflation floor and its clustered eigenvalues are exercised.
+  const int kdim = kernel_dim(512, 193.0, 1.35);
+  expect_eigh_matches_column_ql(build_tcc(OpticalSystem{}, 512, kdim),
+                                "512-nm TCC");
 }
 
 class EighSizeSweep : public ::testing::TestWithParam<int> {};

@@ -672,8 +672,8 @@ TEST(Trainer, VjpTimersRecordEveryOpWithoutChangingBits) {
   nn::Tensor targets({4, set.train_px, set.train_px});
   const nn::Var loss = nn::scale(
       nn::mse_loss_batch_ordered(
-          nn::abs2_sum0_batch(nn::socs_field_batch(timed.predict_kernels(),
-                                                   spectra, set.train_px)),
+          nn::socs_intensity_batch(timed.predict_kernels(), spectra,
+                                   set.train_px),
           targets),
       0.25f);
   std::map<std::string, std::uint64_t> per_step;

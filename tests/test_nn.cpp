@@ -8,6 +8,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
@@ -924,5 +925,168 @@ TEST(Clinear, BitIdenticalToChainAtOddShapes) {
   }
 }
 
+
+// ---- SOCS intensity nodes against the two-node chain, bit for bit -------
+// socs_intensity_batch must reproduce abs2_sum0_batch(socs_field_batch(..))
+// and socs_intensity_from_spectrum_batch must reproduce
+// abs2_sum0_batch(socs_field_from_spectrum_batch(..)): the same
+// intensities, the same ordered loss and the same kernel / spectrum
+// gradients, on every SIMD arm at 1 and 4 workers.  A second pass seeds
+// the intensity with a fixed upstream holding -0.0f entries, which the
+// chain's zero-initialized field gradient turns into +0.0f.
+
+struct SocsCase {
+  int batch, r, n, out_px;
+};
+
+struct SocsBits {
+  Tensor intensity, loss, grad;
+};
+
+SocsBits run_socs(const SocsCase& c, const Tensor& kt, const Tensor& spectra,
+                  const Tensor& targets, const Tensor* upstream,
+                  bool spectrum_side, bool fused) {
+  const Var k = make_leaf(kt, !spectrum_side);
+  const Var sp = make_leaf(spectra, spectrum_side);
+  Var pred;
+  if (spectrum_side) {
+    pred = fused ? socs_intensity_from_spectrum_batch(sp, kt, c.out_px)
+                 : abs2_sum0_batch(
+                       socs_field_from_spectrum_batch(sp, kt, c.out_px));
+  } else {
+    pred = fused ? socs_intensity_batch(k, spectra, c.out_px)
+                 : abs2_sum0_batch(socs_field_batch(k, spectra, c.out_px));
+  }
+  const Var loss = upstream != nullptr
+                       ? seed_gradient(pred, *upstream)
+                       : mse_loss_batch_ordered(pred, targets);
+  backward(loss);
+  return {pred->value, loss->value, spectrum_side ? sp->grad : k->grad};
+}
+
+// The fused forward with nothing requiring a gradient (no fields kept).
+Tensor socs_intensity_no_grad(const SocsCase& c, const Tensor& kt,
+                              const Tensor& spectra, bool spectrum_side) {
+  const Var v = spectrum_side
+                    ? socs_intensity_from_spectrum_batch(make_leaf(spectra),
+                                                         kt, c.out_px)
+                    : socs_intensity_batch(make_leaf(kt), spectra, c.out_px);
+  EXPECT_FALSE(v->requires_grad);
+  EXPECT_TRUE(v->inputs.empty());
+  return v->value;
+}
+
+void expect_socs_intensity_matches_chain(const SocsCase& c) {
+  Rng rng(static_cast<std::uint64_t>(53 + c.batch * 11 + c.r * 5 + c.n * 3 +
+                                     c.out_px));
+  const Tensor kt = random_tensor({c.r, c.n, c.n, 2}, rng, 0.5f);
+  const Tensor spectra = random_tensor({c.batch, c.n, c.n, 2}, rng, 0.3f);
+  const Tensor targets =
+      random_tensor({c.batch, c.out_px, c.out_px}, rng, 0.2f, 0.5f);
+  Tensor upstream = random_tensor({c.batch, c.out_px, c.out_px}, rng);
+  for (std::int64_t i = 0; i < upstream.numel(); i += 5) {
+    upstream[i] = (i / 5) % 2 == 0 ? -0.0f : 0.0f;
+  }
+
+  test::ArmGuard guard;
+  std::vector<simd::Arm> arms = test::vector_arms();
+  arms.insert(arms.begin(), simd::Arm::kScalar);
+  for (const bool spectrum_side : {false, true}) {
+    for (const Tensor* up : {static_cast<const Tensor*>(nullptr),
+                             static_cast<const Tensor*>(&upstream)}) {
+      SocsBits ref;
+      {
+        simd::force_arm(simd::Arm::kScalar);
+        set_parallel_workers(1);
+        ref = run_socs(c, kt, spectra, targets, up, spectrum_side,
+                       /*fused=*/false);
+      }
+      for (const simd::Arm arm : arms) {
+        simd::force_arm(arm);
+        for (const int workers : {1, 4}) {
+          set_parallel_workers(workers);
+          const SocsBits got = run_socs(c, kt, spectra, targets, up,
+                                        spectrum_side, /*fused=*/true);
+          const std::string where =
+              std::string(simd::arm_name(arm)) + " w" +
+              std::to_string(workers) + " B" + std::to_string(c.batch) +
+              " r" + std::to_string(c.r) + " n" + std::to_string(c.n) +
+              " S" + std::to_string(c.out_px) +
+              (spectrum_side ? " spectrum" : " kernels") +
+              (up != nullptr ? " upstream" : " mse");
+          EXPECT_TRUE(test::tensors_bit_identical(got.intensity,
+                                                  ref.intensity))
+              << "intensity " << where;
+          EXPECT_TRUE(test::tensors_bit_identical(got.loss, ref.loss))
+              << "loss " << where;
+          EXPECT_TRUE(test::tensors_bit_identical(got.grad, ref.grad))
+              << "grad " << where;
+          EXPECT_TRUE(test::tensors_bit_identical(
+              socs_intensity_no_grad(c, kt, spectra, spectrum_side),
+              ref.intensity))
+              << "no-grad intensity " << where;
+        }
+      }
+    }
+  }
+  set_parallel_workers(0);
+}
+
+TEST(SocsIntensity, BitIdenticalToChainPow2) {
+  expect_socs_intensity_matches_chain({3, 2, 5, 16});
+  expect_socs_intensity_matches_chain({1, 3, 3, 8});
+}
+
+TEST(SocsIntensity, BitIdenticalToChainBluestein) {
+  // out_px 12 and 15 are non-pow2: the float Bluestein plans, their
+  // workspace scratch and the plane buffer at a Bluestein size.
+  expect_socs_intensity_matches_chain({3, 2, 5, 12});
+  expect_socs_intensity_matches_chain({2, 3, 5, 15});
+}
+
+TEST(SocsIntensity, BitIdenticalAcrossSeveralColumnBlocks) {
+  // out_px 64 splits the column pass into several L1 blocks and the n = 29
+  // band wraps across row 0; out_px 45 (Bluestein) ends in a partial block.
+  expect_socs_intensity_matches_chain({2, 2, 29, 64});
+  expect_socs_intensity_matches_chain({2, 2, 9, 45});
+}
+
+TEST(SocsIntensity, MoreSamplesThanWorkers) {
+  // Six samples over four workers: threads run several samples in turn
+  // and reuse their plane buffer.
+  expect_socs_intensity_matches_chain({6, 5, 5, 16});
+}
+
+TEST(GradCheck, SocsIntensityNodes) {
+  Rng rng(59);
+  const Tensor kernels = random_tensor({2, 3, 3, 2}, rng, 0.5f);
+  const Tensor spectra = random_tensor({2, 3, 3, 2}, rng, 0.3f);
+  const Tensor targets = random_tensor({2, 8, 8}, rng, 0.2f, 0.5f);
+  expect_gradcheck({kernels}, [spectra, targets](const std::vector<Var>& v) {
+    return mse_loss_batch_ordered(socs_intensity_batch(v[0], spectra, 8),
+                                  targets);
+  });
+  expect_gradcheck({spectra}, [kernels, targets](const std::vector<Var>& v) {
+    return mse_loss_batch_ordered(
+        socs_intensity_from_spectrum_batch(v[0], kernels, 8), targets);
+  });
+}
+
+TEST(SocsIntensity, RejectsBadShapes) {
+  const Tensor kt({2, 3, 3, 2});
+  EXPECT_THROW(socs_intensity_batch(make_leaf(kt, true), Tensor({1, 5, 5, 2}),
+                                    8),
+               check_error);
+  EXPECT_THROW(socs_intensity_batch(make_leaf(kt, true), Tensor({1, 3, 3, 2}),
+                                    2),
+               check_error);
+  EXPECT_THROW(socs_intensity_from_spectrum_batch(
+                   make_leaf(Tensor({0, 3, 3, 2}), true), kt, 8),
+               check_error);
+  EXPECT_THROW(socs_intensity_from_spectrum_batch(
+                   make_leaf(Tensor({1, 3, 3, 2}), true), Tensor({2, 3, 3}),
+                   8),
+               check_error);
+}
 }  // namespace
 }  // namespace nitho::nn

@@ -133,10 +133,16 @@ TEST(Simd, AlignedVectorContract) {
 TEST(Simd, FftWorkspaceBuffersAligned) {
   Fft2Workspace wd;
   EXPECT_TRUE(is_aligned(wd.col_buffer(33)));
+  EXPECT_TRUE(is_aligned(wd.band_buffer(29 * 64)));
   EXPECT_TRUE(is_aligned(wd.scratch_for(fft_plan_d(97))));
+  EXPECT_TRUE(is_aligned(wd.plane_buffer(45 * 45)));
   Fft2WorkspaceF wf;
   EXPECT_TRUE(is_aligned(wf.col_buffer(64)));
+  EXPECT_TRUE(is_aligned(wf.band_buffer(29 * 64)));
   EXPECT_TRUE(is_aligned(wf.scratch_for(fft_plan_f(251))));
+  EXPECT_TRUE(is_aligned(wf.plane_buffer(64 * 64)));
+  // Growth reallocates and keeps the alignment.
+  EXPECT_TRUE(is_aligned(wf.plane_buffer(128 * 128)));
   // Power-of-two plans need no Bluestein scratch.
   EXPECT_EQ(wd.scratch_for(fft_plan_d(64)), nullptr);
 }
