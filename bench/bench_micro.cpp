@@ -201,12 +201,12 @@ void BM_CmlpTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_CmlpTrainStep)->Unit(benchmark::kMillisecond);
 
-// CMLP-shaped GEMM (the complex matmul splits into four of these): left
-// operand dense or ReLU-sparse, kernel with or without the zero-skip
-// branch.  The sweep decides which variant the batched training path keeps
-// (see nn/gemm.hpp).
-void gemm_bench(benchmark::State& state, bool skip_zeros, double zero_frac) {
+// CMLP-shaped GEMM through nn::gemm_dense, the library's one GEMM: left
+// operand dense or half zeros (ReLU-sparse), which the dense fold does not
+// skip.
+void BM_GemmNNDense(benchmark::State& state) {
   const std::int64_t m = 841, k = 96, n = 48;  // paper-scale CMLP layer
+  const double zero_frac = state.range(0) / 100.0;
   Rng rng(8);
   std::vector<float> a(static_cast<std::size_t>(m * k));
   std::vector<float> b(static_cast<std::size_t>(k * n));
@@ -216,25 +216,11 @@ void gemm_bench(benchmark::State& state, bool skip_zeros, double zero_frac) {
   }
   for (auto& v : b) v = static_cast<float>(rng.normal());
   for (auto _ : state) {
-    if (skip_zeros) {
-      nn::gemm_nn(m, n, k, a.data(), b.data(), c.data(), false);
-    } else {
-      nn::gemm_dense(m, n, k, a.data(), k, 1, b.data(), n, c.data(), n,
-                     false);
-    }
+    nn::gemm_dense(m, n, k, a.data(), k, 1, b.data(), n, c.data(), n, false);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * m * n * k);
-}
-
-void BM_GemmNNSkipZeros(benchmark::State& state) {
-  gemm_bench(state, true, state.range(0) / 100.0);
-  state.SetLabel("zeros=" + std::to_string(state.range(0)) + "%");
-}
-BENCHMARK(BM_GemmNNSkipZeros)->Arg(0)->Arg(50);
-
-void BM_GemmNNDense(benchmark::State& state) {
-  gemm_bench(state, false, state.range(0) / 100.0);
   state.SetLabel("zeros=" + std::to_string(state.range(0)) + "%");
 }
 BENCHMARK(BM_GemmNNDense)->Arg(0)->Arg(50);
@@ -285,16 +271,22 @@ void BM_TrainStepBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainStepBatched)->Unit(benchmark::kMillisecond);
 
+// One conv2d layer (16 -> 16 channels, 3x3, 64x64), forward plus backward
+// with x, W and b all requiring a gradient: the three GEMMs of a DOINN /
+// TEMPO training step.  Gradients accumulate across iterations.
 void BM_Conv2d(benchmark::State& state) {
   Rng rng(7);
   nn::Tensor x({16, 64, 64});
   x.randn(rng, 1.0f);
   nn::Tensor w({16, 16, 3, 3});
   w.randn(rng, 0.1f);
-  nn::Var vw = nn::make_leaf(w, false);
-  nn::Var vb = nn::make_leaf(nn::Tensor({16}), false);
+  nn::Var vx = nn::make_leaf(x, true);
+  nn::Var vw = nn::make_leaf(w, true);
+  nn::Var vb = nn::make_leaf(nn::Tensor({16}), true);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(nn::conv2d(nn::make_leaf(x, false), vw, vb));
+    nn::backward(nn::sum(nn::conv2d(vx, vw, vb)));
+    benchmark::DoNotOptimize(vw->grad.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_Conv2d)->Unit(benchmark::kMillisecond);

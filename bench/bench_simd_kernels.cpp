@@ -1,7 +1,7 @@
 // SIMD kernel microbench: same-binary scalar-vs-vector ratios for the three
 // gated hot loops — the engine's fused crop/multiply/scatter +
 // abs2-accumulate pass, the radix-2 butterfly transform (paired stages plus
-// an odd last stage, DESIGN.md §13.2), and the dense GEMM microkernels —
+// an odd last stage, DESIGN.md §13.2), and the dense GEMM microkernel —
 // plus informational rows for the pruned-inverse column blocks the imaging,
 // train and opc workloads run, the Bluestein path and the float abs2
 // accumulate.  Ratios come from interleaved best-of-reps runs of
@@ -167,22 +167,15 @@ int main(int argc, char** argv) {
                      },
                      200};
 
-  // --- dense GEMM microkernels (CMLP-shaped, serial path) ----------------
+  // --- dense GEMM microkernel (CMLP-shaped, serial path) -----------------
   const std::int64_t gm = 48, gn = 48, gk = 48;
   const auto ga = random_fvec(gm * gk, rng);
   const auto gb = random_fvec(gk * gn, rng);
-  const auto gbt = random_fvec(gn * gk, rng);
   std::vector<float> gc(static_cast<std::size_t>(gm * gn));
   Workload gemm_nn{"gemm_nn_dense",
                    [&] {
                      nn::gemm_dense(gm, gn, gk, ga.data(), gk, 1, gb.data(),
                                     gn, gc.data(), gn, false);
-                   },
-                   400};
-  Workload gemm_nt{"gemm_nt_dense",
-                   [&] {
-                     nn::gemm_nt(gm, gn, gk, ga.data(), gbt.data(), gc.data(),
-                                 false);
                    },
                    400};
 
@@ -196,9 +189,9 @@ int main(int argc, char** argv) {
                 },
                 2000};
 
-  const Workload* workloads[] = {&fused,     &bfly64,  &bfly32,  &strip32,
-                                 &strip64,   &bluestein, &gemm_nn, &gemm_nt,
-                                 &abs2};
+  const Workload* workloads[] = {&fused,   &bfly64,    &bfly32,
+                                 &strip32, &strip64,   &bluestein,
+                                 &gemm_nn, &abs2};
 
   std::printf("== SIMD kernel microbench (best of %d reps) ==\n\n", reps);
   TablePrinter tp({"kernel", "scalar ns", "simd ns", "vs_scalar"}, 14);

@@ -72,14 +72,6 @@ void abs2_accum_scalar(float* acc, const float* e, std::int64_t n) {
   }
 }
 
-void axpy_scalar(float* c, float a, const float* b, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) c[i] += a * b[i];
-}
-
-void add_inplace_scalar(float* c, const float* t, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) c[i] += t[i];
-}
-
 void adam_update_scalar(float* p, float* m, float* v, const float* g,
                         std::int64_t n, float beta1, float beta2, float bc1,
                         float bc2, float lr, float eps) {
@@ -224,24 +216,6 @@ void abs2_accum_sse2(float* acc, const float* e, std::int64_t n) {
   }
 }
 
-void axpy_sse2(float* c, float a, const float* b, std::int64_t n) {
-  const __m128 av = _mm_set1_ps(a);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 prod = _mm_mul_ps(av, _mm_loadu_ps(b + i));
-    _mm_storeu_ps(c + i, _mm_add_ps(_mm_loadu_ps(c + i), prod));
-  }
-  for (; i < n; ++i) c[i] += a * b[i];
-}
-
-void add_inplace_sse2(float* c, const float* t, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(c + i, _mm_add_ps(_mm_loadu_ps(c + i), _mm_loadu_ps(t + i)));
-  }
-  for (; i < n; ++i) c[i] += t[i];
-}
-
 // divps / sqrtps are IEEE correctly-rounded (unlike the rcpps / rsqrtps
 // approximations, which are never used here), so every lane reproduces the
 // scalar arm's mul/add/div/sqrt sequence bit for bit.
@@ -274,9 +248,9 @@ void adam_update_sse2(float* p, float* m, float* v, const float* g,
 
 // Register-blocked panel, MR rows held in accumulators across the whole k
 // fold.  Each c[r][j] still receives one rounded mul + one rounded add per
-// p, in ascending p — the axpy sequence, minus the per-p memory round trip
-// (fp32 in xmm/ymm lanes is the same format as fp32 in memory, so keeping
-// the fold in registers is bit-preserving).
+// p, in ascending p — the scalar arm's sequence, minus the per-p memory
+// round trip (fp32 in xmm/ymm lanes is the same format as fp32 in memory,
+// so keeping the fold in registers is bit-preserving).
 template <int MR>
 void gemm_panel_sse2_t(float* c, std::int64_t ldc, const float* a,
                        std::int64_t ars, std::int64_t aps, const float* b,
@@ -511,28 +485,6 @@ __attribute__((target("avx2"))) void abs2_accum_avx2(float* acc,
   for (; i < n; ++i) {
     acc[i] += e[2 * i] * e[2 * i] + e[2 * i + 1] * e[2 * i + 1];
   }
-}
-
-__attribute__((target("avx2"))) void axpy_avx2(float* c, float a,
-                                               const float* b,
-                                               std::int64_t n) {
-  const __m256 av = _mm256_set1_ps(a);
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 prod = _mm256_mul_ps(av, _mm256_loadu_ps(b + i));
-    _mm256_storeu_ps(c + i, _mm256_add_ps(_mm256_loadu_ps(c + i), prod));
-  }
-  for (; i < n; ++i) c[i] += a * b[i];
-}
-
-__attribute__((target("avx2"))) void add_inplace_avx2(float* c, const float* t,
-                                                      std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        c + i, _mm256_add_ps(_mm256_loadu_ps(c + i), _mm256_loadu_ps(t + i)));
-  }
-  for (; i < n; ++i) c[i] += t[i];
 }
 
 __attribute__((target("avx2"))) void adam_update_avx2(
@@ -975,14 +927,6 @@ void abs2_scale_accum(double* acc, const cd* z, double scale,
 
 void abs2_accum(float* acc, const float* e, std::int64_t n) {
   NITHO_DISPATCH(abs2_accum, acc, e, n)
-}
-
-void axpy(float* c, float a, const float* b, std::int64_t n) {
-  NITHO_DISPATCH(axpy, c, a, b, n)
-}
-
-void add_inplace(float* c, const float* t, std::int64_t n) {
-  NITHO_DISPATCH(add_inplace, c, t, n)
 }
 
 void adam_update(float* p, float* m, float* v, const float* g, std::int64_t n,

@@ -69,21 +69,20 @@ void abs2_scale_accum(double* acc, const cd* z, double scale, std::int64_t n);
 /// the batched training ops' per-pixel coherent-intensity accumulate.
 void abs2_accum(float* acc, const float* e, std::int64_t n);
 
-/// c[i] += a * b[i] (the dense GEMM row update).
-void axpy(float* c, float a, const float* b, std::int64_t n);
-
 /// Rows per gemm_panel call (the register-blocked microkernel height).
 inline constexpr std::int64_t kGemmPanelRows = 4;
 
-/// Dense GEMM panel: for each row r in [0, mr), mr <= kGemmPanelRows,
+/// Dense GEMM panel, the one GEMM microkernel (nn::gemm_dense): for each
+/// row r in [0, mr), mr <= kGemmPanelRows,
 ///   c[r*ldc + j] += fold over p in [0, k) of a[r*ars + p*aps] * b[p*ldb + j]
-/// with the p fold serial per element — bit-identical to mr rows of k
-/// successive axpy calls (lanes span j only; each element sees the same
-/// mul-then-add sequence in ascending p, just held in registers between
-/// folds instead of round-tripping memory, which cannot change a single
-/// rounding in fp32).  `ars`/`aps` are A's row/p strides, so the one kernel
-/// serves nn::gemm_dense for every A layout (row-major, transposed, or one
-/// plane of an interleaved complex tensor).
+/// with the p fold serial per element.  The scalar arm runs, per row, p
+/// ascending and then j; the vector arms are bit-identical to it (lanes
+/// span j only; each element sees the same mul-then-add sequence in
+/// ascending p, just held in registers between folds instead of
+/// round-tripping memory, which cannot change a single rounding in fp32).
+/// `ars`/`aps` are A's row/p strides, so the one kernel serves every A
+/// layout (row-major, transposed, or one plane of an interleaved complex
+/// tensor).
 void gemm_panel(float* c, std::int64_t ldc, const float* a, std::int64_t ars,
                 std::int64_t aps, const float* b, std::int64_t ldb,
                 std::int64_t mr, std::int64_t k, std::int64_t n);
@@ -93,9 +92,6 @@ void gemm_panel(float* c, std::int64_t ldc, const float* a, std::int64_t ars,
 /// grad).  Lanes span pixels i; the scalar operand order (double the field
 /// value, then scale by the pixel grad, then accumulate) is kept exactly.
 void abs2_backprop(float* g, const float* e, const float* gy, std::int64_t n);
-
-/// c[i] += t[i] (one-shot row accumulate for the packed gemm_nt path).
-void add_inplace(float* c, const float* t, std::int64_t n);
 
 /// One Adam update over n parameters, exactly the optimizer's scalar loop:
 ///   m[i] = beta1 * m[i] + (1 - beta1) * g[i];

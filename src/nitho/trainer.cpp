@@ -401,6 +401,10 @@ double evaluate_nitho(const NithoModel& model, const TrainingSet& set,
   check(set.kernel_dim == model.kernel_dim(),
         "evaluation set prepared for a different kernel support");
   const int px = set.train_px;
+  // The kernels are predicted once and scored as a constant: nothing
+  // requires a gradient, so the CMLP keeps no activations and the SOCS
+  // node keeps no fields.
+  const nn::Var kernels = nn::make_leaf(model.predict_kernels()->value);
   nn::GraphArena arena;
   nn::Tensor spectra, targets;
   std::vector<int> order(static_cast<std::size_t>(n));
@@ -411,7 +415,6 @@ double evaluate_nitho(const NithoModel& model, const TrainingSet& set,
     gather_batch(set, order, b, count, spectra, targets);
     arena.reset();
     nn::GraphArena::Scope scope(arena);
-    const nn::Var kernels = model.predict_kernels();
     nn::Var pred = nn::socs_intensity_batch(kernels, spectra, px);
     nn::Var loss = nn::mse_loss_batch_ordered(pred, targets);
     // Unscaled: the batch loss is the ordered sum of per-sample MSEs;

@@ -113,16 +113,6 @@ Var sub(const Var& a, const Var& b) {
       "sub");
 }
 
-Var mul(const Var& a, const Var& b) {
-  return elementwise2(
-      a, b, [](float x, float y) { return x * y; },
-      [](float x, float y, float g, float& da, float& db) {
-        da = g * y;
-        db = g * x;
-      },
-      "mul");
-}
-
 Var scale(const Var& a, float s) {
   return elementwise1(
       a, [s](float x) { return s * x; },
@@ -148,55 +138,10 @@ Var sigmoid(const Var& a) {
       [](float, float y, float g) { return g * y * (1.0f - y); }, "sigmoid");
 }
 
-Var tanh_op(const Var& a) {
-  return elementwise1(
-      a, [](float x) { return std::tanh(x); },
-      [](float, float y, float g) { return g * (1.0f - y * y); }, "tanh");
-}
-
 Var square(const Var& a) {
   return elementwise1(
       a, [](float x) { return x * x; },
       [](float x, float, float g) { return 2.0f * x * g; }, "square");
-}
-
-Var add_bias(const Var& x, const Var& b) {
-  const std::int64_t bn = b->value.numel();
-  check(bn > 0 && x->value.numel() % bn == 0,
-        "add_bias: bias must tile the input");
-  Tensor out = arena_tensor(x->value.shape(), /*zeroed=*/false);
-  const std::int64_t n = out.numel();
-  // Row-blocked so the bias index is a plain offset, not an i % bn divide
-  // per element; each out[i] is the same single add either way.
-  const float* xv = x->value.data();
-  const float* bv = b->value.data();
-  float* ov = out.data();
-  for (std::int64_t r = 0; r < n; r += bn) {
-    for (std::int64_t j = 0; j < bn; ++j) ov[r + j] = xv[r + j] + bv[j];
-  }
-  return make_node(std::move(out), {x, b},
-                   [](Node& node) {
-                     Node& ix = *node.inputs[0];
-                     Node& ib = *node.inputs[1];
-                     const std::int64_t n2 = node.value.numel();
-                     const std::int64_t bn2 = ib.value.numel();
-                     if (ix.requires_grad) {
-                       ix.ensure_grad();
-                       simd::add_inplace(ix.grad.data(), node.grad.data(), n2);
-                     }
-                     if (ib.requires_grad) {
-                       ib.ensure_grad();
-                       float* bg = ib.grad.data();
-                       const float* g = node.grad.data();
-                       // Ascending r keeps each bg[j] fold in the original
-                       // ascending-i order.
-                       for (std::int64_t r = 0; r < n2; r += bn2) {
-                         for (std::int64_t j = 0; j < bn2; ++j)
-                           bg[j] += g[r + j];
-                       }
-                     }
-                   },
-                   "add_bias");
 }
 
 Var sum(const Var& a) {
@@ -291,30 +236,6 @@ Var mse_loss_batch_ordered(const Var& pred, const Tensor& targets) {
                    "mse_loss_batch_ordered");
 }
 
-Var matmul(const Var& a, const Var& b) {
-  check(a->value.ndim() == 2 && b->value.ndim() == 2, "matmul needs 2-D inputs");
-  const int m = a->value.dim(0), k = a->value.dim(1), n = b->value.dim(1);
-  check(b->value.dim(0) == k, "matmul inner dimension mismatch");
-  Tensor out = arena_tensor({m, n}, /*zeroed=*/false);
-  gemm_nn(m, n, k, a->value.data(), b->value.data(), out.data(), false);
-  return make_node(std::move(out), {a, b},
-                   [m, n, k](Node& node) {
-                     Node& ia = *node.inputs[0];
-                     Node& ib = *node.inputs[1];
-                     if (ia.requires_grad) {
-                       ia.ensure_grad();
-                       gemm_nt(m, k, n, node.grad.data(), ib.value.data(),
-                               ia.grad.data(), true);
-                     }
-                     if (ib.requires_grad) {
-                       ib.ensure_grad();
-                       gemm_tn(k, n, m, ia.value.data(), node.grad.data(),
-                               ib.grad.data(), true);
-                     }
-                   },
-                   "matmul");
-}
-
 Var clinear(const Var& x, const Var& w, const Var& b, bool crelu) {
   const Tensor& xv = x->value;
   const bool real = xv.ndim() == 2;
@@ -370,8 +291,8 @@ Var clinear(const Var& x, const Var& w, const Var& b, bool crelu) {
   }
   gemm_dense(m, n, k, xi, ars, aps, wp, ldt, t + n, ldt, true);
 
-  // One pass: interleave, add the bias, CReLU — merge, add_bias and relu's
-  // operations in their order.
+  // One pass: interleave, add the bias, CReLU — the chain's merge, bias
+  // add and relu operations in their order.
   Tensor out = arena_tensor({m, n, 2}, /*zeroed=*/false);
   float* y = out.data();
   const float* bv = b->value.data();
@@ -395,10 +316,10 @@ Var clinear(const Var& x, const Var& w, const Var& b, bool crelu) {
         Node& ib = *node.inputs[2];
         ClinearScratch& s2 = clinear_scratch();
         // G, the gradient the oracle's matmul saw: relu adds its masked
-        // gradient into a zeroed buffer and add_bias adds that into
+        // gradient into a zeroed buffer and the bias add adds that into
         // another, so G = 0.0f + gz with gz = 0.0f + mask(g) under CReLU
         // and gz = g without.  The adds are kept: they turn -0.0f into
-        // +0.0f.  The bias folds gz over ascending rows, as add_bias does.
+        // +0.0f.  The bias folds gz over ascending rows, as the chain does.
         // G's planes go side by side, [Gr | Gi].
         const std::int64_t ldg = 2 * static_cast<std::int64_t>(n);
         float* gp = grow(s2.g, m * ldg);
@@ -475,43 +396,6 @@ Var clinear(const Var& x, const Var& w, const Var& b, bool crelu) {
         }
       },
       "clinear");
-}
-
-Var cmul_const(const Var& x, const Tensor& c) {
-  check(x->value.ndim() >= 2 && x->value.dim(x->value.ndim() - 1) == 2,
-        "cmul_const: x not complex");
-  check(c.ndim() >= 2 && c.dim(c.ndim() - 1) == 2, "cmul_const: c not complex");
-  const std::int64_t cn = c.numel();
-  check(cn > 0 && x->value.numel() % cn == 0,
-        "cmul_const: constant must tile the input");
-  Tensor out(x->value.shape());
-  const std::int64_t pairs = x->value.numel() / 2;
-  const std::int64_t cpairs = cn / 2;
-  for (std::int64_t i = 0; i < pairs; ++i) {
-    const std::int64_t j = i % cpairs;
-    const float xr = x->value[2 * i], xi = x->value[2 * i + 1];
-    const float cr = c[2 * j], cim = c[2 * j + 1];
-    out[2 * i] = xr * cr - xi * cim;
-    out[2 * i + 1] = xr * cim + xi * cr;
-  }
-  Tensor cc = c;
-  return make_node(std::move(out), {x},
-                   [cc = std::move(cc)](Node& node) {
-                     Node& ix = *node.inputs[0];
-                     if (!ix.requires_grad) return;
-                     ix.ensure_grad();
-                     const std::int64_t pairs2 = node.value.numel() / 2;
-                     const std::int64_t cpairs2 = cc.numel() / 2;
-                     for (std::int64_t i = 0; i < pairs2; ++i) {
-                       const std::int64_t j = i % cpairs2;
-                       const float gr = node.grad[2 * i], gi = node.grad[2 * i + 1];
-                       const float cr = cc[2 * j], cim = cc[2 * j + 1];
-                       // dX = conj(c) . dY
-                       ix.grad[2 * i] += gr * cr + gi * cim;
-                       ix.grad[2 * i + 1] += gi * cr - gr * cim;
-                     }
-                   },
-                   "cmul_const");
 }
 
 Var reshape(const Var& a, std::vector<int> shape) {
@@ -591,28 +475,6 @@ Var concat0(const Var& a, const Var& b) {
                      }
                    },
                    "concat0");
-}
-
-Var slice0(const Var& a, int begin, int end) {
-  check(a->value.ndim() >= 1, "slice0 needs >= 1 dim");
-  check(0 <= begin && begin < end && end <= a->value.dim(0), "bad slice range");
-  std::vector<int> shape = a->value.shape();
-  shape[0] = end - begin;
-  const std::int64_t stride = a->value.numel() / a->value.dim(0);
-  Tensor out(shape);
-  const std::int64_t offset = begin * stride;
-  const std::int64_t n = out.numel();
-  for (std::int64_t i = 0; i < n; ++i) out[i] = a->value[offset + i];
-  return make_node(std::move(out), {a},
-                   [offset](Node& node) {
-                     Node& ia = *node.inputs[0];
-                     if (!ia.requires_grad) return;
-                     ia.ensure_grad();
-                     const std::int64_t n2 = node.value.numel();
-                     for (std::int64_t i = 0; i < n2; ++i)
-                       ia.grad[offset + i] += node.grad[i];
-                   },
-                   "slice0");
 }
 
 }  // namespace nitho::nn

@@ -12,17 +12,11 @@ namespace nitho::nn {
 // ---- elementwise -----------------------------------------------------------
 Var add(const Var& a, const Var& b);          ///< same shape
 Var sub(const Var& a, const Var& b);
-Var mul(const Var& a, const Var& b);          ///< Hadamard, same shape
 Var scale(const Var& a, float s);
 Var relu(const Var& a);                       ///< == CReLU on complex tensors
 Var leaky_relu(const Var& a, float alpha = 0.1f);
 Var sigmoid(const Var& a);
-Var tanh_op(const Var& a);
 Var square(const Var& a);
-
-/// x + b with b broadcast over leading dims (b.numel must divide x.numel and
-/// align with the trailing dims, e.g. [P,O,2] + [O,2]).
-Var add_bias(const Var& x, const Var& b);
 
 // ---- reductions / losses ---------------------------------------------------
 Var sum(const Var& a);                        ///< scalar
@@ -39,24 +33,19 @@ Var mse_loss(const Var& pred, const Tensor& target);  ///< Eq. (5) as a loss
 Var mse_loss_batch_ordered(const Var& pred, const Tensor& targets);
 
 // ---- dense algebra ---------------------------------------------------------
-Var matmul(const Var& a, const Var& b);       ///< [M,K] x [K,N]
 /// One complex-linear layer of the CMLP (paper Eq. 12) as a single node:
 /// y = x W + b, then CReLU when `crelu`.  x is complex [M,K,2], or real
 /// [M,K] standing for the (1+j)-lifted input x + jx of the encoding (it
 /// must not require grad); W is [K,N,2], b is [N,2]; y is [M,N,2].
 /// Bit-identical, values and every gradient, to the historical chain of a
-/// planar complex matmul, add_bias and relu (DESIGN.md §8.1; the chain is
-/// kept as the test oracle in tests/support/cmlp_ref.hpp).
+/// planar complex matmul, a broadcast bias add and relu (DESIGN.md §8.1;
+/// the chain is kept as the test oracle in tests/support/cmlp_ref.hpp).
 Var clinear(const Var& x, const Var& w, const Var& b, bool crelu);
-/// Complex Hadamard with a constant complex tensor c (same trailing shape,
-/// broadcast over a leading dim of x when x.ndim == c.ndim + 1).
-Var cmul_const(const Var& x, const Tensor& c);
 
 // ---- shape utilities -------------------------------------------------------
 Var reshape(const Var& a, std::vector<int> shape);
 /// Swap the first two dimensions (rest treated as flat).
 Var transpose01(const Var& a);
 Var concat0(const Var& a, const Var& b);      ///< along dim 0
-Var slice0(const Var& a, int begin, int end); ///< along dim 0
 
 }  // namespace nitho::nn

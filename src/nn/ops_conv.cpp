@@ -77,9 +77,16 @@ Var conv2d(const Var& x, const Var& w, const Var& b) {
   std::vector<float> col;
   im2col(x->value.data(), cin, h, wd, kh, kw, col);
 
-  // out_flat [HW, Cout] = col [HW, K] * Wf [Cout, K]^T.
+  // out_flat [HW, Cout] = col [HW, K] * Wf^T, with Wf [Cout, K] packed
+  // transposed once so B is read row by row.
+  const float* wv = w->value.data();
+  std::vector<float> wt(static_cast<std::size_t>(k) * cout);
+  for (int co = 0; co < cout; ++co) {
+    for (std::int64_t p = 0; p < k; ++p) wt[p * cout + co] = wv[co * k + p];
+  }
   std::vector<float> flat(static_cast<std::size_t>(hw) * cout);
-  gemm_nt(hw, cout, k, col.data(), w->value.data(), flat.data(), false);
+  gemm_dense(hw, cout, k, col.data(), k, 1, wt.data(), cout, flat.data(),
+             cout, false);
 
   Tensor out({cout, h, wd});
   for (int co = 0; co < cout; ++co) {
@@ -94,37 +101,31 @@ Var conv2d(const Var& x, const Var& w, const Var& b) {
         Node& ix = *node.inputs[0];
         Node& iw = *node.inputs[1];
         Node& ib = *node.inputs[2];
-        // g_flat [HW, Cout] from [Cout, H, W].
-        std::vector<float> gflat(static_cast<std::size_t>(hw) * cout);
-        for (int co = 0; co < cout; ++co) {
-          const float* g = node.grad.data() + co * hw;
-          for (std::int64_t p = 0; p < hw; ++p) gflat[p * cout + co] = g[p];
-        }
+        // The upstream gradient G [Cout, HW] is read in place: (hw, 1) is
+        // G itself, (1, hw) its transpose [HW, Cout].
+        const float* g = node.grad.data();
         if (ib.requires_grad) {
           ib.ensure_grad();
           for (int co = 0; co < cout; ++co) {
             double acc = 0.0;
-            const float* g = node.grad.data() + co * hw;
-            for (std::int64_t p = 0; p < hw; ++p) acc += g[p];
+            const float* gc = g + co * hw;
+            for (std::int64_t p = 0; p < hw; ++p) acc += gc[p];
             ib.grad[co] += static_cast<float>(acc);
           }
         }
-        std::vector<float> col;
-        if (iw.requires_grad || ix.requires_grad) {
-          im2col(ix.value.data(), cin, h, wd, kh, kw, col);
-        }
         if (iw.requires_grad) {
-          iw.ensure_grad();
-          // gW [Cout, K] = gflat^T [Cout, HW] * col [HW, K].
-          gemm_tn(cout, k, hw, gflat.data(), col.data(), iw.grad.data(), true);
+          // gW [Cout, K] += G [Cout, HW] * col [HW, K].
+          std::vector<float> col;
+          im2col(ix.value.data(), cin, h, wd, kh, kw, col);
+          gemm_dense(cout, k, hw, g, hw, 1, col.data(), k,
+                     iw.ensure_grad().data(), k, true);
         }
         if (ix.requires_grad) {
-          ix.ensure_grad();
-          // g_col [HW, K] = gflat [HW, Cout] * Wf [Cout, K].
+          // g_col [HW, K] = G^T [HW, Cout] * Wf [Cout, K].
           std::vector<float> gcol(static_cast<std::size_t>(hw) * k);
-          gemm_nn(hw, k, cout, gflat.data(), iw.value.data(), gcol.data(),
-                  false);
-          col2im_acc(gcol, cin, h, wd, kh, kw, ix.grad.data());
+          gemm_dense(hw, k, cout, g, 1, hw, iw.value.data(), k, gcol.data(),
+                     k, false);
+          col2im_acc(gcol, cin, h, wd, kh, kw, ix.ensure_grad().data());
         }
       },
       "conv2d");

@@ -5,11 +5,11 @@
 #include "common/check.hpp"
 #include "nn/gemm.hpp"
 #include "nn/ops.hpp"
+#include "support/gemm_ref.hpp"
 
 namespace nitho::test {
 
 using nn::gemm_dense;
-using nn::gemm_nt;
 using nn::Node;
 using nn::Tensor;
 using nn::Var;
@@ -118,8 +118,37 @@ Var cmatmul(const Var& a, const Var& b) {
       "cmatmul");
 }
 
+Var add_bias(const Var& x, const Var& b) {
+  const std::int64_t bn = b->value.numel();
+  check(bn > 0 && x->value.numel() % bn == 0,
+        "add_bias: bias must tile the input");
+  Tensor out = nn::arena_tensor(x->value.shape(), /*zeroed=*/false);
+  const std::int64_t n = out.numel();
+  for (std::int64_t i = 0; i < n; ++i) out[i] = x->value[i] + b->value[i % bn];
+  return nn::make_node(
+      std::move(out), {x, b},
+      [](Node& node) {
+        Node& ix = *node.inputs[0];
+        Node& ib = *node.inputs[1];
+        const std::int64_t n2 = node.value.numel();
+        const std::int64_t bn2 = ib.value.numel();
+        if (ix.requires_grad) {
+          ix.ensure_grad();
+          for (std::int64_t i = 0; i < n2; ++i) ix.grad[i] += node.grad[i];
+        }
+        if (ib.requires_grad) {
+          ib.ensure_grad();
+          // Ascending i: each bias element folds its rows in order.
+          for (std::int64_t i = 0; i < n2; ++i) {
+            ib.grad[i % bn2] += node.grad[i];
+          }
+        }
+      },
+      "add_bias");
+}
+
 Var clinear_chain(const Var& x, const Var& w, const Var& b, bool crelu) {
-  Var h = nn::add_bias(cmatmul(x, w), b);
+  Var h = add_bias(cmatmul(x, w), b);
   return crelu ? nn::relu(h) : h;
 }
 

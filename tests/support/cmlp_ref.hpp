@@ -15,6 +15,10 @@ namespace nitho::test {
 /// Complex matmul [M,K,2] x [K,N,2] -> [M,N,2].
 nn::Var cmatmul(const nn::Var& a, const nn::Var& b);
 
+/// x + b with b broadcast over leading dims (b.numel must divide x.numel and
+/// align with the trailing dims, e.g. [P,O,2] + [O,2]).
+nn::Var add_bias(const nn::Var& x, const nn::Var& b);
+
 /// One CMLP layer as the historical chain: add_bias(cmatmul(x, w), b), then
 /// relu when crelu.
 nn::Var clinear_chain(const nn::Var& x, const nn::Var& w, const nn::Var& b,

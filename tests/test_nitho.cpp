@@ -896,6 +896,41 @@ TEST(Trainer, EvaluateNithoIsDeterministicAndTracksTraining) {
   EXPECT_LT(evaluate_nitho(m, set), before);
 }
 
+TEST(Trainer, EvaluateNithoMatchesScoringThroughPredictKernels) {
+  // evaluate_nitho scores a constant copy of the kernels, predicted once;
+  // its loss must be bit-identical to scoring each batch through the
+  // gradient-carrying predict_kernels() graph.  Five samples in batches of
+  // two: three batches, the last one short.
+  const Dataset ds = engine().make_dataset(DatasetKind::B1, 5, 79);
+  NithoModel m(small_model_config(), 512, 193.0, 1.35);
+  const TrainingSet set =
+      prepare_training_set(sample_ptrs(ds), m.kernel_dim(), 32);
+  const int n = set.size(), batch = 2;
+  double total = 0.0;
+  for (int b = 0; b < n; b += batch) {
+    const int count = std::min(batch, n - b);
+    nn::Tensor spectra({count, set.kernel_dim, set.kernel_dim, 2});
+    nn::Tensor targets({count, set.train_px, set.train_px});
+    for (int j = 0; j < count; ++j) {
+      const nn::Tensor& sp = set.spectra[static_cast<std::size_t>(b + j)];
+      const nn::Tensor& tg = set.targets[static_cast<std::size_t>(b + j)];
+      std::copy(sp.data(), sp.data() + sp.numel(),
+                spectra.data() + j * sp.numel());
+      std::copy(tg.data(), tg.data() + tg.numel(),
+                targets.data() + j * tg.numel());
+    }
+    const nn::Var kernels = m.predict_kernels();
+    ASSERT_TRUE(kernels->requires_grad);
+    const nn::Var loss = nn::mse_loss_batch_ordered(
+        nn::socs_intensity_batch(kernels, spectra, set.train_px), targets);
+    total += static_cast<double>(loss->value[0]);
+  }
+  const double expected = total / static_cast<double>(n);
+  const double got = evaluate_nitho(m, set, batch);
+  EXPECT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
+      << got << " vs " << expected;
+}
+
 TEST(Trainer, ScheduledLrMatchesRunEpochSchedule) {
   NithoTrainConfig cfg;
   cfg.epochs = 10;

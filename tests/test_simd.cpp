@@ -18,6 +18,7 @@
 #include "fft/fft.hpp"
 #include "litho/engine.hpp"
 #include "nn/gemm.hpp"
+#include "support/gemm_ref.hpp"
 #include "support/test_support.hpp"
 
 namespace nitho {
@@ -366,29 +367,6 @@ TEST(Simd, Abs2AccumBitIdentical) {
   }
 }
 
-TEST(Simd, AxpyAddInplaceBitIdentical) {
-  Rng rng = make_rng(4);
-  for (const int n : {1, 3, 7, 8, 15, 64, 101}) {
-    const auto b = random_fvec(n + 1, rng);
-    const auto c0 = random_fvec(n + 1, rng);
-    const float a = static_cast<float>(rng.normal());
-    std::vector<float> ref = c0, ref2 = c0;
-    {
-      ArmGuard guard;
-      simd::force_arm(simd::Arm::kScalar);
-      simd::axpy(ref.data() + 1, a, b.data() + 1, n);
-      simd::add_inplace(ref2.data() + 1, b.data() + 1, n);
-    }
-    for_each_vector_arm([&](simd::Arm) {
-      std::vector<float> c = c0, c2 = c0;
-      simd::axpy(c.data() + 1, a, b.data() + 1, n);
-      simd::add_inplace(c2.data() + 1, b.data() + 1, n);
-      EXPECT_TRUE(bits_equal(c, ref)) << "n=" << n;
-      EXPECT_TRUE(bits_equal(c2, ref2)) << "n=" << n;
-    });
-  }
-}
-
 // The register-blocked panel kernel: every row height, both A layouts
 // (row-major strides and transposed strides), and
 // column counts that leave 16-, 8-, 4-wide and scalar tails.
@@ -542,47 +520,37 @@ TEST(Simd, FftManyBitIdenticalAcrossArms) {
   }
 }
 
-// Dense GEMM pins: the vector axpy path and the packed gemm_nt path (both
-// above and below its pack thresholds) must match the scalar arm bitwise,
-// with and without accumulation.
+// Dense GEMM pins: gemm_dense with row-major and transposed A must match
+// the scalar arm bitwise, with and without accumulation.
 TEST(Simd, GemmBitIdenticalAcrossArms) {
   Rng rng = make_rng(5);
   struct Shape {
     std::int64_t m, n, k;
   };
-  // (8, 32, 32) crosses the gemm_nt pack threshold; (3, 5, 4) stays under
-  // it; (5, 17, 9) leaves odd vector tails everywhere.
+  // (5, 17, 9) leaves odd vector tails everywhere.
   for (const Shape sh : {Shape{3, 5, 4}, Shape{5, 17, 9}, Shape{8, 32, 32}}) {
     const auto a = random_fvec(static_cast<int>(sh.m * sh.k), rng);
     const auto b_nn = random_fvec(static_cast<int>(sh.k * sh.n), rng);
-    const auto b_nt = random_fvec(static_cast<int>(sh.n * sh.k), rng);
     const auto a_tn = random_fvec(static_cast<int>(sh.k * sh.m), rng);
     const auto c0 = random_fvec(static_cast<int>(sh.m * sh.n), rng);
     for (const bool accumulate : {false, true}) {
-      std::vector<float> ref_nn = c0, ref_nt = c0, ref_tn = c0;
+      std::vector<float> ref_nn = c0, ref_tn = c0;
       {
         ArmGuard guard;
         simd::force_arm(simd::Arm::kScalar);
         nn::gemm_dense(sh.m, sh.n, sh.k, a.data(), sh.k, 1, b_nn.data(),
                        sh.n, ref_nn.data(), sh.n, accumulate);
-        nn::gemm_nt(sh.m, sh.n, sh.k, a.data(), b_nt.data(), ref_nt.data(),
-                    accumulate);
         nn::gemm_dense(sh.m, sh.n, sh.k, a_tn.data(), 1, sh.m, b_nn.data(),
                        sh.n, ref_tn.data(), sh.n, accumulate);
       }
       for_each_vector_arm([&](simd::Arm arm) {
-        std::vector<float> c_nn = c0, c_nt = c0, c_tn = c0;
+        std::vector<float> c_nn = c0, c_tn = c0;
         nn::gemm_dense(sh.m, sh.n, sh.k, a.data(), sh.k, 1, b_nn.data(),
                        sh.n, c_nn.data(), sh.n, accumulate);
-        nn::gemm_nt(sh.m, sh.n, sh.k, a.data(), b_nt.data(), c_nt.data(),
-                    accumulate);
         nn::gemm_dense(sh.m, sh.n, sh.k, a_tn.data(), 1, sh.m, b_nn.data(),
                        sh.n, c_tn.data(), sh.n, accumulate);
         EXPECT_TRUE(bits_equal(c_nn, ref_nn))
             << "nn m=" << sh.m << " acc=" << accumulate
-            << " arm=" << simd::arm_name(arm);
-        EXPECT_TRUE(bits_equal(c_nt, ref_nt))
-            << "nt m=" << sh.m << " acc=" << accumulate
             << " arm=" << simd::arm_name(arm);
         EXPECT_TRUE(bits_equal(c_tn, ref_tn))
             << "tn m=" << sh.m << " acc=" << accumulate
@@ -592,8 +560,6 @@ TEST(Simd, GemmBitIdenticalAcrossArms) {
   }
 }
 
-// The skip-zero GEMM variants stay scalar by design, but their std::fill
-// zero-fill must still produce exact zeros with the skip path engaged.
 TEST(Simd, AdamUpdateBitIdentical) {
   // Every op in the update (mul, add, sub, div, sqrt) is IEEE
   // exactly-rounded in scalar and vector form, so the arms must agree bit
@@ -625,6 +591,8 @@ TEST(Simd, AdamUpdateBitIdentical) {
   }
 }
 
+// The oracles' zero-skip loop (support/gemm_ref.hpp) against gemm_dense on
+// a ReLU-sparse left operand with a finite right one.
 TEST(Simd, GemmSkipZeroLhsUnchanged) {
   Rng rng = make_rng(6);
   const std::int64_t m = 4, n = 9, k = 6;
@@ -637,10 +605,10 @@ TEST(Simd, GemmSkipZeroLhsUnchanged) {
   simd::force_arm(simd::Arm::kScalar);
   nn::gemm_dense(m, n, k, a.data(), k, 1, b.data(), n, dense.data(), n,
                  false);
-  simd::force_arm(simd::detected_arm());
-  nn::gemm_nn(m, n, k, a.data(), b.data(), sparse.data(), false);
+  test::gemm_nn(m, n, k, a.data(), b.data(), sparse.data(), false);
   // Skipping av == 0 terms only removes exact-zero contributions of the
-  // form 0 * b, which cannot change the sum when b is finite.
+  // form 0 * b, which cannot change the sum when b is finite — why the
+  // zero-skip oracles of tests/support pin gemm_dense on finite inputs.
   EXPECT_TRUE(bits_equal(dense, sparse));
 }
 

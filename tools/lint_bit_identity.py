@@ -27,6 +27,10 @@ those conventions into a CI failure:
                          outside src/fft/ — the bit-reversed gather lives
                          once, in fft/pruned.hpp; callers use band_inverse
                          and crop_forward.  Tests are exempt.
+  R6 dead-simd-kernel    every kernel (`void` function) declared in
+                         src/common/simd.hpp must have a caller in src/
+                         outside simd.{hpp,cpp} — a kernel only tests and
+                         benches call is three arms of dead code.
 
 Matching is regex AST-lite over comment- and string-stripped sources — no
 libclang dependency.  To extend: add a Rule to RULES (R1-R3 style token
@@ -139,6 +143,9 @@ RULES = [
 FLAG_RULE_IDS = {"R2 fast-math-drift"}
 
 ARM_DEF_RE = re.compile(r"\b(\w+?)_(?:sse2|avx2)(?:_t)?\s*\(")
+# A kernel declaration in simd.hpp.  Every kernel returns void; the
+# dispatch controls (arm_name, force_arm, ...) return their state.
+KERNEL_DECL_RE = re.compile(r"\bvoid\s+(\w+)\s*\(")
 
 
 def base_kernel_name(name):
@@ -181,6 +188,20 @@ def check_simd_coverage(simd_cpp, test_simd_cpp, violations,
                 f"{test_simd_cpp.name} (drive it under for_each_vector_arm)")
 
 
+def check_dead_kernels(simd_hpp, caller_files, violations,
+                       label="src/common/simd.hpp"):
+    kernels = sorted(set(KERNEL_DECL_RE.findall(
+        strip_cpp(simd_hpp.read_text()))))
+    callers = "\n".join(strip_cpp(p.read_text(errors="replace"))
+                        for p in caller_files)
+    for kernel in kernels:
+        if not re.search(rf"\b{re.escape(kernel)}\s*\(", callers):
+            violations.append(
+                f"{label}:1: [R6 dead-simd-kernel] kernel `{kernel}` has no "
+                f"caller in src/ outside simd.{{hpp,cpp}} — delete its arms, "
+                f"dispatch and per-arm test")
+
+
 def lint_tree(root):
     root = pathlib.Path(root)
     violations = []
@@ -212,6 +233,12 @@ def lint_tree(root):
     test_simd = root / "tests" / "test_simd.cpp"
     if simd_cpp.is_file() and test_simd.is_file():
         check_simd_coverage(simd_cpp, test_simd, violations)
+    simd_hpp = root / "src" / "common" / "simd.hpp"
+    if simd_hpp.is_file():
+        callers = [p for p in sorted(src.rglob("*"))
+                   if p.suffix in CPP_SUFFIXES
+                   and p not in (simd_hpp, simd_cpp)]
+        check_dead_kernels(simd_hpp, callers, violations)
     return violations
 
 
@@ -258,6 +285,22 @@ def run_self_test():
     if any("`waxpy`" in v for v in violations):
         failures.append("missing_arm fixture: covered kernel waxpy flagged")
 
+    # R6: a declared kernel with no library caller must be flagged; the
+    # called kernel and the non-void dispatch control must not be.
+    violations = []
+    check_dead_kernels(FIXTURES / "dead_kernel_simd.hpp",
+                       [FIXTURES / "dead_kernel_caller.cpp"], violations,
+                       label="dead_kernel_simd.hpp")
+    if not any("[R6 dead-simd-kernel]" in v and "`smear`" in v
+               for v in violations):
+        failures.append(
+            f"dead_kernel fixture: expected [R6] on `smear`, got "
+            f"{violations or 'nothing'}")
+    if any("`blend`" in v or "`arm_label`" in v for v in violations):
+        failures.append(
+            f"dead_kernel fixture: live kernel or control flagged: "
+            f"{violations}")
+
     # The real tree must currently be green, so CI cannot go red on the
     # lint job without an actual protocol regression.
     tree = lint_tree(REPO_ROOT)
@@ -271,7 +314,7 @@ def run_self_test():
             print(f"  {f}", file=sys.stderr)
         return 1
     print(f"lint_bit_identity self-test OK "
-          f"({len(SELF_TESTS) + 2} expectations)")
+          f"({len(SELF_TESTS) + 4} expectations)")
     return 0
 
 
