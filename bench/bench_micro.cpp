@@ -4,8 +4,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <complex>
+#include <type_traits>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
+#include "fft/pruned.hpp"
 #include "fft/spectral.hpp"
 #include "math/hermitian_eig.hpp"
 #include "nitho/cmlp.hpp"
@@ -60,6 +66,70 @@ void BM_FftCropCentered(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FftCropCentered);
+
+// One plane of the pruned crop <-> grid transforms (fft/pruned.hpp), the
+// per-kernel FFT cost of the aerial engine (double, s = 128) and the nn SOCS
+// ops (float, s = 64): a kdim-29 crop to an s x s field plane, and back.
+template <typename R>
+const FftPlan<R>& plan_for(int s) {
+  if constexpr (std::is_same_v<R, double>) {
+    return fft_plan_d(s);
+  } else {
+    return fft_plan_f(s);
+  }
+}
+
+template <typename R>
+void BM_BandInverse(benchmark::State& state) {
+  using C = std::complex<R>;
+  const int s = static_cast<int>(state.range(0));
+  const int kdim = 29;
+  Rng rng(4);
+  std::vector<C> crop(static_cast<std::size_t>(kdim) * kdim);
+  for (auto& v : crop) {
+    v = C(static_cast<R>(rng.normal()), static_cast<R>(rng.normal()));
+  }
+  std::vector<C> plane(static_cast<std::size_t>(s) * s);
+  Fft2WorkspaceT<R> ws;
+  const FftPlan<R>& plan = plan_for<R>(s);
+  for (auto _ : state) {
+    band_inverse(
+        plan, kdim, kdim, ws,
+        [&](int a, C* row) {
+          std::copy_n(crop.data() + static_cast<std::size_t>(a) * kdim, kdim,
+                      row);
+        },
+        plane.data());
+    benchmark::DoNotOptimize(plane.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BandInverse<float>)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_BandInverse<double>)->Arg(32)->Arg(64)->Arg(128);
+
+void BM_CropForward(benchmark::State& state) {
+  using C = std::complex<float>;
+  const int s = 64, kdim = 29;
+  Rng rng(5);
+  std::vector<C> grid(static_cast<std::size_t>(s) * s);
+  for (auto& v : grid) v = C(static_cast<float>(rng.normal()), 0.0f);
+  std::vector<C> z(grid.size());
+  std::vector<C> crop(static_cast<std::size_t>(kdim) * kdim);
+  Fft2WorkspaceF ws;
+  const FftPlan<float>& plan = fft_plan_f(s);
+  for (auto _ : state) {
+    // crop_forward consumes its grid; the copy is part of every caller.
+    std::copy(grid.begin(), grid.end(), z.begin());
+    crop_forward(plan, z.data(), kdim, kdim, ws, [&](int a, int c, C v) {
+      crop[static_cast<std::size_t>(a) * kdim + c] = v;
+    });
+    benchmark::DoNotOptimize(crop.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CropForward);
 
 void BM_HermitianEigh(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

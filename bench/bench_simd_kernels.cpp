@@ -2,9 +2,9 @@
 // gated hot loops — the engine's fused crop/multiply/scatter +
 // abs2-accumulate pass, the radix-2 butterfly transform (paired stages plus
 // an odd last stage, DESIGN.md §13.2), and the dense GEMM microkernel —
-// plus informational rows for the pruned-inverse column blocks the imaging,
-// train and opc workloads run, the Bluestein path and the float abs2
-// accumulate.  Ratios come from interleaved best-of-reps runs of
+// plus informational rows for the row-major pruned-inverse column passes
+// the imaging, train and opc workloads run, the Bluestein path and the
+// float abs2 accumulate.  Ratios come from interleaved best-of-reps runs of
 // the *identical* workload under force_arm(), so everything except the
 // dispatch arm cancels out; bit-identity across arms is pinned by
 // tests/test_simd.cpp, this file only measures speed.
@@ -98,8 +98,10 @@ int main(int argc, char** argv) {
                      simd::cmul(frow + seg_start, krow, srow, seg1);
                      simd::cmul(frow, krow + seg1, srow + seg1, kdim - seg1);
                    }
-                   simd::abs2_scale_accum(local.data(), field.data(),
-                                          16384.0, out * out);
+                   simd::abs2_accum(local.data(),
+                                    reinterpret_cast<const double*>(
+                                        field.data()),
+                                    out * out);
                  },
                  200};
 
@@ -125,34 +127,36 @@ int main(int argc, char** argv) {
                   },
                   500};
 
-  // --- hot-path strips: one pruned-inverse column block ------------------
+  // --- hot-path column passes: one pruned-inverse field plane -----------
   // The shapes band_inverse (fft/pruned.hpp) actually runs: the train/opc
-  // ops' float s = 64 with 16 columns per block and the imaging engine's
-  // double s = 128 with 4, each one inverse_many_prerev over the block.
-  const int strip_f_n = 64, strip_f_cols = 16;
-  const int strip_d_n = 128, strip_d_cols = 4;
-  const auto strip_sig_f = random_cvec<cf>(strip_f_n * strip_f_cols, rng);
-  const auto strip_sig_d = random_cvec<cd>(strip_d_n * strip_d_cols, rng);
-  aligned_vector<cf> strip_f(strip_sig_f.size());
-  aligned_vector<cd> strip_d(strip_sig_d.size());
-  const FftPlan<float>& strip_plan_f = fft_plan_f(strip_f_n);
-  const FftPlan<double>& strip_plan_d = fft_plan_d(strip_d_n);
-  Workload strip32{"strip_f32_64",
-                   [&] {
-                     std::memcpy(strip_f.data(), strip_sig_f.data(),
-                                 strip_sig_f.size() * sizeof(cf));
-                     strip_plan_f.inverse_many_prerev(
-                         strip_f.data(), strip_f_cols, nullptr);
-                   },
-                   500};
-  Workload strip64{"strip_f64_128",
-                   [&] {
-                     std::memcpy(strip_d.data(), strip_sig_d.data(),
-                                 strip_sig_d.size() * sizeof(cd));
-                     strip_plan_d.inverse_many_prerev(
-                         strip_d.data(), strip_d_cols, nullptr);
-                   },
-                   500};
+  // ops' float s = 64 and the imaging engine's double s = 128, each one
+  // row-major inverse_columns_prerev across the whole s x s plane with the
+  // s^2 rescale folded into its last pass.
+  const int cols_f_n = 64, cols_d_n = 128;
+  const auto cols_sig_f = random_cvec<cf>(cols_f_n * cols_f_n, rng);
+  const auto cols_sig_d = random_cvec<cd>(cols_d_n * cols_d_n, rng);
+  aligned_vector<cf> cols_f(cols_sig_f.size());
+  aligned_vector<cd> cols_d(cols_sig_d.size());
+  const FftPlan<float>& cols_plan_f = fft_plan_f(cols_f_n);
+  const FftPlan<double>& cols_plan_d = fft_plan_d(cols_d_n);
+  Workload cols32{"columns_f32_64",
+                  [&] {
+                    std::memcpy(cols_f.data(), cols_sig_f.data(),
+                                cols_sig_f.size() * sizeof(cf));
+                    cols_plan_f.inverse_columns_prerev(
+                        cols_f.data(), cols_f_n, nullptr,
+                        static_cast<float>(cols_f_n * cols_f_n));
+                  },
+                  200};
+  Workload cols64{"columns_f64_128",
+                  [&] {
+                    std::memcpy(cols_d.data(), cols_sig_d.data(),
+                                cols_sig_d.size() * sizeof(cd));
+                    cols_plan_d.inverse_columns_prerev(
+                        cols_d.data(), cols_d_n, nullptr,
+                        static_cast<double>(cols_d_n * cols_d_n));
+                  },
+                  50};
 
   // --- Bluestein (prime 509): chirp + convolution over the SIMD stages ---
   const auto sig_b = random_cvec<cd>(509, rng);
@@ -189,8 +193,8 @@ int main(int argc, char** argv) {
                 },
                 2000};
 
-  const Workload* workloads[] = {&fused,   &bfly64,    &bfly32,
-                                 &strip32, &strip64,   &bluestein,
+  const Workload* workloads[] = {&fused,   &bfly64,  &bfly32,
+                                 &cols32,  &cols64,  &bluestein,
                                  &gemm_nn, &abs2};
 
   std::printf("== SIMD kernel microbench (best of %d reps) ==\n\n", reps);

@@ -37,6 +37,11 @@ echo "=== Repository benchmark: build + tiny smoke pass of every workload ==="
 # .bench_build/) and runs each workload's bit-equality and metric checks.
 python3 perfbench/tests/test_perfbench.py
 
+echo "=== AddressSanitizer + UBSan (full suite) ==="
+cmake --preset asan
+cmake --build --preset asan -j "${jobs}"
+ctest --preset asan -j "${jobs}"
+
 echo "=== UndefinedBehaviorSanitizer (full suite) ==="
 cmake --preset ubsan
 cmake --build --preset ubsan -j "${jobs}"
@@ -54,6 +59,6 @@ fi
 
 echo "CI OK: both configurations built warning-clean, all suites passed"
 echo "(including the scalar-only kernel arms), the threaded suites are"
-echo "TSan-clean, the suite is UBSan-clean, and the bit-identity linter"
+echo "TSan-clean, the suite is ASan- and UBSan-clean, and the bit-identity linter"
 echo "and its self-tests are green, and the benchmark builds and passes its"
 echo "own checks."

@@ -58,15 +58,8 @@ void cmul_scalar(C* dst, const C* a, const C* b, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) dst[i] = cmul_ref(a[i], b[i]);
 }
 
-void abs2_scale_accum_scalar(double* acc, const cd* z, double scale,
-                             std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    const cd v = z[i] * scale;
-    acc[i] += norm2(v);
-  }
-}
-
-void abs2_accum_scalar(float* acc, const float* e, std::int64_t n) {
+template <typename R>
+void abs2_accum_scalar(R* acc, const R* e, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) {
     acc[i] += e[2 * i] * e[2 * i] + e[2 * i + 1] * e[2 * i + 1];
   }
@@ -127,6 +120,80 @@ void fft_stage_pair_scalar(C* x, int len, int half, const C* tw,
   fft_stage_scalar(x, len, 2 * half, tw2);
 }
 
+// fft_stage's butterfly, t = b * w; b = a - t; a += t.
+template <typename C>
+inline void butterfly_ref(C& a, C& b, const C& w) {
+  const C t = cmul_ref(b, w);
+  b = a - t;
+  a += t;
+}
+
+// x *= scale[0]; x *= scale[1] — the fft_rows_* output scaling, two
+// roundings per component (a no-op for a null scale).
+template <typename C>
+inline void rescale_ref(C& x, const typename C::value_type* scale) {
+  if (scale == nullptr) return;
+  x *= scale[0];
+  x *= scale[1];
+}
+
+// fft_stage's butterfly on columns [from, width) of one row pair, with the
+// row pair's one twiddle, then the output scaling; the vector arms' column
+// tails run it too.
+template <typename C>
+inline void butterfly_rows_ref(C* top, C* bot, int from, int width,
+                               const C& w,
+                               const typename C::value_type* scale) {
+  for (int j = from; j < width; ++j) {
+    butterfly_ref(top[j], bot[j], w);
+    rescale_ref(top[j], scale);
+    rescale_ref(bot[j], scale);
+  }
+}
+
+template <typename C>
+void fft_rows_stage_scalar(C* x, int rows, int width, int half, const C* tw,
+                           const typename C::value_type* scale) {
+  const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(half) * width;
+  for (int base = 0; base < rows; base += 2 * half) {
+    for (int k = 0; k < half; ++k) {
+      C* top = x + static_cast<std::ptrdiff_t>(base + k) * width;
+      butterfly_rows_ref(top, top + hw, 0, width, tw[k], scale);
+    }
+  }
+}
+
+template <typename C>
+void fft_rows_pair_scalar(C* x, int rows, int width, int half, const C* tw,
+                          const C* tw2, const typename C::value_type* scale) {
+  fft_rows_stage_scalar(x, rows, width, half, tw, nullptr);
+  fft_rows_stage_scalar(x, rows, width, 2 * half, tw2, scale);
+}
+
+// One radix-2² group of fft_rows_pair on columns [from, width): rows r0,
+// r0 + hw, r0 + 2hw, r0 + 3hw (hw = half rows, in elements) — the two
+// stages' four butterflies per column, in stage order, then the output
+// scaling.
+template <typename C>
+inline void rows_group_ref(C* r0, std::ptrdiff_t hw, int from, int width,
+                           const C& w, const C& wa, const C& wb,
+                           const typename C::value_type* scale) {
+  for (int j = from; j < width; ++j) {
+    C& a = r0[j];
+    C& b = r0[hw + j];
+    C& c = r0[2 * hw + j];
+    C& d = r0[3 * hw + j];
+    butterfly_ref(a, b, w);
+    butterfly_ref(c, d, w);
+    butterfly_ref(a, c, wa);
+    butterfly_ref(b, d, wb);
+    rescale_ref(a, scale);
+    rescale_ref(b, scale);
+    rescale_ref(c, scale);
+    rescale_ref(d, scale);
+  }
+}
+
 #if NITHO_SIMD_X86
 
 // ---------------------------------------------------------------------------
@@ -177,27 +244,22 @@ void cmul_sse2(cf* dst, const cf* a, const cf* b, std::int64_t n) {
   for (; i < n; ++i) dst[i] = cmul_ref(a[i], b[i]);
 }
 
-void abs2_scale_accum_sse2(double* acc, const cd* z, double scale,
-                           std::int64_t n) {
-  const __m128d sv = _mm_set1_pd(scale);
+void abs2_accum_sse2(double* acc, const double* e, std::int64_t n) {
   std::int64_t i = 0;
   for (; i + 2 <= n; i += 2) {
-    __m128d z0 = _mm_loadu_pd(reinterpret_cast<const double*>(z + i));
-    __m128d z1 = _mm_loadu_pd(reinterpret_cast<const double*>(z + i + 1));
-    z0 = _mm_mul_pd(z0, sv);
-    z1 = _mm_mul_pd(z1, sv);
+    const __m128d z0 = _mm_loadu_pd(e + 2 * i);
+    const __m128d z1 = _mm_loadu_pd(e + 2 * i + 2);
     const __m128d s0 = _mm_mul_pd(z0, z0);  // [re0^2, im0^2]
     const __m128d s1 = _mm_mul_pd(z1, z1);
-    // [re0^2, re1^2] + [im0^2, im1^2] = norm2 per pixel (re^2 + im^2,
-    // matching the scalar operand order).
+    // [re0^2, re1^2] + [im0^2, im1^2] = re^2 + im^2 per pixel, the scalar
+    // operand order.
     const __m128d re = _mm_unpacklo_pd(s0, s1);
     const __m128d im = _mm_unpackhi_pd(s0, s1);
     const __m128d nrm = _mm_add_pd(re, im);
     _mm_storeu_pd(acc + i, _mm_add_pd(_mm_loadu_pd(acc + i), nrm));
   }
   for (; i < n; ++i) {
-    const cd v = z[i] * scale;
-    acc[i] += norm2(v);
+    acc[i] += e[2 * i] * e[2 * i] + e[2 * i + 1] * e[2 * i + 1];
   }
 }
 
@@ -385,6 +447,100 @@ void fft_stage_pair_sse2(C* x, int len, int half, const C* tw, const C* tw2) {
   fft_stage_sse2(x, len, 2 * half, tw2);
 }
 
+// Column-block stages: lanes span a row pair's columns, one complex<double>
+// or two complex<float> per vector, with the row pair's twiddle in every
+// lane; the columns past the last whole vector run butterfly_rows_ref.
+inline __m128d splat128(const std::complex<double>* w) {
+  return _mm_loadu_pd(reinterpret_cast<const double*>(w));
+}
+
+inline __m128 splat128(const std::complex<float>* w) {
+  const __m128 v = _mm_castsi128_ps(
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(w)));
+  return _mm_movelh_ps(v, v);  // [wr, wi, wr, wi]
+}
+
+// v * s0 * s1, as two multiplies.
+inline __m128d rescale128(__m128d v, __m128d s0, __m128d s1) {
+  return _mm_mul_pd(_mm_mul_pd(v, s0), s1);
+}
+
+inline __m128 rescale128(__m128 v, __m128 s0, __m128 s1) {
+  return _mm_mul_ps(_mm_mul_ps(v, s0), s1);
+}
+
+template <bool kScaled>
+void butterfly_rows128(std::complex<double>* top, std::complex<double>* bot,
+                         int width, const std::complex<double>* w,
+                         const double* scale) {
+  const __m128d wv = splat128(w);
+  const __m128d s0 = _mm_set1_pd(kScaled ? scale[0] : 1.0);
+  const __m128d s1 = _mm_set1_pd(kScaled ? scale[1] : 1.0);
+  for (int j = 0; j < width; ++j) {
+    double* pt = reinterpret_cast<double*>(top + j);
+    double* pb = reinterpret_cast<double*>(bot + j);
+    const __m128d tv = cmul1_sse2(_mm_loadu_pd(pb), wv);
+    const __m128d tp = _mm_loadu_pd(pt);
+    __m128d a = _mm_add_pd(tp, tv);
+    __m128d b = _mm_sub_pd(tp, tv);
+    if (kScaled) {
+      a = rescale128(a, s0, s1);
+      b = rescale128(b, s0, s1);
+    }
+    _mm_storeu_pd(pb, b);
+    _mm_storeu_pd(pt, a);
+  }
+}
+
+template <bool kScaled>
+void butterfly_rows128(std::complex<float>* top, std::complex<float>* bot,
+                         int width, const std::complex<float>* w,
+                         const float* scale) {
+  const __m128 wv = splat128(w);
+  const __m128 s0 = _mm_set1_ps(kScaled ? scale[0] : 1.0f);
+  const __m128 s1 = _mm_set1_ps(kScaled ? scale[1] : 1.0f);
+  int j = 0;
+  for (; j + 2 <= width; j += 2) {
+    float* pt = reinterpret_cast<float*>(top + j);
+    float* pb = reinterpret_cast<float*>(bot + j);
+    const __m128 tv = cmul2_sse2(_mm_loadu_ps(pb), wv);
+    const __m128 tp = _mm_loadu_ps(pt);
+    __m128 a = _mm_add_ps(tp, tv);
+    __m128 b = _mm_sub_ps(tp, tv);
+    if (kScaled) {
+      a = rescale128(a, s0, s1);
+      b = rescale128(b, s0, s1);
+    }
+    _mm_storeu_ps(pb, b);
+    _mm_storeu_ps(pt, a);
+  }
+  butterfly_rows_ref(top, bot, j, width, *w, kScaled ? scale : nullptr);
+}
+
+template <typename C>
+void fft_rows_stage_sse2(C* x, int rows, int width, int half, const C* tw,
+                         const typename C::value_type* scale) {
+  const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(half) * width;
+  for (int base = 0; base < rows; base += 2 * half) {
+    for (int k = 0; k < half; ++k) {
+      C* top = x + static_cast<std::ptrdiff_t>(base + k) * width;
+      if (scale != nullptr) {
+        butterfly_rows128<true>(top, top + hw, width, tw + k, scale);
+      } else {
+        butterfly_rows128<false>(top, top + hw, width, tw + k, scale);
+      }
+    }
+  }
+}
+
+// As for the segment pass, the SSE2 pair is the two SSE2 stages in turn.
+template <typename C>
+void fft_rows_pair_sse2(C* x, int rows, int width, int half, const C* tw,
+                        const C* tw2, const typename C::value_type* scale) {
+  fft_rows_stage_sse2(x, rows, width, half, tw, nullptr);
+  fft_rows_stage_sse2(x, rows, width, 2 * half, tw2, scale);
+}
+
 // ---------------------------------------------------------------------------
 // AVX2 arms.  Compiled with a per-function target attribute (the TU itself
 // builds with baseline flags) and dispatched only when CPUID reports AVX2.
@@ -440,17 +596,13 @@ __attribute__((target("avx2"))) void cmul_avx2(cf* dst, const cf* a,
   for (; i < n; ++i) dst[i] = cmul_ref(a[i], b[i]);
 }
 
-__attribute__((target("avx2"))) void abs2_scale_accum_avx2(double* acc,
-                                                           const cd* z,
-                                                           double scale,
-                                                           std::int64_t n) {
-  const __m256d sv = _mm256_set1_pd(scale);
+__attribute__((target("avx2"))) void abs2_accum_avx2(double* acc,
+                                                     const double* e,
+                                                     std::int64_t n) {
   std::int64_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    __m256d z0 = _mm256_loadu_pd(reinterpret_cast<const double*>(z + i));
-    __m256d z1 = _mm256_loadu_pd(reinterpret_cast<const double*>(z + i + 2));
-    z0 = _mm256_mul_pd(z0, sv);
-    z1 = _mm256_mul_pd(z1, sv);
+    const __m256d z0 = _mm256_loadu_pd(e + 2 * i);
+    const __m256d z1 = _mm256_loadu_pd(e + 2 * i + 4);
     const __m256d s0 = _mm256_mul_pd(z0, z0);
     const __m256d s1 = _mm256_mul_pd(z1, z1);
     // hadd pairs re^2+im^2 (scalar operand order) but interleaves the two
@@ -460,8 +612,7 @@ __attribute__((target("avx2"))) void abs2_scale_accum_avx2(double* acc,
     _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i), nrm));
   }
   for (; i < n; ++i) {
-    const cd v = z[i] * scale;
-    acc[i] += norm2(v);
+    acc[i] += e[2 * i] * e[2 * i] + e[2 * i + 1] * e[2 * i + 1];
   }
 }
 
@@ -852,6 +1003,153 @@ __attribute__((target("avx2"))) void fft_stage_pair_avx2(
   pair_straight<__m256>(p, len, half, w1, w2);
 }
 
+// ---------------------------------------------------------------------------
+// Column-block passes (fft_rows_*): the lanes of one register are
+// kLane adjacent columns of a row, two complex<double> or four
+// complex<float>, and every lane takes the row pair's one twiddle.  The
+// paired pass loads the group rows j, j+half, j+2*half, j+3*half once,
+// runs its four butterflies in registers and stores once; columns past the
+// last whole register run the scalar reference on the same rows.
+// ---------------------------------------------------------------------------
+
+__attribute__((target("avx2"))) inline __m256d splat(
+    const std::complex<double>* w) {
+  return _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(w));
+}
+
+__attribute__((target("avx2"))) inline __m256 splat(
+    const std::complex<float>* w) {
+  return _mm256_castpd_ps(
+      _mm256_broadcast_sd(reinterpret_cast<const double*>(w)));
+}
+
+// The register type of a complex<R> lane group.
+template <typename C>
+struct Avx2Reg;
+template <>
+struct Avx2Reg<std::complex<double>> {
+  using type = __m256d;
+};
+template <>
+struct Avx2Reg<std::complex<float>> {
+  using type = __m256;
+};
+
+__attribute__((target("avx2"))) inline __m256d rescale(__m256d v, double s0,
+                                                      double s1) {
+  return _mm256_mul_pd(_mm256_mul_pd(v, _mm256_set1_pd(s0)),
+                       _mm256_set1_pd(s1));
+}
+
+__attribute__((target("avx2"))) inline __m256 rescale(__m256 v, float s0,
+                                                     float s1) {
+  return _mm256_mul_ps(_mm256_mul_ps(v, _mm256_set1_ps(s0)),
+                       _mm256_set1_ps(s1));
+}
+
+template <bool kScaled, typename C>
+__attribute__((target("avx2"))) void rows_stage256(
+    C* x, int rows, int width, int half, const C* tw,
+    const typename C::value_type* scale) {
+  using V = typename Avx2Reg<C>::type;
+  using R = typename C::value_type;
+  constexpr int kLane = static_cast<int>(sizeof(V) / sizeof(C));
+  const R s0 = kScaled ? scale[0] : R(1);
+  const R s1 = kScaled ? scale[1] : R(1);
+  const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(half) * width;
+  for (int base = 0; base < rows; base += 2 * half) {
+    for (int k = 0; k < half; ++k) {
+      C* top = x + static_cast<std::ptrdiff_t>(base + k) * width;
+      C* bot = top + hw;
+      const V w = splat(tw + k);
+      int j = 0;
+      for (; j + kLane <= width; j += kLane) {
+        R* pt = reinterpret_cast<R*>(top + j);
+        R* pb = reinterpret_cast<R*>(bot + j);
+        V a = load_vec(pt);
+        V b = load_vec(pb);
+        butterfly(a, b, w);
+        if (kScaled) {
+          a = rescale(a, s0, s1);
+          b = rescale(b, s0, s1);
+        }
+        store_vec(pt, a);
+        store_vec(pb, b);
+      }
+      butterfly_rows_ref(top, bot, j, width, tw[k], kScaled ? scale : nullptr);
+    }
+  }
+}
+
+template <typename C>
+__attribute__((target("avx2"))) void fft_rows_stage_avx2(
+    C* x, int rows, int width, int half, const C* tw,
+    const typename C::value_type* scale) {
+  if (scale != nullptr) {
+    rows_stage256<true>(x, rows, width, half, tw, scale);
+  } else {
+    rows_stage256<false>(x, rows, width, half, tw, scale);
+  }
+}
+
+template <bool kScaled, typename C>
+__attribute__((target("avx2"))) void rows_pair256(
+    C* x, int rows, int width, int half, const C* tw, const C* tw2,
+    const typename C::value_type* scale) {
+  using V = typename Avx2Reg<C>::type;
+  using R = typename C::value_type;
+  constexpr int kLane = static_cast<int>(sizeof(V) / sizeof(C));
+  const R s0 = kScaled ? scale[0] : R(1);
+  const R s1 = kScaled ? scale[1] : R(1);
+  const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(half) * width;
+  for (int base = 0; base < rows; base += 4 * half) {
+    for (int k = 0; k < half; ++k) {
+      C* r0 = x + static_cast<std::ptrdiff_t>(base + k) * width;
+      const V w = splat(tw + k);
+      const V wa = splat(tw2 + k);
+      const V wb = splat(tw2 + half + k);
+      int j = 0;
+      for (; j + kLane <= width; j += kLane) {
+        R* p0 = reinterpret_cast<R*>(r0 + j);
+        R* p1 = reinterpret_cast<R*>(r0 + hw + j);
+        R* p2 = reinterpret_cast<R*>(r0 + 2 * hw + j);
+        R* p3 = reinterpret_cast<R*>(r0 + 3 * hw + j);
+        V a = load_vec(p0);
+        V b = load_vec(p1);
+        V c = load_vec(p2);
+        V d = load_vec(p3);
+        butterfly(a, b, w);
+        butterfly(c, d, w);
+        butterfly(a, c, wa);
+        butterfly(b, d, wb);
+        if (kScaled) {
+          a = rescale(a, s0, s1);
+          b = rescale(b, s0, s1);
+          c = rescale(c, s0, s1);
+          d = rescale(d, s0, s1);
+        }
+        store_vec(p0, a);
+        store_vec(p1, b);
+        store_vec(p2, c);
+        store_vec(p3, d);
+      }
+      rows_group_ref(r0, hw, j, width, tw[k], tw2[k], tw2[half + k],
+                     kScaled ? scale : nullptr);
+    }
+  }
+}
+
+template <typename C>
+__attribute__((target("avx2"))) void fft_rows_pair_avx2(
+    C* x, int rows, int width, int half, const C* tw, const C* tw2,
+    const typename C::value_type* scale) {
+  if (scale != nullptr) {
+    rows_pair256<true>(x, rows, width, half, tw, tw2, scale);
+  } else {
+    rows_pair256<false>(x, rows, width, half, tw, tw2, scale);
+  }
+}
+
 #endif  // NITHO_SIMD_X86
 
 }  // namespace
@@ -920,9 +1218,8 @@ void cmul_inplace(cd* a, const cd* b, std::int64_t n) { cmul(a, a, b, n); }
 
 void cmul_inplace(cf* a, const cf* b, std::int64_t n) { cmul(a, a, b, n); }
 
-void abs2_scale_accum(double* acc, const cd* z, double scale,
-                      std::int64_t n) {
-  NITHO_DISPATCH(abs2_scale_accum, acc, z, scale, n)
+void abs2_accum(double* acc, const double* e, std::int64_t n) {
+  NITHO_DISPATCH(abs2_accum, acc, e, n)
 }
 
 void abs2_accum(float* acc, const float* e, std::int64_t n) {
@@ -966,6 +1263,28 @@ void fft_stage_pair(std::complex<float>* x, int len, int half,
                     const std::complex<float>* tw,
                     const std::complex<float>* tw2) {
   NITHO_DISPATCH(fft_stage_pair, x, len, half, tw, tw2)
+}
+
+void fft_rows_stage(std::complex<double>* x, int rows, int width, int half,
+                    const std::complex<double>* tw, const double* scale) {
+  NITHO_DISPATCH(fft_rows_stage, x, rows, width, half, tw, scale)
+}
+
+void fft_rows_stage(std::complex<float>* x, int rows, int width, int half,
+                    const std::complex<float>* tw, const float* scale) {
+  NITHO_DISPATCH(fft_rows_stage, x, rows, width, half, tw, scale)
+}
+
+void fft_rows_pair(std::complex<double>* x, int rows, int width, int half,
+                   const std::complex<double>* tw,
+                   const std::complex<double>* tw2, const double* scale) {
+  NITHO_DISPATCH(fft_rows_pair, x, rows, width, half, tw, tw2, scale)
+}
+
+void fft_rows_pair(std::complex<float>* x, int rows, int width, int half,
+                   const std::complex<float>* tw,
+                   const std::complex<float>* tw2, const float* scale) {
+  NITHO_DISPATCH(fft_rows_pair, x, rows, width, half, tw, tw2, scale)
 }
 
 #undef NITHO_DISPATCH

@@ -61,12 +61,10 @@ void cmul(cf* dst, const cf* a, const cf* b, std::int64_t n);
 void cmul_inplace(cd* a, const cd* b, std::int64_t n);
 void cmul_inplace(cf* a, const cf* b, std::int64_t n);
 
-/// acc[i] += |z[i] * scale|^2, as (re*scale)^2 + (im*scale)^2 — the
-/// engine's scale-then-square abs²-accumulate (DESIGN.md §6.1).
-void abs2_scale_accum(double* acc, const cd* z, double scale, std::int64_t n);
-
-/// acc[i] += e[2i]^2 + e[2i+1]^2 over an interleaved complex float plane —
-/// the batched training ops' per-pixel coherent-intensity accumulate.
+/// acc[i] += e[2i]^2 + e[2i+1]^2 over an interleaved complex plane — the
+/// per-pixel coherent-intensity accumulate of the aerial engine (double,
+/// DESIGN.md §6.1) and the batched training ops (float).
+void abs2_accum(double* acc, const double* e, std::int64_t n);
 void abs2_accum(float* acc, const float* e, std::int64_t n);
 
 /// Rows per gemm_panel call (the register-blocked microkernel height).
@@ -135,5 +133,37 @@ void fft_stage_pair(std::complex<double>* x, int len, int half,
 void fft_stage_pair(std::complex<float>* x, int len, int half,
                     const std::complex<float>* tw,
                     const std::complex<float>* tw2);
+
+/// fft_stage across the columns of a row-major [rows x width] block: for
+/// every block of 2*half rows, row base+k and row base+half+k are
+/// butterflied element by element with the one twiddle tw[k], broadcast
+/// across the row.  rows must be a multiple of 2*half.  Column j sees
+/// exactly the butterflies fft_stage runs on a contiguous copy of it (same
+/// formula, same operands); lanes span j, never a reduction.  With a
+/// non-null `scale`, every element the stage writes is then multiplied by
+/// scale[0] and the product by scale[1], per component — the same two
+/// roundings as two separate scaling passes over the block (an inverse
+/// transform's last stage folds in its 1/n and a caller's factor).
+void fft_rows_stage(std::complex<double>* x, int rows, int width, int half,
+                    const std::complex<double>* tw,
+                    const double* scale);
+void fft_rows_stage(std::complex<float>* x, int rows, int width, int half,
+                    const std::complex<float>* tw,
+                    const float* scale);
+
+/// fft_rows_stage(x, rows, width, half, tw) followed by
+/// fft_rows_stage(x, rows, width, 2*half, tw2, scale), bit for bit — the
+/// column-block form of fft_stage_pair.  rows must be a multiple of
+/// 4*half.  Rows j, j+half, j+2*half, j+3*half form one radix-2² group with
+/// twiddles tw[k], tw2[k] and tw2[half+k]; the vector arms keep a group's
+/// lanes in registers between the two stages and the scaling.
+void fft_rows_pair(std::complex<double>* x, int rows, int width, int half,
+                   const std::complex<double>* tw,
+                   const std::complex<double>* tw2,
+                   const double* scale);
+void fft_rows_pair(std::complex<float>* x, int rows, int width, int half,
+                   const std::complex<float>* tw,
+                   const std::complex<float>* tw2,
+                   const float* scale);
 
 }  // namespace nitho::simd

@@ -1,5 +1,6 @@
 #include "fft/fft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -99,19 +100,31 @@ struct FftPlan<R>::Impl {
     }
   }
 
-  // Every radix-2 stage of a length-`len` transform over `total` elements
-  // (total / len contiguous segments), in the one stage schedule all
-  // transforms share: stages (1, 2), (4, 8), ... in radix-2² pairs, then an
-  // odd last stage alone.  A pair is the two stages in turn, bit for bit
-  // (simd::fft_stage_pair), and its 4*half-element blocks never straddle a
-  // segment boundary, so every segment sees its own stage sequence.
-  static void run_stages(C* x, int total, int len, const C* tables) {
+  // The one stage schedule every radix-2 transform of length `len` runs:
+  // stages (1, 2), (4, 8), ... in radix-2² pairs, pair(half, tw, tw2),
+  // then an odd last stage alone, stage(half, tw).
+  template <typename Pair, typename Stage>
+  static void stage_schedule(int len, const C* tables, Pair&& pair,
+                             Stage&& stage) {
     int half = 1;
     for (; 4 * half <= len; half *= 4) {
-      simd::fft_stage_pair(x, total, half, tables + (half - 1),
-                           tables + (2 * half - 1));
+      pair(half, tables + (half - 1), tables + (2 * half - 1));
     }
-    if (half < len) simd::fft_stage(x, total, half, tables + (half - 1));
+    if (half < len) stage(half, tables + (half - 1));
+  }
+
+  // Every radix-2 stage of a length-`len` transform over `total` elements
+  // (total / len contiguous segments).  A pair is the two stages in turn,
+  // bit for bit (simd::fft_stage_pair), and its 4*half-element blocks never
+  // straddle a segment boundary, so every segment sees its own stage
+  // sequence.
+  static void run_stages(C* x, int total, int len, const C* tables) {
+    stage_schedule(
+        len, tables,
+        [&](int half, const C* tw, const C* tw2) {
+          simd::fft_stage_pair(x, total, half, tw, tw2);
+        },
+        [&](int half, const C* tw) { simd::fft_stage(x, total, half, tw); });
   }
 
   // Iterative radix-2 over the cached tables (len must be this plan's pow2
@@ -124,18 +137,21 @@ struct FftPlan<R>::Impl {
     run_stages(x, len, len, inverse ? stage_inv.data() : stage_fwd.data());
   }
 
-  void transform(C* x, bool inverse, C* scratch) const {
+  // One transform of x[0], x[stride], ..., x[(n-1)*stride]; a stride
+  // other than 1 only reaches Bluestein plans (the column fallback).
+  void transform(C* x, bool inverse, C* scratch,
+                 std::ptrdiff_t stride = 1) const {
     if (m == 0) {
       pow2_transform(x, n, inverse);
     } else if (scratch != nullptr) {
-      bluestein(x, inverse, scratch);
+      bluestein(x, stride, inverse, scratch);
     } else {
       std::vector<C> local(static_cast<std::size_t>(m));
-      bluestein(x, inverse, local.data());
+      bluestein(x, stride, inverse, local.data());
     }
     if (inverse) {
       const R scale = static_cast<R>(1.0 / n);
-      for (int i = 0; i < n; ++i) x[i] *= scale;
+      for (int i = 0; i < n; ++i) x[i * stride] *= scale;
     }
   }
 
@@ -176,12 +192,67 @@ struct FftPlan<R>::Impl {
     }
   }
 
-  void bluestein(C* x, bool inverse, C* a) const {
+  // Column transforms of a row-major [n x width] block.  Radix-2: the
+  // shared stage schedule across whole rows (simd::fft_rows_pair /
+  // fft_rows_stage), so column j sees exactly the butterflies a contiguous
+  // copy of it would; the input permutation, when not prerev, swaps whole
+  // rows, and an inverse's 1/n and `rescale` ride on the last pass.
+  // Bluestein: one strided transform per column over `scratch`.
+  void transform_columns(C* x, int width, bool inverse, C* scratch,
+                         bool prerev, R rescale) const {
+    check(width >= 0 &&
+              (width == 0 ||
+               n <= std::numeric_limits<int>::max() / width),
+          "FftPlan: column block length overflow");
+    if (m != 0) {
+      check(!prerev, "FftPlan: prerev transforms need a radix-2 size");
+      for (int j = 0; j < width; ++j) {
+        transform(x + j, inverse, scratch, width);
+        if (!inverse) continue;
+        for (int i = 0; i < n; ++i) {
+          x[j + static_cast<std::ptrdiff_t>(i) * width] *= rescale;
+        }
+      }
+      return;
+    }
+    if (!prerev) {
+      const int np = static_cast<int>(brev_pairs.size());
+      for (int k = 0; k < np; k += 2) {
+        C* a = x + static_cast<std::ptrdiff_t>(brev_pairs[k]) * width;
+        C* b = x + static_cast<std::ptrdiff_t>(brev_pairs[k + 1]) * width;
+        std::swap_ranges(a, a + width, b);
+      }
+    }
+    const R scale[2] = {static_cast<R>(1.0 / n), rescale};
+    const R* last = inverse ? scale : nullptr;
+    if (n == 1) {
+      // No stage to carry the scaling.
+      if (last != nullptr) {
+        for (int j = 0; j < width; ++j) {
+          x[j] *= scale[0];
+          x[j] *= scale[1];
+        }
+      }
+      return;
+    }
+    stage_schedule(
+        n, inverse ? stage_inv.data() : stage_fwd.data(),
+        [&](int half, const C* tw, const C* tw2) {
+          simd::fft_rows_pair(x, n, width, half, tw, tw2,
+                              4 * half == n ? last : nullptr);
+        },
+        [&](int half, const C* tw) {
+          simd::fft_rows_stage(x, n, width, half, tw, last);
+        });
+  }
+
+  void bluestein(C* x, std::ptrdiff_t stride, bool inverse, C* a) const {
     // Forward (sign -): X_k = conj(b_k) * sum_j x_j conj(b_j) b_{k-j}.
     // Inverse reuses the identity ifft(x) = conj(fft(conj(x))) (scaling is
-    // applied by the caller).  `a` is the length-m convolution scratch.
+    // applied by the caller).  `a` is the length-m convolution scratch;
+    // x's elements sit `stride` apart.
     for (int j = 0; j < n; ++j) {
-      const C xj = inverse ? std::conj(x[j]) : x[j];
+      const C xj = inverse ? std::conj(x[j * stride]) : x[j * stride];
       a[j] = xj * std::conj(chirp[j]);
     }
     for (int j = n; j < m; ++j) a[j] = C{};
@@ -191,7 +262,7 @@ struct FftPlan<R>::Impl {
     const R inv_m = static_cast<R>(1.0 / m);
     for (int k = 0; k < n; ++k) {
       C v = a[k] * inv_m * std::conj(chirp[k]);
-      x[k] = inverse ? std::conj(v) : v;
+      x[k * stride] = inverse ? std::conj(v) : v;
     }
   }
 
@@ -271,6 +342,33 @@ template <typename R>
 void FftPlan<R>::inverse_many_prerev(std::complex<R>* x, int count,
                                      std::complex<R>* scratch) const {
   impl_->transform_many(x, count, true, scratch, /*prerev=*/true);
+}
+
+template <typename R>
+void FftPlan<R>::forward_columns(std::complex<R>* x, int width,
+                                 std::complex<R>* scratch) const {
+  impl_->transform_columns(x, width, false, scratch, /*prerev=*/false, R(1));
+}
+
+template <typename R>
+void FftPlan<R>::inverse_columns(std::complex<R>* x, int width,
+                                 std::complex<R>* scratch, R rescale) const {
+  impl_->transform_columns(x, width, true, scratch, /*prerev=*/false,
+                           rescale);
+}
+
+template <typename R>
+void FftPlan<R>::forward_columns_prerev(std::complex<R>* x, int width,
+                                        std::complex<R>* scratch) const {
+  impl_->transform_columns(x, width, false, scratch, /*prerev=*/true, R(1));
+}
+
+template <typename R>
+void FftPlan<R>::inverse_columns_prerev(std::complex<R>* x, int width,
+                                        std::complex<R>* scratch,
+                                        R rescale) const {
+  impl_->transform_columns(x, width, true, scratch, /*prerev=*/true,
+                           rescale);
 }
 
 template class FftPlan<double>;

@@ -86,6 +86,31 @@ class FftPlan {
   void inverse_many_prerev(std::complex<R>* x, int count,
                            std::complex<R>* scratch) const;
 
+  /// In-place transforms of the `width` columns of a row-major
+  /// [size() x width] block (column j is x[j], x[width + j], ...).
+  /// Bit-identical to gathering each column, calling the single-segment
+  /// overload on it and scattering it back: for radix-2 sizes each stage
+  /// pair runs as ONE simd::fft_rows_pair call across whole rows (an odd
+  /// last stage as one simd::fft_rows_stage call), so every column sees its
+  /// own transform's butterflies on the same operands, and no column is
+  /// ever gathered.  Bluestein sizes run the single-segment path on each
+  /// column in place, `width` elements apart, over `scratch`.  The inverse
+  /// then multiplies every output by `rescale` — a second rounding after
+  /// its 1/n, as a separate pass would make (band_inverse's s*s); radix-2
+  /// plans fold both multiplies into the last stage pass.
+  void forward_columns(std::complex<R>* x, int width,
+                       std::complex<R>* scratch) const;
+  void inverse_columns(std::complex<R>* x, int width, std::complex<R>* scratch,
+                       R rescale) const;
+
+  /// forward_columns/inverse_columns over a block whose ROWS were written in
+  /// bit-reversed order: input row i sits at row bitrev_table()[i] (radix-2
+  /// sizes only).
+  void forward_columns_prerev(std::complex<R>* x, int width,
+                              std::complex<R>* scratch) const;
+  void inverse_columns_prerev(std::complex<R>* x, int width,
+                              std::complex<R>* scratch, R rescale) const;
+
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
@@ -96,24 +121,26 @@ const FftPlan<double>& fft_plan_d(int n);
 const FftPlan<float>& fft_plan_f(int n);
 
 /// Reusable scratch for the workspace-taking 2-D transforms: a column
-/// gather buffer, the pruned transforms' band rows (fft/pruned.hpp),
-/// Bluestein scratch and one caller-owned grid plane, each sized on demand
-/// and retained across calls.  Not thread-safe — use one workspace per
-/// thread.  Templated on the scalar type so the double-precision litho
-/// substrate and the float autodiff ops (nn/ops_fft) share one
-/// implementation.
+/// buffer (the dense transforms' column gather, the pruned transforms'
+/// staging row and crop block), the pruned transforms' band rows
+/// (fft/pruned.hpp), Bluestein scratch and one caller-owned grid plane,
+/// each sized on demand and retained across calls.  Not thread-safe — use
+/// one workspace per thread.  Templated on the scalar type so the
+/// double-precision litho substrate and the float autodiff ops (nn/ops_fft)
+/// share one implementation.
 template <typename R>
 class Fft2WorkspaceT {
  public:
-  /// Column gather buffer holding `rows` elements (grown, never shrunk).
+  /// Column buffer holding `rows` elements (grown, never shrunk).
   std::complex<R>* col_buffer(int rows);
   /// Band-row buffer holding `elems` elements (grown, never shrunk).
   std::complex<R>* band_buffer(int elems);
   /// Scratch sized for `plan` (nullptr when the plan needs none).
   std::complex<R>* scratch_for(const FftPlan<R>& plan);
   /// Whole-grid plane holding `elems` elements (grown, never shrunk).  No
-  /// transform here touches it, so a caller may hold a plane in it across
-  /// band_inverse / crop_forward calls on this workspace.
+  /// transform here uses it as scratch, so a caller may hold a plane in it
+  /// across band_inverse / crop_forward calls on this workspace, or hand
+  /// it to band_inverse as the output plane.
   std::complex<R>* plane_buffer(int elems);
 
  private:

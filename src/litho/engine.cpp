@@ -22,18 +22,6 @@ constexpr std::int64_t kGrain = 8;
 // their reduction order are identical regardless of which window ran it.
 constexpr std::int64_t kMaxPartialBytes = 256 << 20;
 
-// In-place transpose of a square grid: pure data movement.
-void transpose_square(Grid<double>& g) {
-  const int n = g.rows();
-  double* d = g.data();
-  for (int r = 0; r < n; ++r) {
-    for (int c = r + 1; c < n; ++c) {
-      std::swap(d[static_cast<std::size_t>(r) * n + c],
-                d[static_cast<std::size_t>(c) * n + r]);
-    }
-  }
-}
-
 }  // namespace
 
 AerialEngine::AerialEngine(std::vector<Grid<cd>> kernels, int out_px)
@@ -56,25 +44,24 @@ AerialEngine::AerialEngine(
 
 void AerialEngine::accumulate_kernel(const Grid<cd>& kernel,
                                      const Grid<cd>& spectrum, int r0, int c0,
-                                     Grid<double>& local_t) const {
+                                     Grid<double>& local) const {
   // Fused crop -> kernel-multiply -> embed/shift -> pruned inverse 2-D
   // transform (DESIGN.md §6.2-§6.3): each band row is the elementwise
-  // product of a kernel row and the cropped spectrum row.
-  const int n = out_px_;
+  // product of a kernel row and the cropped spectrum row.  The field is
+  // unnormalized (the Hopkins convention, DESIGN.md §5.1); its coherent
+  // intensity is added pixel by pixel, so every pixel sees the same
+  // square-and-add in the same kernel order.
+  const std::int64_t plane = static_cast<std::int64_t>(out_px_) * out_px_;
+  Fft2Workspace& ws = fft_thread_workspace<double>();
+  cd* field = ws.plane_buffer(static_cast<int>(plane));
   band_inverse(
-      *out_plan_, kdim_, kdim_, fft_thread_workspace<double>(),
+      *out_plan_, kdim_, kdim_, ws,
       [&](int r, cd* row) {
         simd::cmul(row, kernel.row(r), spectrum.row(r0 + r) + c0, kdim_);
       },
-      // Undo the transforms' 1/out^2 (the unnormalized Hopkins convention,
-      // DESIGN.md §5.1) and accumulate the coherent intensity into the
-      // transposed partial: field column c is partial row c.  Elementwise,
-      // so every pixel sees the same scale-then-square arithmetic in the
-      // same kernel order.
-      [&](int c, int cb, const cd* cols, double scale) {
-        simd::abs2_scale_accum(local_t.data() + static_cast<std::size_t>(c) * n,
-                               cols, scale, static_cast<std::int64_t>(cb) * n);
-      });
+      field);
+  simd::abs2_accum(local.data(), reinterpret_cast<const double*>(field),
+                   plane);
 }
 
 Grid<double> AerialEngine::aerial(const Grid<cd>& spectrum) const {
@@ -130,7 +117,6 @@ std::vector<Grid<double>> AerialEngine::aerial_batch(
         accumulate_kernel(kernels[static_cast<std::size_t>(i)], spectrum, r0,
                           c0, local);
       }
-      transpose_square(local);  // column-major accumulator -> row-major
       partial[static_cast<std::size_t>(ti)] = std::move(local);
     });
     for (std::int64_t b = 0; b < wn; ++b) {

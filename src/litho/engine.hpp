@@ -15,15 +15,15 @@
 // that grid that are structurally zero are skipped — a pruning that cannot
 // change any output bit because zero rows only ever enter the column pass
 // additively and |.|^2 erases the sign of zero (DESIGN.md §6.3).  The
-// column pass runs in L1-sized blocks; each column still sees exactly the
-// arithmetic of its own strided transform.
+// column pass runs across whole rows of the field plane; each column still
+// sees exactly the arithmetic of its own strided transform.
 //
 // Thread-safety: aerial / aerial_batch may be called concurrently from
 // multiple threads (each task uses its own thread's FFT workspace,
 // fft_thread_workspace), but not from inside a parallel_for callback — the
 // shared thread pool does not nest.  Each thread that has run a task keeps
 // one workspace for its lifetime, whichever engines it served: a
-// kdim x out_px band plus a column strip of max(4 * out_px, 512) complex
+// kdim x out_px band plus an out_px x out_px field plane of complex
 // doubles, at the largest sizes it has seen.
 
 #include <memory>
@@ -71,7 +71,7 @@ class AerialEngine {
 
  private:
   void accumulate_kernel(const Grid<cd>& kernel, const Grid<cd>& spectrum,
-                         int r0, int c0, Grid<double>& local_t) const;
+                         int r0, int c0, Grid<double>& local) const;
 
   std::shared_ptr<const std::vector<Grid<cd>>> kernels_;
   int kdim_ = 0;

@@ -19,23 +19,17 @@ using cfl = std::complex<float>;
 
 // One SOCS field plane, the arithmetic every SOCS op shares: dst = the
 // unnormalized inverse 2-D DFT of the centered embed of K . C (both
-// [n, m] complex) on the s-grid, s = plan.size().  Every element of dst is
-// written.
+// [n, m] complex) on the s-grid, s = plan.size(), written in place.  Every
+// element of dst is written.
 void socs_plane(const FftPlan<float>& plan, const cfl* k, const cfl* c,
                 int n, int m, cfl* dst, Fft2WorkspaceF& ws) {
-  const int s = plan.size();
   band_inverse(
       plan, n, m, ws,
       [&](int a, cfl* row) {
         const std::int64_t off = static_cast<std::int64_t>(a) * m;
         simd::cmul(row, k + off, c + off, m);
       },
-      [&](int c0, int cb, const cfl* cols, float scale) {
-        for (int rr = 0; rr < s; ++rr) {
-          cfl* d = dst + static_cast<std::ptrdiff_t>(rr) * s + c0;
-          for (int q = 0; q < cb; ++q) d[q] = cols[q * s + rr] * scale;
-        }
-      });
+      dst);
 }
 
 // vjp of socs_plane in one factor: the unnormalized forward DFT of the
@@ -301,15 +295,15 @@ Var fft2c_crop_batch(const Var& masks, int crop) {
         if (!im.requires_grad) return;
         im.ensure_grad();
         const FftPlan<float>& plan = fft_plan_f(s);
-        // vjp per sample: scatter the crop back, unnormalized inverse DFT,
-        // real part — accumulated straight from the pruned inverse's column
-        // blocks, so neither the imaginary lanes nor a scattered plane are
-        // ever stored.
+        // vjp per sample: scatter the crop back, unnormalized inverse DFT
+        // into the thread's plane buffer, real part added row-major.
         parallel_for(batch, [&](std::int64_t b) {
           const float* g = node.grad.data() + b * cplane;
           float* acc = im.grad.data() + b * plane;
+          Fft2WorkspaceF& ws = fft_thread_workspace<float>();
+          cfl* field = ws.plane_buffer(static_cast<int>(plane));
           band_inverse(
-              plan, crop, crop, fft_thread_workspace<float>(),
+              plan, crop, crop, ws,
               [&](int a, cfl* row) {
                 for (int c = 0; c < crop; ++c) {
                   const std::int64_t si =
@@ -317,13 +311,8 @@ Var fft2c_crop_batch(const Var& masks, int crop) {
                   row[c] = cfl(g[si] * inv_n2, g[si + 1] * inv_n2);
                 }
               },
-              [&](int c0, int cb, const cfl* cols, float scale) {
-                for (int rr = 0; rr < s; ++rr) {
-                  float* d = acc + static_cast<std::ptrdiff_t>(rr) * s + c0;
-                  for (int q = 0; q < cb; ++q)
-                    d[q] += cols[q * s + rr].real() * scale;
-                }
-              });
+              field);
+          for (std::int64_t p = 0; p < plane; ++p) acc[p] += field[p].real();
         });
       },
       "fft2c_crop_batch");

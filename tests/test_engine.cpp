@@ -6,18 +6,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/parallel.hpp"
+#include "common/simd.hpp"
 #include "fft/fft.hpp"
 #include "fft/spectral.hpp"
 #include "litho/engine.hpp"
 #include "litho/simulator.hpp"
 #include "nitho/fast_litho.hpp"
+#include "support/pruned_ref.hpp"
 #include "support/test_support.hpp"
 
 namespace nitho {
@@ -88,6 +93,89 @@ TEST(AerialEngine, BitIdenticalToLegacyAcrossOutputSizes) {
       EXPECT_EQ(got, want) << "kdim=" << kdim << " out_px=" << out_px;
     }
   }
+}
+
+// The engine's arithmetic before its pruned inverse went row-major, on
+// the column-strip oracle (support/pruned_ref.hpp): each kernel's strip
+// columns are scaled, squared and added into a transposed partial, which
+// is transposed back per grain-8 chunk and reduced in chunk order.
+Grid<double> strip_engine_aerial(const std::vector<Grid<cd>>& kernels,
+                                 const Grid<cd>& spectrum, int out_px) {
+  const int kdim = kernels[0].rows();
+  const FftPlan<double>& plan = fft_plan_d(out_px);
+  Fft2Workspace ws;
+  const int r0 = spectrum.rows() / 2 - kdim / 2;
+  const int c0 = spectrum.cols() / 2 - kdim / 2;
+  const std::size_t n = kernels.size();
+  std::vector<Grid<double>> partial;
+  for (std::size_t begin = 0; begin < n; begin += 8) {
+    Grid<double> local_t(out_px, out_px, 0.0);
+    for (std::size_t i = begin; i < std::min(n, begin + 8); ++i) {
+      const Grid<cd>& k = kernels[i];
+      test::band_inverse_strip(
+          plan, kdim, kdim, ws,
+          [&](int r, cd* row) {
+            simd::cmul(row, k.row(r), spectrum.row(r0 + r) + c0, kdim);
+          },
+          [&](int c, int cb, const cd* cols, double scale) {
+            double* acc = local_t.data() + static_cast<std::size_t>(c) * out_px;
+            for (int e = 0; e < cb * out_px; ++e) {
+              const cd v = cols[e] * scale;
+              acc[e] += norm2(v);
+            }
+          });
+    }
+    Grid<double> local(out_px, out_px);
+    for (int r = 0; r < out_px; ++r)
+      for (int c = 0; c < out_px; ++c) local(r, c) = local_t(c, r);
+    partial.push_back(std::move(local));
+  }
+  return reduce_ordered(partial.data(), partial.size(), out_px);
+}
+
+TEST(AerialEngine, BitIdenticalToStripOracle) {
+  // memcmp on every SIMD arm at 1 and 4 workers: the production points
+  // (kdim 29 on 64 and 128), radix-2 and Bluestein grids (45, 97), and a
+  // band that is every row (kdim = out_px); spectra hold -0.0 entries.
+  Rng rng = make_rng(74);
+  const std::pair<int, int> cases[] = {{29, 64}, {29, 128}, {9, 16},
+                                       {9, 32},  {13, 45},  {29, 97},
+                                       {16, 16}, {13, 13}};
+  test::ArmGuard guard;
+  for (const auto& [kdim, out_px] : cases) {
+    const std::vector<Grid<cd>> kernels = random_kernels(11, kdim, rng);
+    std::vector<Grid<cd>> spectra;
+    for (int b = 0; b < 3; ++b) {
+      Grid<cd> sp = random_spectrum((kdim | 1) + 8, rng);
+      for (std::size_t i = 0; i < sp.size(); i += 5) sp[i] = cd(-0.0, -0.0);
+      spectra.push_back(std::move(sp));
+    }
+    std::vector<Grid<double>> want;
+    {
+      simd::force_arm(simd::Arm::kScalar);
+      for (const Grid<cd>& sp : spectra) {
+        want.push_back(strip_engine_aerial(kernels, sp, out_px));
+      }
+    }
+    const AerialEngine engine(kernels, out_px);
+    std::vector<simd::Arm> arms = test::vector_arms();
+    arms.insert(arms.begin(), simd::Arm::kScalar);
+    for (const simd::Arm arm : arms) {
+      simd::force_arm(arm);
+      for (const int workers : {1, 4}) {
+        set_parallel_workers(workers);
+        const std::vector<Grid<double>> got = engine.aerial_batch(spectra);
+        for (std::size_t b = 0; b < spectra.size(); ++b) {
+          EXPECT_EQ(std::memcmp(got[b].data(), want[b].data(),
+                                want[b].size() * sizeof(double)),
+                    0)
+              << "kdim=" << kdim << " out_px=" << out_px << " mask " << b
+              << " arm=" << simd::arm_name(arm) << " workers=" << workers;
+        }
+      }
+    }
+  }
+  set_parallel_workers(0);
 }
 
 TEST(AerialEngine, SocsAerialStillMatchesLegacy) {

@@ -11,12 +11,15 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "fft/fft.hpp"
 #include "fft/pruned.hpp"
 #include "fft/spectral.hpp"
 #include "layout/datasets.hpp"
 #include "layout/raster.hpp"
+#include "support/pruned_ref.hpp"
 #include "support/test_support.hpp"
 
 namespace nitho {
@@ -494,6 +497,61 @@ TEST(FftPlan, PrerevMatchesPermutedInputBitwise) {
   EXPECT_THROW(bs.forward_many_prerev(x.data(), 1, nullptr), check_error);
 }
 
+TEST(FftPlan, ColumnsMatchPerColumnBitwise) {
+  // forward_columns/inverse_columns over a row-major [n x width] block must
+  // match gathering each column, transforming it alone (the inverse then
+  // multiplied by the rescale) and scattering it back, bit for bit; the
+  // *_prerev forms must match them on a block whose rows sit at
+  // bit-reversed positions.  Radix-2 (one point, odd and even stage
+  // counts) and Bluestein sizes, widths with every vector tail.
+  Rng rng(93);
+  for (const int n : {1, 2, 8, 16, 32, 31, 45}) {
+    for (const int width : {1, 3, 4, 29}) {
+      const FftPlan<double>& plan = fft_plan_d(n);
+      std::vector<cd> scratch(static_cast<std::size_t>(plan.scratch_size()));
+      cd* sc = scratch.empty() ? nullptr : scratch.data();
+      const std::vector<cd> x = random_signal(n * width, rng);
+      const double rescale = static_cast<double>(n) * n + 0.5;
+      for (const bool inverse : {false, true}) {
+        std::vector<cd> cols = x;
+        inverse ? plan.inverse_columns(cols.data(), width, sc, rescale)
+                : plan.forward_columns(cols.data(), width, sc);
+        std::vector<cd> single = x;
+        std::vector<cd> col(static_cast<std::size_t>(n));
+        for (int j = 0; j < width; ++j) {
+          for (int r = 0; r < n; ++r) col[r] = single[r * width + j];
+          inverse ? plan.inverse(col.data(), sc) : plan.forward(col.data(), sc);
+          for (int r = 0; r < n; ++r) {
+            single[r * width + j] = inverse ? col[r] * rescale : col[r];
+          }
+        }
+        EXPECT_EQ(std::memcmp(cols.data(), single.data(),
+                              cols.size() * sizeof(cd)),
+                  0)
+            << "n=" << n << " width=" << width << " inverse=" << inverse;
+        const int* rev = plan.bitrev_table();
+        if (rev == nullptr) {
+          EXPECT_THROW(plan.forward_columns_prerev(cols.data(), width, sc),
+                       check_error);
+          continue;
+        }
+        std::vector<cd> pre(x.size());
+        for (int r = 0; r < n; ++r) {
+          std::copy_n(x.data() + r * width, width,
+                      pre.data() + rev[r] * width);
+        }
+        inverse ? plan.inverse_columns_prerev(pre.data(), width, sc, rescale)
+                : plan.forward_columns_prerev(pre.data(), width, sc);
+        EXPECT_EQ(std::memcmp(pre.data(), single.data(),
+                              pre.size() * sizeof(cd)),
+                  0)
+            << "prerev n=" << n << " width=" << width
+            << " inverse=" << inverse;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Pruned crop <-> grid transforms (fft/pruned.hpp), against the dense 2-D
 // transform of the same embedded field.  Compared with ==, which equates
@@ -572,24 +630,18 @@ void expect_band_inverse_matches_dense(int s, int kr, int kc, Poison p,
   }
   dense_fft2(dense, s, /*inverse=*/true);
 
+  // Pre-poisoned with NaN: every element must be written.
   std::vector<std::complex<R>> got(dense.size(),
                                    {std::numeric_limits<R>::quiet_NaN(), 0});
-  std::vector<int> seen(static_cast<std::size_t>(s), 0);
   band_inverse(
       plan_of<R>(s), kr, kc, ws,
       [&](int a, std::complex<R>* row) {
         std::copy_n(crop.data() + static_cast<std::size_t>(a) * kc, kc, row);
       },
-      [&](int c0, int cb, const std::complex<R>* cols, R scale) {
-        EXPECT_EQ(scale, static_cast<R>(s) * static_cast<R>(s));
-        for (int q = 0; q < cb; ++q) {
-          ++seen[static_cast<std::size_t>(c0 + q)];
-          for (int r = 0; r < s; ++r) {
-            got[static_cast<std::size_t>(r) * s + c0 + q] = cols[q * s + r];
-          }
-        }
-      });
-  for (int c = 0; c < s; ++c) ASSERT_EQ(seen[c], 1) << "column " << c;
+      got.data());
+  // band_inverse is unnormalized; the dense reference carries 1/s^2.
+  const R scale = static_cast<R>(s) * static_cast<R>(s);
+  for (auto& z : dense) z *= scale;
   for (std::size_t i = 0; i < dense.size(); ++i) {
     ASSERT_TRUE(same_or_both_nan(got[i].real(), dense[i].real()) &&
                 same_or_both_nan(got[i].imag(), dense[i].imag()))
@@ -624,9 +676,9 @@ void expect_crop_forward_matches_dense(int s, int kr, int kc, Poison p,
   EXPECT_EQ(emitted, kr * kc);
 }
 
-// (s, kr, kc): radix-2 with one and several column blocks, Bluestein with a
-// partial last block, k = 1 (DC only), k = s (the band is every row), a
-// non-square crop; every crop wider than one row wraps across row 0.
+// (s, kr, kc): radix-2 and Bluestein grids, k = 1 (DC only), k = s (the
+// band is every row), a non-square crop; every crop wider than one row
+// wraps across row 0.
 template <typename R>
 void sweep_pruned_transforms() {
   const int cases[][3] = {{16, 5, 5},  {64, 29, 29}, {12, 5, 5}, {45, 9, 9},
@@ -651,14 +703,110 @@ TEST(PrunedFft, MatchesDenseTransformFloat) {
   sweep_pruned_transforms<float>();
 }
 
-TEST(PrunedFft, ColumnBlockIsAnL1Strip) {
-  // ~8 KB of complex values, at least 4 columns, never more than s.
-  EXPECT_EQ(pruned_column_block<float>(64), 16);
-  EXPECT_EQ(pruned_column_block<double>(64), 8);
-  EXPECT_EQ(pruned_column_block<double>(128), 4);
-  EXPECT_EQ(pruned_column_block<float>(1024), 4);
-  EXPECT_EQ(pruned_column_block<float>(16), 16);
-  EXPECT_EQ(pruned_column_block<double>(45), 11);
+// ---------------------------------------------------------------------------
+// The row-major pruned transforms against the column-strip oracles they
+// replaced (support/pruned_ref.hpp), memcmp: every SIMD arm, float and
+// double, radix-2 and Bluestein grids, kr != kc, kr = s, and inputs seeded
+// with -0.0 (a sign slip on a zero would show).  The planes run inside
+// parallel_for at 1 and 4 workers, each task on its own thread's
+// workspace, the way the engine and the nn ops call them.
+// ---------------------------------------------------------------------------
+
+template <typename R>
+std::vector<std::complex<R>> signed_zero_field(std::size_t n, Rng& rng) {
+  std::vector<std::complex<R>> v = random_field<R>(n, rng);
+  for (std::size_t i = 0; i < n; i += 3) {
+    v[i] = {R(-0.0), i % 2 == 0 ? R(-0.0) : v[i].imag()};
+  }
+  return v;
+}
+
+template <typename R>
+bool same_bytes(const std::vector<std::complex<R>>& a,
+                const std::vector<std::complex<R>>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+}
+
+// `planes` independent crops through both pruned transforms; returns the
+// band_inverse planes followed by the crop_forward emits, all planes
+// concatenated.  `oracle` selects the strip versions.
+template <typename R>
+std::vector<std::complex<R>> pruned_outputs(int s, int kr, int kc,
+                                            int planes, bool oracle,
+                                            std::uint64_t seed) {
+  using C = std::complex<R>;
+  const FftPlan<R>& plan = plan_of<R>(s);
+  const std::size_t grid = static_cast<std::size_t>(s) * s;
+  const std::size_t crop = static_cast<std::size_t>(kr) * kc;
+  Rng rng(seed);
+  const std::vector<C> crops = signed_zero_field<R>(crop * planes, rng);
+  const std::vector<C> grids = signed_zero_field<R>(grid * planes, rng);
+  std::vector<C> out(planes * (grid + crop),
+                     {std::numeric_limits<R>::quiet_NaN(), 0});
+  parallel_for(planes, [&](std::int64_t p) {
+    Fft2WorkspaceT<R>& ws = fft_thread_workspace<R>();
+    const C* src = crops.data() + p * crop;
+    const auto fill = [&](int a, C* row) {
+      std::copy_n(src + static_cast<std::size_t>(a) * kc, kc, row);
+    };
+    C* field = out.data() + p * grid;
+    std::vector<C> z(grids.begin() + p * grid, grids.begin() + (p + 1) * grid);
+    C* emitted = out.data() + planes * grid + p * crop;
+    const auto emit = [&](int a, int c, C v) { emitted[a * kc + c] = v; };
+    if (oracle) {
+      test::band_inverse_strip_plane(plan, kr, kc, ws, fill, field);
+      test::crop_forward_strip(plan, z.data(), kr, kc, ws, emit);
+    } else {
+      band_inverse(plan, kr, kc, ws, fill, field);
+      crop_forward(plan, z.data(), kr, kc, ws, emit);
+    }
+  });
+  return out;
+}
+
+template <typename R>
+void expect_row_major_matches_strip_oracle() {
+  // (s, kr, kc): the production points (kdim 29 on 64 and 128, 9 on 16),
+  // kr != kc both ways, kr = s with a narrower crop, the whole grid, and
+  // the Bluestein grids 45 and 97.
+  const int cases[][3] = {{16, 9, 9},   {16, 16, 5},  {32, 7, 3},
+                          {32, 3, 11},  {32, 32, 32}, {64, 29, 29},
+                          {64, 64, 17}, {128, 29, 29}, {45, 9, 13},
+                          {45, 45, 45}, {97, 29, 29}, {97, 97, 7}};
+  constexpr int kPlanes = 6;
+  test::ArmGuard guard;
+  for (const auto& c : cases) {
+    const std::uint64_t seed =
+        static_cast<std::uint64_t>(c[0] * 1000 + c[1] * 31 + c[2]);
+    std::vector<std::complex<R>> ref;
+    {
+      simd::force_arm(simd::Arm::kScalar);
+      set_parallel_workers(1);
+      ref = pruned_outputs<R>(c[0], c[1], c[2], kPlanes, true, seed);
+    }
+    std::vector<simd::Arm> arms = test::vector_arms();
+    arms.insert(arms.begin(), simd::Arm::kScalar);
+    for (const simd::Arm arm : arms) {
+      simd::force_arm(arm);
+      for (const int workers : {1, 4}) {
+        set_parallel_workers(workers);
+        EXPECT_TRUE(same_bytes(
+            pruned_outputs<R>(c[0], c[1], c[2], kPlanes, false, seed), ref))
+            << "s=" << c[0] << " k=" << c[1] << "x" << c[2]
+            << " arm=" << simd::arm_name(arm) << " workers=" << workers;
+      }
+    }
+  }
+  set_parallel_workers(0);
+}
+
+TEST(PrunedFft, RowMajorBitIdenticalToStripOracleDouble) {
+  expect_row_major_matches_strip_oracle<double>();
+}
+
+TEST(PrunedFft, RowMajorBitIdenticalToStripOracleFloat) {
+  expect_row_major_matches_strip_oracle<float>();
 }
 
 TEST(PrunedFft, CenteredIndexIsEmbedThenIfftshift) {

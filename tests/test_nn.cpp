@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -24,6 +25,7 @@
 #include "support/cmlp_ref.hpp"
 #include "support/conv_ref.hpp"
 #include "support/per_mask_ref.hpp"
+#include "support/pruned_ref.hpp"
 #include "support/test_support.hpp"
 
 namespace nitho::nn {
@@ -1162,6 +1164,165 @@ TEST(SocsIntensity, MoreSamplesThanWorkers) {
   // Six samples over four workers: threads run several samples in turn
   // and reuse their plane buffer.
   expect_socs_intensity_matches_chain({6, 5, 5, 16});
+}
+
+// ---- The nn FFT ops against the column-strip oracles, bit for bit -----
+// fft2c_crop_batch's forward (crop_forward) and vjp (band_inverse, real
+// part added row-major), and the SOCS fields and no-gradient intensity
+// (band_inverse written in place), must match the pre-row-major
+// arithmetic of support/pruned_ref.hpp by memcmp on every SIMD arm at 1
+// and 4 workers, on radix-2 and Bluestein grids, with an upstream holding
+// -0.0f entries.
+
+using cfl = std::complex<float>;
+
+struct CropBits {
+  Tensor crop, grad;
+};
+
+CropBits run_crop(const Tensor& masks, int crop, const Tensor& upstream) {
+  const Var m = make_leaf(masks, true);
+  const Var c = fft2c_crop_batch(m, crop);
+  backward(seed_gradient(c, upstream));
+  return {c->value, m->grad};
+}
+
+CropBits crop_strip_oracle(const Tensor& masks, int crop,
+                           const Tensor& upstream) {
+  const int batch = masks.dim(0);
+  const int s = masks.dim(1);
+  const std::int64_t plane = static_cast<std::int64_t>(s) * s;
+  const float inv_n2 = 1.0f / static_cast<float>(plane);
+  const FftPlan<float>& plan = fft_plan_f(s);
+  Fft2WorkspaceF ws;
+  CropBits out{Tensor({batch, crop, crop, 2}), Tensor({batch, s, s})};
+  std::vector<cfl> buf(static_cast<std::size_t>(plane));
+  for (int b = 0; b < batch; ++b) {
+    for (std::int64_t p = 0; p < plane; ++p) {
+      buf[p] = cfl(masks[b * plane + p], 0.0f);
+    }
+    float* dst = out.crop.data() + b * crop * crop * 2;
+    test::crop_forward_strip(plan, buf.data(), crop, crop, ws,
+                             [&](int a, int c, cfl v) {
+                               dst[(a * crop + c) * 2] = v.real() * inv_n2;
+                               dst[(a * crop + c) * 2 + 1] =
+                                   v.imag() * inv_n2;
+                             });
+    const float* g = upstream.data() + b * crop * crop * 2;
+    float* acc = out.grad.data() + b * plane;
+    test::band_inverse_strip(
+        plan, crop, crop, ws,
+        [&](int a, cfl* row) {
+          for (int c = 0; c < crop; ++c) {
+            const int si = (a * crop + c) * 2;
+            row[c] = cfl(g[si] * inv_n2, g[si + 1] * inv_n2);
+          }
+        },
+        [&](int c0, int cb, const cfl* cols, float scale) {
+          for (int rr = 0; rr < s; ++rr) {
+            float* d = acc + rr * s + c0;
+            for (int q = 0; q < cb; ++q)
+              d[q] += cols[q * s + rr].real() * scale;
+          }
+        });
+  }
+  return out;
+}
+
+// The SOCS fields [B, r, S, S, 2] of kernels [r, n, n, 2] and spectra
+// [B, n, n, 2], each plane the strip band_inverse written like the old
+// field op.
+Tensor socs_fields_strip_oracle(const Tensor& kernels, const Tensor& spectra,
+                                int out_px) {
+  const int r = kernels.dim(0);
+  const int n = kernels.dim(1);
+  const int batch = spectra.dim(0);
+  const std::int64_t plane = static_cast<std::int64_t>(out_px) * out_px;
+  const FftPlan<float>& plan = fft_plan_f(out_px);
+  Fft2WorkspaceF ws;
+  Tensor fields({batch, r, out_px, out_px, 2});
+  for (int b = 0; b < batch; ++b) {
+    for (int i = 0; i < r; ++i) {
+      const cfl* k = reinterpret_cast<const cfl*>(kernels.data()) + i * n * n;
+      const cfl* c = reinterpret_cast<const cfl*>(spectra.data()) + b * n * n;
+      test::band_inverse_strip_plane(
+          plan, n, n, ws,
+          [&](int a, cfl* row) { simd::cmul(row, k + a * n, c + a * n, n); },
+          reinterpret_cast<cfl*>(fields.data()) + (b * r + i) * plane);
+    }
+  }
+  return fields;
+}
+
+Tensor intensity_of(const Tensor& fields) {
+  const int batch = fields.dim(0), r = fields.dim(1), s = fields.dim(2);
+  const std::int64_t plane = static_cast<std::int64_t>(s) * s;
+  Tensor out({batch, s, s});
+  for (int b = 0; b < batch; ++b) {
+    for (int i = 0; i < r; ++i) {
+      simd::abs2_accum(out.data() + b * plane,
+                       fields.data() + (b * r + i) * plane * 2, plane);
+    }
+  }
+  return out;
+}
+
+void expect_pruned_ops_match_strip_oracle(int batch, int s, int crop, int r) {
+  Rng rng(static_cast<std::uint64_t>(71 + s * 13 + crop * 5 + r));
+  const Tensor masks = random_tensor({batch, s, s}, rng, 0.5f, 0.5f);
+  Tensor upstream = random_tensor({batch, crop, crop, 2}, rng);
+  for (std::int64_t i = 0; i < upstream.numel(); i += 3) upstream[i] = -0.0f;
+  const Tensor kernels = random_tensor({r, crop, crop, 2}, rng, 0.5f);
+  Tensor spectra = random_tensor({batch, crop, crop, 2}, rng, 0.3f);
+  for (std::int64_t i = 0; i < spectra.numel(); i += 4) spectra[i] = -0.0f;
+
+  test::ArmGuard guard;
+  CropBits ref_crop;
+  Tensor ref_fields, ref_intensity;
+  {
+    simd::force_arm(simd::Arm::kScalar);
+    ref_crop = crop_strip_oracle(masks, crop, upstream);
+    ref_fields = socs_fields_strip_oracle(kernels, spectra, s);
+    ref_intensity = intensity_of(ref_fields);
+  }
+  std::vector<simd::Arm> arms = test::vector_arms();
+  arms.insert(arms.begin(), simd::Arm::kScalar);
+  for (const simd::Arm arm : arms) {
+    simd::force_arm(arm);
+    for (const int workers : {1, 4}) {
+      set_parallel_workers(workers);
+      const std::string where = std::string(simd::arm_name(arm)) + " w" +
+                                std::to_string(workers) + " S" +
+                                std::to_string(s) + " crop" +
+                                std::to_string(crop);
+      const CropBits got = run_crop(masks, crop, upstream);
+      EXPECT_TRUE(test::tensors_bit_identical(got.crop, ref_crop.crop))
+          << "crop " << where;
+      EXPECT_TRUE(test::tensors_bit_identical(got.grad, ref_crop.grad))
+          << "crop vjp " << where;
+      const Var f = socs_field_batch(make_leaf(kernels), spectra, s);
+      EXPECT_TRUE(test::tensors_bit_identical(f->value, ref_fields))
+          << "fields " << where;
+      const Var in = socs_intensity_batch(make_leaf(kernels), spectra, s);
+      EXPECT_TRUE(test::tensors_bit_identical(in->value, ref_intensity))
+          << "no-grad intensity " << where;
+    }
+  }
+  set_parallel_workers(0);
+}
+
+TEST(PrunedOps, BitIdenticalToStripOracleRadix2) {
+  expect_pruned_ops_match_strip_oracle(3, 16, 9, 2);
+  expect_pruned_ops_match_strip_oracle(2, 32, 15, 3);
+  expect_pruned_ops_match_strip_oracle(2, 64, 29, 2);
+  expect_pruned_ops_match_strip_oracle(1, 128, 29, 2);
+}
+
+TEST(PrunedOps, BitIdenticalToStripOracleBluestein) {
+  expect_pruned_ops_match_strip_oracle(3, 45, 13, 2);
+  expect_pruned_ops_match_strip_oracle(2, 97, 29, 2);
+  // The crop is the whole grid: every row is a band row.
+  expect_pruned_ops_match_strip_oracle(2, 45, 45, 1);
 }
 
 TEST(GradCheck, SocsIntensityNodes) {

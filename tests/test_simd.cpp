@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -324,47 +325,138 @@ TEST(Simd, FftStagePairBitIdentical) {
   }
 }
 
-TEST(Simd, Abs2ScaleAccumBitIdentical) {
-  Rng rng = make_rng(2);
-  for (const int n : {1, 3, 4, 5, 8, 33, 100}) {
-    const auto z = random_cvec<cd>(n, rng);
-    const auto acc0 = [&] {
-      std::vector<double> a(static_cast<std::size_t>(n));
-      for (auto& x : a) x = rng.normal();
-      return a;
-    }();
-    const double scale = 1089.0;  // 33^2, the engine's out^2 undo factor
-    std::vector<double> ref = acc0;
-    {
-      ArmGuard guard;
-      simd::force_arm(simd::Arm::kScalar);
-      simd::abs2_scale_accum(ref.data(), z.data(), scale, n);
+// The column-block passes: fft_rows_stage / fft_rows_pair over a row-major
+// [rows x width] block must give, column by column, exactly what
+// fft_stage / fft_stage_pair give on a contiguous copy of that column,
+// followed (when scaled) by the two scaling multiplies — on the scalar
+// arm — and every vector arm must reproduce the scalar arm.  Widths 1-9,
+// 29 and 64 leave every vector tail; an unaligned offset and a second
+// round with ±Inf/NaN/-0 lanes in data and twiddles.
+template <typename C>
+void rows_pin(int rows, int width, int half, bool pair, bool specials,
+              bool scaled, Rng& rng) {
+  using R = typename C::value_type;
+  auto x0 = random_cvec<C>(rows * width + 1, rng);
+  auto tw = random_cvec<C>(half, rng);
+  auto tw2 = random_cvec<C>(2 * half, rng);
+  if (specials) {
+    sprinkle_specials(x0, rng);
+    sprinkle_specials(tw, rng);
+    sprinkle_specials(tw2, rng);
+  }
+  // An inexact 1/n and an s^2, as band_inverse's Bluestein grids use.
+  const R factors[2] = {R(1) / R(45), R(45) * R(45)};
+  const R* scale = scaled ? factors : nullptr;
+  const auto run = [&](C* x) {
+    pair ? simd::fft_rows_pair(x, rows, width, half, tw.data(), tw2.data(),
+                               scale)
+         : simd::fft_rows_stage(x, rows, width, half, tw.data(), scale);
+  };
+  const auto same = [&](const std::vector<C>& a, const std::vector<C>& b) {
+    return specials ? bits_equal_nan(a, b) : bits_equal(a, b);
+  };
+  const std::string where = std::string(pair ? "pair" : "stage") +
+                            " rows=" + std::to_string(rows) +
+                            " width=" + std::to_string(width) +
+                            " half=" + std::to_string(half) +
+                            " sizeof(C)=" + std::to_string(sizeof(C)) +
+                            (specials ? " specials" : "") +
+                            (scaled ? " scaled" : "");
+  std::vector<C> ref = x0;
+  {
+    ArmGuard guard;
+    simd::force_arm(simd::Arm::kScalar);
+    run(ref.data() + 1);
+    std::vector<C> per_column = x0;
+    std::vector<C> col(static_cast<std::size_t>(rows));
+    for (int j = 0; j < width; ++j) {
+      C* base = per_column.data() + 1 + j;
+      for (int r = 0; r < rows; ++r) col[r] = base[r * width];
+      pair ? simd::fft_stage_pair(col.data(), rows, half, tw.data(),
+                                  tw2.data())
+           : simd::fft_stage(col.data(), rows, half, tw.data());
+      for (int r = 0; r < rows; ++r) {
+        if (scaled) {
+          col[r] *= factors[0];
+          col[r] *= factors[1];
+        }
+        base[r * width] = col[r];
+      }
     }
-    for_each_vector_arm([&](simd::Arm) {
-      std::vector<double> acc = acc0;
-      simd::abs2_scale_accum(acc.data(), z.data(), scale, n);
-      EXPECT_TRUE(bits_equal(acc, ref)) << "n=" << n;
-    });
+    EXPECT_TRUE(same(ref, per_column)) << "scalar vs per-column " << where;
+  }
+  for_each_vector_arm([&](simd::Arm arm) {
+    std::vector<C> x = x0;
+    run(x.data() + 1);
+    EXPECT_TRUE(same(x, ref)) << where << " arm=" << simd::arm_name(arm);
+  });
+}
+
+constexpr int kRowWidths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 29, 64};
+
+TEST(Simd, FftRowsStageBitIdentical) {
+  Rng rng = make_rng(13);
+  for (const bool specials : {false, true}) {
+    for (const bool scaled : {false, true}) {
+      for (const int rows : {2, 4, 8, 64}) {
+        for (int half = 1; half < rows; half <<= 1) {
+          for (const int width : kRowWidths) {
+            rows_pin<cd>(rows, width, half, false, specials, scaled, rng);
+            rows_pin<cf>(rows, width, half, false, specials, scaled, rng);
+          }
+        }
+      }
+    }
   }
 }
 
-TEST(Simd, Abs2AccumBitIdentical) {
-  Rng rng = make_rng(3);
-  for (const int n : {1, 2, 5, 8, 9, 16, 63}) {
-    const auto e = random_fvec(2 * n, rng);
-    const auto acc0 = random_fvec(n, rng);
-    std::vector<float> ref = acc0;
+TEST(Simd, FftRowsPairBitIdentical) {
+  Rng rng = make_rng(14);
+  for (const bool specials : {false, true}) {
+    for (const bool scaled : {false, true}) {
+      for (const int rows : {4, 8, 16, 64}) {
+        for (int half = 1; rows % (4 * half) == 0; half <<= 1) {
+          for (const int width : kRowWidths) {
+            rows_pin<cd>(rows, width, half, true, specials, scaled, rng);
+            rows_pin<cf>(rows, width, half, true, specials, scaled, rng);
+          }
+        }
+      }
+    }
+  }
+}
+
+template <typename R>
+std::vector<R> random_rvec(int n, Rng& rng) {
+  std::vector<R> v(static_cast<std::size_t>(n));
+  for (auto& x : v) x = static_cast<R>(rng.normal());
+  return v;
+}
+
+template <typename R>
+void abs2_accum_pin(Rng& rng) {
+  for (const int n : {1, 2, 3, 4, 5, 8, 9, 16, 33, 63, 100}) {
+    const auto e = random_rvec<R>(2 * n, rng);
+    const auto acc0 = random_rvec<R>(n, rng);
+    std::vector<R> ref = acc0;
     {
       ArmGuard guard;
       simd::force_arm(simd::Arm::kScalar);
       simd::abs2_accum(ref.data(), e.data(), n);
     }
     for_each_vector_arm([&](simd::Arm) {
-      std::vector<float> acc = acc0;
+      std::vector<R> acc = acc0;
       simd::abs2_accum(acc.data(), e.data(), n);
-      EXPECT_TRUE(bits_equal(acc, ref)) << "n=" << n;
+      EXPECT_TRUE(bits_equal(acc, ref))
+          << "n=" << n << " sizeof(R)=" << sizeof(R);
     });
   }
+}
+
+TEST(Simd, Abs2AccumBitIdentical) {
+  Rng rng = make_rng(3);
+  abs2_accum_pin<float>(rng);
+  abs2_accum_pin<double>(rng);
 }
 
 // The register-blocked panel kernel: every row height, both A layouts

@@ -23,10 +23,11 @@ those conventions into a CI failure:
                          defined in src/common/simd.cpp must have its
                          dispatcher exercised in tests/test_simd.cpp
                          (which must drive arms via for_each_vector_arm).
-  R5 prerev-outside-fft  bitrev_table() / *_many_prerev calls in src/
-                         outside src/fft/ — the bit-reversed gather lives
-                         once, in fft/pruned.hpp; callers use band_inverse
-                         and crop_forward.  Tests are exempt.
+  R5 prerev-outside-fft  bitrev_table() / *_many_prerev /
+                         *_columns_prerev calls in src/ outside src/fft/ —
+                         the bit-reversed placement lives once, in
+                         fft/pruned.hpp; callers use band_inverse and
+                         crop_forward.  Tests are exempt.
   R6 dead-simd-kernel    every kernel (`void` function) declared in
                          src/common/simd.hpp must have a caller in src/
                          outside simd.{hpp,cpp} — a kernel only tests and
@@ -134,8 +135,8 @@ RULES = [
          "use the ordered chunked reduction (litho::reduce_ordered / "
          "DESIGN.md §6.3)"),
     Rule("R5 prerev-outside-fft",
-         r"\bbitrev_table\s*\(|\b\w+_many_prerev\s*\(",
-         "the bit-reversed gather is written once, in src/fft/pruned.hpp; "
+         r"\bbitrev_table\s*\(|\b\w+_(?:many|columns)_prerev\s*\(",
+         "the bit-reversed placement is written once, in src/fft/pruned.hpp; "
          "use band_inverse / crop_forward (DESIGN.md §6.3)",
          exempt_dir="fft"),
 ]
@@ -252,6 +253,7 @@ SELF_TESTS = [
     ("unordered_reduction.cpp", "R3 unordered-reduction"),
     ("comment_mention_clean.cpp", None),
     ("prerev_gather.cpp", "R5 prerev-outside-fft"),
+    ("prerev_columns.cpp", "R5 prerev-outside-fft"),
     ("prerev_gather_clean.cpp", None),
 ]
 

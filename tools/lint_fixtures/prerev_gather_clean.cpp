@@ -1,7 +1,8 @@
 // Clean R5 fixture: the pruned transforms are used through fft/pruned.hpp,
-// and the gather's internals appear only in prose — bitrev_table() and
-// inverse_many_prerev(x, n, scratch) in a comment, or a string, must not
-// fire.  Plain many-transform calls are fine anywhere.
+// and the gather's internals appear only in prose — bitrev_table(),
+// inverse_many_prerev(x, n, scratch) and inverse_columns_prerev(x, w,
+// scratch) in a comment, or a string, must not fire.  Plain many-transform
+// and column-transform calls are fine anywhere.
 #include <complex>
 #include <string>
 
@@ -9,12 +10,21 @@
 
 namespace fixture {
 
-std::string why() { return "never call forward_many_prerev( outside fft"; }
+std::string why() {
+  return "never call forward_many_prerev( or forward_columns_prerev( outside "
+         "fft";
+}
 
 void rows(const nitho::FftPlan<float>& plan, std::complex<float>* x, int n,
           std::complex<float>* scratch) {
   plan.inverse_many(x, n, scratch);
   plan.forward_many(x, n, scratch);
+}
+
+void columns(const nitho::FftPlan<float>& plan, std::complex<float>* x,
+             int width, std::complex<float>* scratch) {
+  plan.forward_columns(x, width, scratch);
+  plan.inverse_columns(x, width, scratch);
 }
 
 }  // namespace fixture
