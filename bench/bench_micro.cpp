@@ -108,6 +108,38 @@ void BM_BandInverse(benchmark::State& state) {
 BENCHMARK(BM_BandInverse<float>)->Arg(32)->Arg(64)->Arg(128);
 BENCHMARK(BM_BandInverse<double>)->Arg(32)->Arg(64)->Arg(128);
 
+// One SOCS kernel's coherent-intensity term, as the aerial engine (double)
+// and the no-gradient socs_intensity_forward (float) run it: a kdim-29
+// crop through the pruned inverse, |.|^2 added to an s x s accumulator.
+template <typename R>
+void BM_PlaneIntensity(benchmark::State& state) {
+  using C = std::complex<R>;
+  const int s = static_cast<int>(state.range(0));
+  const int kdim = 29;
+  Rng rng(4);
+  std::vector<C> crop(static_cast<std::size_t>(kdim) * kdim);
+  for (auto& v : crop) {
+    v = C(static_cast<R>(rng.normal()), static_cast<R>(rng.normal()));
+  }
+  std::vector<R> acc(static_cast<std::size_t>(s) * s, R(0));
+  Fft2WorkspaceT<R> ws;
+  const FftPlan<R>& plan = plan_for<R>(s);
+  for (auto _ : state) {
+    band_intensity(
+        plan, kdim, kdim, ws,
+        [&](int a, C* row) {
+          std::copy_n(crop.data() + static_cast<std::size_t>(a) * kdim, kdim,
+                      row);
+        },
+        acc.data());
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PlaneIntensity<float>)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_PlaneIntensity<double>)->Arg(32)->Arg(64)->Arg(128);
+
 void BM_CropForward(benchmark::State& state) {
   using C = std::complex<float>;
   const int s = 64, kdim = 29;

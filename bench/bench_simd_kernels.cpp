@@ -1,7 +1,8 @@
 // SIMD kernel microbench: same-binary scalar-vs-vector ratios for the three
-// gated hot loops — the engine's fused crop/multiply/scatter +
-// abs2-accumulate pass, the radix-2 butterfly transform (paired stages plus
-// an odd last stage, DESIGN.md §13.2), and the dense GEMM microkernel —
+// gated hot loops — the engine's fused crop/multiply/scatter + |.|^2
+// epilogue (its last column stage adding into the accumulator), the
+// radix-2 butterfly transform (paired stages plus an odd last stage,
+// DESIGN.md §13.2), and the dense GEMM microkernel —
 // plus informational rows for the row-major pruned-inverse column passes
 // the imaging, train and opc workloads run, the Bluestein path and the
 // float abs2 accumulate.  Ratios come from interleaved best-of-reps runs of
@@ -26,6 +27,7 @@
 #include "common/simd.hpp"
 #include "common/timer.hpp"
 #include "fft/fft.hpp"
+#include "fft/pruned.hpp"
 #include "io/csv.hpp"
 #include "nn/gemm.hpp"
 
@@ -77,14 +79,23 @@ int main(int argc, char** argv) {
   const char* arm = log_simd_arm();
   const int reps = flags.get_int("reps", 7);
 
-  // --- fused scatter: the engine's per-kernel pass minus the FFT ---------
-  // (kdim 29 = the paper-scale Eq.-10 kernel support; out 128.)
+  // --- fused scatter: the engine's per-kernel pass minus its inner FFT ---
+  // (kdim 29 = the paper-scale Eq.-10 kernel support; out 128.)  The band
+  // rows' kernel x spectrum products scattered into the field plane, then
+  // the intensity epilogue, which rides on the last inverse column stage
+  // (half 64, with its 1/n and s^2): that stage adds |.|^2 into the
+  // accumulator instead of storing the field.
   const int kdim = 29, out = 128;
   Rng rng = bench_rng(1);
   const auto kern = random_cvec<cd>(kdim * kdim, rng);
   const auto spec = random_cvec<cd>(kdim * kdim, rng);
   aligned_vector<cd> field(static_cast<std::size_t>(out) * out);
   aligned_vector<double> local(static_cast<std::size_t>(out) * out, 0.0);
+  std::vector<cd> last_tw(static_cast<std::size_t>(out / 2));
+  for (int k = 0; k < out / 2; ++k) {
+    last_tw[static_cast<std::size_t>(k)] = std::polar(1.0, 2.0 * kPi * k / out);
+  }
+  const double last_scale[2] = {1.0 / out, static_cast<double>(out) * out};
   const int seg_start = 93;  // a wrapping scatter start, like (e0+sh) % out
   const int seg1 = std::min(kdim, out - seg_start);
   Workload fused{"fused_scatter",
@@ -98,10 +109,9 @@ int main(int argc, char** argv) {
                      simd::cmul(frow + seg_start, krow, srow, seg1);
                      simd::cmul(frow, krow + seg1, srow + seg1, kdim - seg1);
                    }
-                   simd::abs2_accum(local.data(),
-                                    reinterpret_cast<const double*>(
-                                        field.data()),
-                                    out * out);
+                   simd::fft_rows_stage(field.data(), out, out, out / 2,
+                                        last_tw.data(), last_scale,
+                                        local.data());
                  },
                  200};
 
@@ -128,33 +138,45 @@ int main(int argc, char** argv) {
                   500};
 
   // --- hot-path column passes: one pruned-inverse field plane -----------
-  // The shapes band_inverse (fft/pruned.hpp) actually runs: the train/opc
-  // ops' float s = 64 and the imaging engine's double s = 128, each one
-  // row-major inverse_columns_prerev across the whole s x s plane with the
-  // s^2 rescale folded into its last pass.
+  // The shapes band_inverse / band_intensity (fft/pruned.hpp) actually
+  // run: a kdim-29 band of row-transformed rows read in place through the
+  // row table (the other rows are null), the whole-plane column pass with
+  // the s^2 rescale folded into its last pass — the train/opc ops' float
+  // s = 64 field plane, and the imaging engine's double s = 128 plane whose
+  // last pass adds |.|^2 into an accumulator.
   const int cols_f_n = 64, cols_d_n = 128;
-  const auto cols_sig_f = random_cvec<cf>(cols_f_n * cols_f_n, rng);
-  const auto cols_sig_d = random_cvec<cd>(cols_d_n * cols_d_n, rng);
-  aligned_vector<cf> cols_f(cols_sig_f.size());
-  aligned_vector<cd> cols_d(cols_sig_d.size());
+  const auto cols_sig_f = random_cvec<cf>(kdim * cols_f_n, rng);
+  const auto cols_sig_d = random_cvec<cd>(kdim * cols_d_n, rng);
+  aligned_vector<cf> cols_f(static_cast<std::size_t>(cols_f_n) * cols_f_n);
+  aligned_vector<cd> cols_d(static_cast<std::size_t>(cols_d_n) * cols_d_n);
+  aligned_vector<double> cols_acc(cols_d.size(), 0.0);
   const FftPlan<float>& cols_plan_f = fft_plan_f(cols_f_n);
   const FftPlan<double>& cols_plan_d = fft_plan_d(cols_d_n);
+  // Band row a at the bit-reversed position of its grid row.
+  const auto band_table = [kdim](const auto& plan, const auto* sig) {
+    const int s = plan.size();
+    std::vector<decltype(sig)> table(static_cast<std::size_t>(s), nullptr);
+    for (int a = 0; a < kdim; ++a) {
+      table[plan.bitrev_table()[centered_to_dft_index(a, kdim, s)]] =
+          sig + static_cast<std::ptrdiff_t>(a) * s;
+    }
+    return table;
+  };
+  const auto table_f = band_table(cols_plan_f, cols_sig_f.data());
+  const auto table_d = band_table(cols_plan_d, cols_sig_d.data());
   Workload cols32{"columns_f32_64",
                   [&] {
-                    std::memcpy(cols_f.data(), cols_sig_f.data(),
-                                cols_sig_f.size() * sizeof(cf));
-                    cols_plan_f.inverse_columns_prerev(
-                        cols_f.data(), cols_f_n, nullptr,
+                    cols_plan_f.inverse_columns_gather(
+                        table_f.data(), cols_f.data(), cols_f_n, nullptr,
                         static_cast<float>(cols_f_n * cols_f_n));
                   },
                   200};
   Workload cols64{"columns_f64_128",
                   [&] {
-                    std::memcpy(cols_d.data(), cols_sig_d.data(),
-                                cols_sig_d.size() * sizeof(cd));
-                    cols_plan_d.inverse_columns_prerev(
-                        cols_d.data(), cols_d_n, nullptr,
-                        static_cast<double>(cols_d_n * cols_d_n));
+                    cols_plan_d.intensity_columns_gather(
+                        table_d.data(), cols_d.data(), cols_d_n, nullptr,
+                        static_cast<double>(cols_d_n * cols_d_n),
+                        cols_acc.data());
                   },
                   50};
 

@@ -58,8 +58,7 @@ void cmul_scalar(C* dst, const C* a, const C* b, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) dst[i] = cmul_ref(a[i], b[i]);
 }
 
-template <typename R>
-void abs2_accum_scalar(R* acc, const R* e, std::int64_t n) {
+void abs2_accum_scalar(float* acc, const float* e, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) {
     acc[i] += e[2 * i] * e[2 * i] + e[2 * i + 1] * e[2 * i + 1];
   }
@@ -137,52 +136,115 @@ inline void rescale_ref(C& x, const typename C::value_type* scale) {
   x *= scale[1];
 }
 
+// One row of a column-block pass: it reads `in` (null: an all-zero row,
+// read as +0) and either stores its output to `out` or, with a non-null
+// `acc`, adds each output's |.|^2 to acc and leaves `out` alone.
+template <typename C>
+struct RowIo {
+  const C* in;
+  C* out;
+  typename C::value_type* acc;
+};
+
+// Row r of a [rows x width] block x: read from src[r] when a row table is
+// given (the gathered first pass), else from x's own row; the |.|^2
+// epilogue targets acc's row r.
+template <typename C>
+inline RowIo<C> row_io(C* x, const C* const* src,
+                       typename C::value_type* acc, int r, int width) {
+  const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(r) * width;
+  return {src != nullptr ? src[r] : x + off, x + off,
+          acc != nullptr ? acc + off : nullptr};
+}
+
+template <typename C>
+inline C load_ref(const RowIo<C>& row, int j) {
+  return row.in != nullptr ? row.in[j] : C(0, 0);
+}
+
+// Stores v, or adds |v|^2 = re*re + im*im — abs2_accum's expression and
+// operand order.
+template <typename C>
+inline void put_ref(const RowIo<C>& row, int j, const C& v) {
+  if (row.acc != nullptr) {
+    row.acc[j] += v.real() * v.real() + v.imag() * v.imag();
+  } else {
+    row.out[j] = v;
+  }
+}
+
 // fft_stage's butterfly on columns [from, width) of one row pair, with the
 // row pair's one twiddle, then the output scaling; the vector arms' column
 // tails run it too.
 template <typename C>
-inline void butterfly_rows_ref(C* top, C* bot, int from, int width,
-                               const C& w,
+inline void butterfly_rows_ref(const RowIo<C>& top, const RowIo<C>& bot,
+                               int from, int width, const C& w,
                                const typename C::value_type* scale) {
   for (int j = from; j < width; ++j) {
-    butterfly_ref(top[j], bot[j], w);
-    rescale_ref(top[j], scale);
-    rescale_ref(bot[j], scale);
+    C a = load_ref(top, j);
+    C b = load_ref(bot, j);
+    butterfly_ref(a, b, w);
+    rescale_ref(a, scale);
+    rescale_ref(b, scale);
+    put_ref(top, j, a);
+    put_ref(bot, j, b);
   }
 }
 
 template <typename C>
-void fft_rows_stage_scalar(C* x, int rows, int width, int half, const C* tw,
-                           const typename C::value_type* scale) {
-  const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(half) * width;
+void rows_stage_scalar(C* x, const C* const* src, int rows, int width,
+                       int half, const C* tw,
+                       const typename C::value_type* scale,
+                       typename C::value_type* acc) {
   for (int base = 0; base < rows; base += 2 * half) {
     for (int k = 0; k < half; ++k) {
-      C* top = x + static_cast<std::ptrdiff_t>(base + k) * width;
-      butterfly_rows_ref(top, top + hw, 0, width, tw[k], scale);
+      butterfly_rows_ref(row_io(x, src, acc, base + k, width),
+                         row_io(x, src, acc, base + half + k, width), 0,
+                         width, tw[k], scale);
     }
   }
 }
 
 template <typename C>
-void fft_rows_pair_scalar(C* x, int rows, int width, int half, const C* tw,
-                          const C* tw2, const typename C::value_type* scale) {
-  fft_rows_stage_scalar(x, rows, width, half, tw, nullptr);
-  fft_rows_stage_scalar(x, rows, width, 2 * half, tw2, scale);
+void fft_rows_stage_scalar(C* x, int rows, int width, int half, const C* tw,
+                           const typename C::value_type* scale,
+                           typename C::value_type* acc) {
+  rows_stage_scalar<C>(x, nullptr, rows, width, half, tw, scale, acc);
 }
 
-// One radix-2² group of fft_rows_pair on columns [from, width): rows r0,
-// r0 + hw, r0 + 2hw, r0 + 3hw (hw = half rows, in elements) — the two
-// stages' four butterflies per column, in stage order, then the output
-// scaling.
 template <typename C>
-inline void rows_group_ref(C* r0, std::ptrdiff_t hw, int from, int width,
+void fft_rows_pair_scalar(C* x, int rows, int width, int half, const C* tw,
+                          const C* tw2, const typename C::value_type* scale,
+                          typename C::value_type* acc) {
+  rows_stage_scalar<C>(x, nullptr, rows, width, half, tw, nullptr, nullptr);
+  rows_stage_scalar<C>(x, nullptr, rows, width, 2 * half, tw2, scale, acc);
+}
+
+// The gathered pair: its first stage reads the row table and writes x,
+// the second runs in place — the two stages of a placed block, bit for
+// bit.
+template <typename C>
+void fft_rows_pair_gather_scalar(C* x, const C* const* src, int rows,
+                                 int width, int half, const C* tw,
+                                 const C* tw2,
+                                 const typename C::value_type* scale,
+                                 typename C::value_type* acc) {
+  rows_stage_scalar<C>(x, src, rows, width, half, tw, nullptr, nullptr);
+  rows_stage_scalar<C>(x, nullptr, rows, width, 2 * half, tw2, scale, acc);
+}
+
+// One radix-2² group of a paired pass on columns [from, width): rows g[0]
+// .. g[3] are j, j+half, j+2*half, j+3*half — the two stages' four
+// butterflies per column, in stage order, then the output scaling.
+template <typename C>
+inline void rows_group_ref(const RowIo<C> (&g)[4], int from, int width,
                            const C& w, const C& wa, const C& wb,
                            const typename C::value_type* scale) {
   for (int j = from; j < width; ++j) {
-    C& a = r0[j];
-    C& b = r0[hw + j];
-    C& c = r0[2 * hw + j];
-    C& d = r0[3 * hw + j];
+    C a = load_ref(g[0], j);
+    C b = load_ref(g[1], j);
+    C c = load_ref(g[2], j);
+    C d = load_ref(g[3], j);
     butterfly_ref(a, b, w);
     butterfly_ref(c, d, w);
     butterfly_ref(a, c, wa);
@@ -191,6 +253,28 @@ inline void rows_group_ref(C* r0, std::ptrdiff_t hw, int from, int width,
     rescale_ref(b, scale);
     rescale_ref(c, scale);
     rescale_ref(d, scale);
+    put_ref(g[0], j, a);
+    put_ref(g[1], j, b);
+    put_ref(g[2], j, c);
+    put_ref(g[3], j, d);
+  }
+}
+
+// Calls pass.template operator()<flags...>() with one compile-time bool
+// per runtime flag, so each combination of a column-block call's options
+// (scaled, gathered, |.|^2 epilogue) runs its own loop with no per-element
+// test.
+template <bool... kFlags, typename Pass>
+inline void with_flags(Pass&& pass) {
+  pass.template operator()<kFlags...>();
+}
+
+template <bool... kFlags, typename Pass, typename... Rest>
+inline void with_flags(Pass&& pass, bool flag, Rest... rest) {
+  if (flag) {
+    with_flags<kFlags..., true>(pass, rest...);
+  } else {
+    with_flags<kFlags..., false>(pass, rest...);
   }
 }
 
@@ -242,25 +326,6 @@ void cmul_sse2(cf* dst, const cf* a, const cf* b, std::int64_t n) {
     _mm_storeu_ps(reinterpret_cast<float*>(dst + i), cmul2_sse2(av, bv));
   }
   for (; i < n; ++i) dst[i] = cmul_ref(a[i], b[i]);
-}
-
-void abs2_accum_sse2(double* acc, const double* e, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d z0 = _mm_loadu_pd(e + 2 * i);
-    const __m128d z1 = _mm_loadu_pd(e + 2 * i + 2);
-    const __m128d s0 = _mm_mul_pd(z0, z0);  // [re0^2, im0^2]
-    const __m128d s1 = _mm_mul_pd(z1, z1);
-    // [re0^2, re1^2] + [im0^2, im1^2] = re^2 + im^2 per pixel, the scalar
-    // operand order.
-    const __m128d re = _mm_unpacklo_pd(s0, s1);
-    const __m128d im = _mm_unpackhi_pd(s0, s1);
-    const __m128d nrm = _mm_add_pd(re, im);
-    _mm_storeu_pd(acc + i, _mm_add_pd(_mm_loadu_pd(acc + i), nrm));
-  }
-  for (; i < n; ++i) {
-    acc[i] += e[2 * i] * e[2 * i] + e[2 * i + 1] * e[2 * i + 1];
-  }
 }
 
 void abs2_accum_sse2(float* acc, const float* e, std::int64_t n) {
@@ -469,76 +534,143 @@ inline __m128 rescale128(__m128 v, __m128 s0, __m128 s1) {
   return _mm_mul_ps(_mm_mul_ps(v, s0), s1);
 }
 
-template <bool kScaled>
-void butterfly_rows128(std::complex<double>* top, std::complex<double>* bot,
-                         int width, const std::complex<double>* w,
-                         const double* scale) {
-  const __m128d wv = splat128(w);
-  const __m128d s0 = _mm_set1_pd(kScaled ? scale[0] : 1.0);
-  const __m128d s1 = _mm_set1_pd(kScaled ? scale[1] : 1.0);
-  for (int j = 0; j < width; ++j) {
-    double* pt = reinterpret_cast<double*>(top + j);
-    double* pb = reinterpret_cast<double*>(bot + j);
-    const __m128d tv = cmul1_sse2(_mm_loadu_pd(pb), wv);
-    const __m128d tp = _mm_loadu_pd(pt);
-    __m128d a = _mm_add_pd(tp, tv);
-    __m128d b = _mm_sub_pd(tp, tv);
-    if (kScaled) {
-      a = rescale128(a, s0, s1);
-      b = rescale128(b, s0, s1);
-    }
-    _mm_storeu_pd(pb, b);
-    _mm_storeu_pd(pt, a);
-  }
+inline __m128d set1_128(double v) { return _mm_set1_pd(v); }
+inline __m128 set1_128(float v) { return _mm_set1_ps(v); }
+inline __m128d cmul128(__m128d a, __m128d b) { return cmul1_sse2(a, b); }
+inline __m128 cmul128(__m128 a, __m128 b) { return cmul2_sse2(a, b); }
+inline __m128d add128(__m128d a, __m128d b) { return _mm_add_pd(a, b); }
+inline __m128 add128(__m128 a, __m128 b) { return _mm_add_ps(a, b); }
+inline __m128d sub128(__m128d a, __m128d b) { return _mm_sub_pd(a, b); }
+inline __m128 sub128(__m128 a, __m128 b) { return _mm_sub_ps(a, b); }
+
+inline void store128(std::complex<double>* p, __m128d v) {
+  _mm_storeu_pd(reinterpret_cast<double*>(p), v);
 }
 
-template <bool kScaled>
-void butterfly_rows128(std::complex<float>* top, std::complex<float>* bot,
-                         int width, const std::complex<float>* w,
-                         const float* scale) {
-  const __m128 wv = splat128(w);
-  const __m128 s0 = _mm_set1_ps(kScaled ? scale[0] : 1.0f);
-  const __m128 s1 = _mm_set1_ps(kScaled ? scale[1] : 1.0f);
+inline void store128(std::complex<float>* p, __m128 v) {
+  _mm_storeu_ps(reinterpret_cast<float*>(p), v);
+}
+
+// Loads a pass's input lanes from row + j, or +0 lanes for a null row (a
+// zero row of a gathered first pass; a non-gathered row is never null).
+template <bool kGather>
+inline __m128d load_row128(const std::complex<double>* row, int j) {
+  if (kGather && row == nullptr) return _mm_setzero_pd();
+  return _mm_loadu_pd(reinterpret_cast<const double*>(row + j));
+}
+
+template <bool kGather>
+inline __m128 load_row128(const std::complex<float>* row, int j) {
+  if (kGather && row == nullptr) return _mm_setzero_ps();
+  return _mm_loadu_ps(reinterpret_cast<const float*>(row + j));
+}
+
+// The |.|^2 epilogue on one register of each of two rows: acc0[j..] +=
+// |a|^2, acc1[j..] += |b|^2, in the scalar expression's order — squares,
+// then re^2 + im^2, then acc + that.
+inline void abs2_rows128(double* acc0, double* acc1, __m128d a, __m128d b) {
+  const __m128d sa = _mm_mul_pd(a, a);  // [re_a^2, im_a^2]
+  const __m128d sb = _mm_mul_pd(b, b);
+  const __m128d nrm =
+      _mm_add_pd(_mm_unpacklo_pd(sa, sb), _mm_unpackhi_pd(sa, sb));
+  _mm_store_sd(acc0, _mm_add_sd(_mm_load_sd(acc0), nrm));
+  _mm_store_sd(acc1,
+               _mm_add_sd(_mm_load_sd(acc1), _mm_unpackhi_pd(nrm, nrm)));
+}
+
+inline __m128 load2_ps(const float* p) {
+  return _mm_castsi128_ps(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+}
+
+inline void store2_ps(float* p, __m128 v) {
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(p), _mm_castps_si128(v));
+}
+
+inline void abs2_rows128(float* acc0, float* acc1, __m128 a, __m128 b) {
+  // [re_a0, re_a1, re_b0, re_b1] and the imaginary parts alike.
+  const __m128 ev = _mm_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0));
+  const __m128 od = _mm_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1));
+  const __m128 nrm = _mm_add_ps(_mm_mul_ps(ev, ev), _mm_mul_ps(od, od));
+  const __m128 sum =
+      _mm_add_ps(_mm_movelh_ps(load2_ps(acc0), load2_ps(acc1)), nrm);
+  store2_ps(acc0, sum);
+  store2_ps(acc1, _mm_movehl_ps(sum, sum));
+}
+
+// One row pair of a column-block stage: kGather reads top.in / bot.in
+// (null rows as +0 lanes) instead of the rows it writes; kAbs2 adds the
+// outputs' |.|^2 to top.acc / bot.acc instead of storing them.
+template <bool kScaled, bool kGather, bool kAbs2, typename C>
+void butterfly_rows128(const RowIo<C>& top, const RowIo<C>& bot, int width,
+                       const C* w, const typename C::value_type* scale) {
+  using R = typename C::value_type;
+  constexpr int kLane = static_cast<int>(16 / sizeof(C));
+  const auto wv = splat128(w);
+  const auto s0 = set1_128(kScaled ? scale[0] : R(1));
+  const auto s1 = set1_128(kScaled ? scale[1] : R(1));
   int j = 0;
-  for (; j + 2 <= width; j += 2) {
-    float* pt = reinterpret_cast<float*>(top + j);
-    float* pb = reinterpret_cast<float*>(bot + j);
-    const __m128 tv = cmul2_sse2(_mm_loadu_ps(pb), wv);
-    const __m128 tp = _mm_loadu_ps(pt);
-    __m128 a = _mm_add_ps(tp, tv);
-    __m128 b = _mm_sub_ps(tp, tv);
+  for (; j + kLane <= width; j += kLane) {
+    const auto tv = cmul128(load_row128<kGather>(bot.in, j), wv);
+    const auto tp = load_row128<kGather>(top.in, j);
+    auto a = add128(tp, tv);
+    auto b = sub128(tp, tv);
     if (kScaled) {
       a = rescale128(a, s0, s1);
       b = rescale128(b, s0, s1);
     }
-    _mm_storeu_ps(pb, b);
-    _mm_storeu_ps(pt, a);
+    if constexpr (kAbs2) {
+      abs2_rows128(top.acc + j, bot.acc + j, a, b);
+    } else {
+      store128(bot.out + j, b);
+      store128(top.out + j, a);
+    }
   }
   butterfly_rows_ref(top, bot, j, width, *w, kScaled ? scale : nullptr);
 }
 
 template <typename C>
-void fft_rows_stage_sse2(C* x, int rows, int width, int half, const C* tw,
-                         const typename C::value_type* scale) {
-  const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(half) * width;
+void rows_stage128(C* x, const C* const* src, int rows, int width, int half,
+                   const C* tw, const typename C::value_type* scale,
+                   typename C::value_type* acc) {
   for (int base = 0; base < rows; base += 2 * half) {
     for (int k = 0; k < half; ++k) {
-      C* top = x + static_cast<std::ptrdiff_t>(base + k) * width;
-      if (scale != nullptr) {
-        butterfly_rows128<true>(top, top + hw, width, tw + k, scale);
-      } else {
-        butterfly_rows128<false>(top, top + hw, width, tw + k, scale);
-      }
+      const RowIo<C> top = row_io(x, src, acc, base + k, width);
+      const RowIo<C> bot = row_io(x, src, acc, base + half + k, width);
+      with_flags(
+          [&]<bool kScaled, bool kGather, bool kAbs2>() {
+            butterfly_rows128<kScaled, kGather, kAbs2>(top, bot, width,
+                                                       tw + k, scale);
+          },
+          scale != nullptr, src != nullptr, acc != nullptr);
     }
   }
 }
 
-// As for the segment pass, the SSE2 pair is the two SSE2 stages in turn.
+template <typename C>
+void fft_rows_stage_sse2(C* x, int rows, int width, int half, const C* tw,
+                         const typename C::value_type* scale,
+                         typename C::value_type* acc) {
+  rows_stage128<C>(x, nullptr, rows, width, half, tw, scale, acc);
+}
+
+// As for the segment pass, the SSE2 pairs are two SSE2 stages in turn; a
+// gathered pair's first stage reads the row table.
 template <typename C>
 void fft_rows_pair_sse2(C* x, int rows, int width, int half, const C* tw,
-                        const C* tw2, const typename C::value_type* scale) {
-  fft_rows_stage_sse2(x, rows, width, half, tw, nullptr);
-  fft_rows_stage_sse2(x, rows, width, 2 * half, tw2, scale);
+                        const C* tw2, const typename C::value_type* scale,
+                        typename C::value_type* acc) {
+  rows_stage128<C>(x, nullptr, rows, width, half, tw, nullptr, nullptr);
+  rows_stage128<C>(x, nullptr, rows, width, 2 * half, tw2, scale, acc);
+}
+
+template <typename C>
+void fft_rows_pair_gather_sse2(C* x, const C* const* src, int rows,
+                               int width, int half, const C* tw,
+                               const C* tw2,
+                               const typename C::value_type* scale,
+                               typename C::value_type* acc) {
+  rows_stage128<C>(x, src, rows, width, half, tw, nullptr, nullptr);
+  rows_stage128<C>(x, nullptr, rows, width, 2 * half, tw2, scale, acc);
 }
 
 // ---------------------------------------------------------------------------
@@ -594,26 +726,6 @@ __attribute__((target("avx2"))) void cmul_avx2(cf* dst, const cf* a,
     _mm256_storeu_ps(reinterpret_cast<float*>(dst + i), cmul4_avx2(av, bv));
   }
   for (; i < n; ++i) dst[i] = cmul_ref(a[i], b[i]);
-}
-
-__attribute__((target("avx2"))) void abs2_accum_avx2(double* acc,
-                                                     const double* e,
-                                                     std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d z0 = _mm256_loadu_pd(e + 2 * i);
-    const __m256d z1 = _mm256_loadu_pd(e + 2 * i + 4);
-    const __m256d s0 = _mm256_mul_pd(z0, z0);
-    const __m256d s1 = _mm256_mul_pd(z1, z1);
-    // hadd pairs re^2+im^2 (scalar operand order) but interleaves the two
-    // sources as [p0, p2, p1, p3]; the 64-bit permute restores pixel order.
-    const __m256d pairs = _mm256_hadd_pd(s0, s1);
-    const __m256d nrm = _mm256_permute4x64_pd(pairs, _MM_SHUFFLE(3, 1, 2, 0));
-    _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i), nrm));
-  }
-  for (; i < n; ++i) {
-    acc[i] += e[2 * i] * e[2 * i] + e[2 * i + 1] * e[2 * i + 1];
-  }
 }
 
 __attribute__((target("avx2"))) void abs2_accum_avx2(float* acc,
@@ -1047,34 +1159,88 @@ __attribute__((target("avx2"))) inline __m256 rescale(__m256 v, float s0,
                        _mm256_set1_ps(s1));
 }
 
-template <bool kScaled, typename C>
+// A pass's input lanes from row + j, or +0 lanes (all bits clear) for a
+// null row (a zero row of a gathered first pass; a non-gathered row is
+// never null).
+template <bool kGather, typename C>
+__attribute__((target("avx2"))) inline typename Avx2Reg<C>::type load_row(
+    const C* row, int j) {
+  if (kGather && row == nullptr) return typename Avx2Reg<C>::type{};
+  return load_vec(reinterpret_cast<const typename C::value_type*>(row + j));
+}
+
+// The |.|^2 epilogue on one register of each of two rows: acc0[j..] +=
+// |a|^2, acc1[j..] += |b|^2.  Each pixel's re^2 + im^2 is formed in the
+// scalar operand order (hadd for double, the even/odd shuffle abs2_accum
+// uses for float), then acc + that; the 64-bit permute gathers each row's
+// pixels into one 128-bit half.
+__attribute__((target("avx2"))) inline void abs2_rows(double* acc0,
+                                                      double* acc1,
+                                                      __m256d a, __m256d b) {
+  const __m256d pairs = _mm256_hadd_pd(_mm256_mul_pd(a, a),
+                                       _mm256_mul_pd(b, b));  // [a0,b0,a1,b1]
+  const __m256d nrm = _mm256_permute4x64_pd(pairs, _MM_SHUFFLE(3, 1, 2, 0));
+  _mm_storeu_pd(acc0, _mm_add_pd(_mm_loadu_pd(acc0),
+                                 _mm256_castpd256_pd128(nrm)));
+  _mm_storeu_pd(acc1, _mm_add_pd(_mm_loadu_pd(acc1),
+                                 _mm256_extractf128_pd(nrm, 1)));
+}
+
+__attribute__((target("avx2"))) inline void abs2_rows(float* acc0,
+                                                      float* acc1, __m256 a,
+                                                      __m256 b) {
+  const __m256 ev = _mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0));
+  const __m256 od = _mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1));
+  const __m256 nrm = _mm256_add_ps(_mm256_mul_ps(ev, ev),
+                                   _mm256_mul_ps(od, od));
+  // [a0a1, b0b1, a2a3, b2b3] in 64-bit chunks -> [a0..a3, b0..b3].
+  const __m256 ord = _mm256_castpd_ps(_mm256_permute4x64_pd(
+      _mm256_castps_pd(nrm), _MM_SHUFFLE(3, 1, 2, 0)));
+  _mm_storeu_ps(acc0, _mm_add_ps(_mm_loadu_ps(acc0),
+                                 _mm256_castps256_ps128(ord)));
+  _mm_storeu_ps(acc1, _mm_add_ps(_mm_loadu_ps(acc1),
+                                 _mm256_extractf128_ps(ord, 1)));
+}
+
+// A pass's outputs for rows p and q: stored, or (kAbs2) their |.|^2 added
+// to the rows' accumulators.
+template <bool kAbs2, typename C, typename V>
+__attribute__((target("avx2"))) inline void put_rows(const RowIo<C>& p,
+                                                     const RowIo<C>& q, int j,
+                                                     V a, V b) {
+  using R = typename C::value_type;
+  if constexpr (kAbs2) {
+    abs2_rows(p.acc + j, q.acc + j, a, b);
+  } else {
+    store_vec(reinterpret_cast<R*>(p.out + j), a);
+    store_vec(reinterpret_cast<R*>(q.out + j), b);
+  }
+}
+
+template <bool kScaled, bool kAbs2, typename C>
 __attribute__((target("avx2"))) void rows_stage256(
     C* x, int rows, int width, int half, const C* tw,
-    const typename C::value_type* scale) {
+    const typename C::value_type* scale, typename C::value_type* acc) {
   using V = typename Avx2Reg<C>::type;
   using R = typename C::value_type;
   constexpr int kLane = static_cast<int>(sizeof(V) / sizeof(C));
   const R s0 = kScaled ? scale[0] : R(1);
   const R s1 = kScaled ? scale[1] : R(1);
-  const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(half) * width;
   for (int base = 0; base < rows; base += 2 * half) {
     for (int k = 0; k < half; ++k) {
-      C* top = x + static_cast<std::ptrdiff_t>(base + k) * width;
-      C* bot = top + hw;
+      const RowIo<C> top = row_io<C>(x, nullptr, acc, base + k, width);
+      const RowIo<C> bot = row_io<C>(x, nullptr, acc, base + half + k, width);
       const V w = splat(tw + k);
       int j = 0;
       for (; j + kLane <= width; j += kLane) {
-        R* pt = reinterpret_cast<R*>(top + j);
-        R* pb = reinterpret_cast<R*>(bot + j);
-        V a = load_vec(pt);
-        V b = load_vec(pb);
+        V a = load_row<false>(top.in, j);
+        V b = load_row<false>(bot.in, j);
         butterfly(a, b, w);
         if (kScaled) {
           a = rescale(a, s0, s1);
           b = rescale(b, s0, s1);
         }
-        store_vec(pt, a);
-        store_vec(pb, b);
+        put_rows<kAbs2>(top, bot, j, a, b);
       }
       butterfly_rows_ref(top, bot, j, width, tw[k], kScaled ? scale : nullptr);
     }
@@ -1084,40 +1250,43 @@ __attribute__((target("avx2"))) void rows_stage256(
 template <typename C>
 __attribute__((target("avx2"))) void fft_rows_stage_avx2(
     C* x, int rows, int width, int half, const C* tw,
-    const typename C::value_type* scale) {
-  if (scale != nullptr) {
-    rows_stage256<true>(x, rows, width, half, tw, scale);
-  } else {
-    rows_stage256<false>(x, rows, width, half, tw, scale);
-  }
+    const typename C::value_type* scale, typename C::value_type* acc) {
+  with_flags(
+      [&]<bool kScaled, bool kAbs2>() {
+        rows_stage256<kScaled, kAbs2>(x, rows, width, half, tw, scale, acc);
+      },
+      scale != nullptr, acc != nullptr);
 }
 
-template <bool kScaled, typename C>
+// A radix-2² group's four rows are loaded once (kGather: from the row
+// table, null rows as +0 lanes), butterflied in registers and scaled, then
+// stored to x or (kAbs2) squared into acc.
+template <bool kScaled, bool kGather, bool kAbs2, typename C>
 __attribute__((target("avx2"))) void rows_pair256(
-    C* x, int rows, int width, int half, const C* tw, const C* tw2,
-    const typename C::value_type* scale) {
+    C* x, const C* const* src, int rows, int width, int half, const C* tw,
+    const C* tw2, const typename C::value_type* scale,
+    typename C::value_type* acc) {
   using V = typename Avx2Reg<C>::type;
   using R = typename C::value_type;
   constexpr int kLane = static_cast<int>(sizeof(V) / sizeof(C));
   const R s0 = kScaled ? scale[0] : R(1);
   const R s1 = kScaled ? scale[1] : R(1);
-  const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(half) * width;
   for (int base = 0; base < rows; base += 4 * half) {
     for (int k = 0; k < half; ++k) {
-      C* r0 = x + static_cast<std::ptrdiff_t>(base + k) * width;
+      const int r0 = base + k;
+      const RowIo<C> g[4] = {row_io(x, src, acc, r0, width),
+                             row_io(x, src, acc, r0 + half, width),
+                             row_io(x, src, acc, r0 + 2 * half, width),
+                             row_io(x, src, acc, r0 + 3 * half, width)};
       const V w = splat(tw + k);
       const V wa = splat(tw2 + k);
       const V wb = splat(tw2 + half + k);
       int j = 0;
       for (; j + kLane <= width; j += kLane) {
-        R* p0 = reinterpret_cast<R*>(r0 + j);
-        R* p1 = reinterpret_cast<R*>(r0 + hw + j);
-        R* p2 = reinterpret_cast<R*>(r0 + 2 * hw + j);
-        R* p3 = reinterpret_cast<R*>(r0 + 3 * hw + j);
-        V a = load_vec(p0);
-        V b = load_vec(p1);
-        V c = load_vec(p2);
-        V d = load_vec(p3);
+        V a = load_row<kGather>(g[0].in, j);
+        V b = load_row<kGather>(g[1].in, j);
+        V c = load_row<kGather>(g[2].in, j);
+        V d = load_row<kGather>(g[3].in, j);
         butterfly(a, b, w);
         butterfly(c, d, w);
         butterfly(a, c, wa);
@@ -1128,12 +1297,10 @@ __attribute__((target("avx2"))) void rows_pair256(
           c = rescale(c, s0, s1);
           d = rescale(d, s0, s1);
         }
-        store_vec(p0, a);
-        store_vec(p1, b);
-        store_vec(p2, c);
-        store_vec(p3, d);
+        put_rows<kAbs2>(g[0], g[1], j, a, b);
+        put_rows<kAbs2>(g[2], g[3], j, c, d);
       }
-      rows_group_ref(r0, hw, j, width, tw[k], tw2[k], tw2[half + k],
+      rows_group_ref(g, j, width, tw[k], tw2[k], tw2[half + k],
                      kScaled ? scale : nullptr);
     }
   }
@@ -1142,12 +1309,26 @@ __attribute__((target("avx2"))) void rows_pair256(
 template <typename C>
 __attribute__((target("avx2"))) void fft_rows_pair_avx2(
     C* x, int rows, int width, int half, const C* tw, const C* tw2,
-    const typename C::value_type* scale) {
-  if (scale != nullptr) {
-    rows_pair256<true>(x, rows, width, half, tw, tw2, scale);
-  } else {
-    rows_pair256<false>(x, rows, width, half, tw, tw2, scale);
-  }
+    const typename C::value_type* scale, typename C::value_type* acc) {
+  with_flags(
+      [&]<bool kScaled, bool kAbs2>() {
+        rows_pair256<kScaled, false, kAbs2, C>(x, nullptr, rows, width, half,
+                                               tw, tw2, scale, acc);
+      },
+      scale != nullptr, acc != nullptr);
+}
+
+template <typename C>
+__attribute__((target("avx2"))) void fft_rows_pair_gather_avx2(
+    C* x, const C* const* src, int rows, int width, int half, const C* tw,
+    const C* tw2, const typename C::value_type* scale,
+    typename C::value_type* acc) {
+  with_flags(
+      [&]<bool kScaled, bool kAbs2>() {
+        rows_pair256<kScaled, true, kAbs2>(x, src, rows, width, half, tw, tw2,
+                                           scale, acc);
+      },
+      scale != nullptr, acc != nullptr);
 }
 
 #endif  // NITHO_SIMD_X86
@@ -1218,10 +1399,6 @@ void cmul_inplace(cd* a, const cd* b, std::int64_t n) { cmul(a, a, b, n); }
 
 void cmul_inplace(cf* a, const cf* b, std::int64_t n) { cmul(a, a, b, n); }
 
-void abs2_accum(double* acc, const double* e, std::int64_t n) {
-  NITHO_DISPATCH(abs2_accum, acc, e, n)
-}
-
 void abs2_accum(float* acc, const float* e, std::int64_t n) {
   NITHO_DISPATCH(abs2_accum, acc, e, n)
 }
@@ -1266,25 +1443,47 @@ void fft_stage_pair(std::complex<float>* x, int len, int half,
 }
 
 void fft_rows_stage(std::complex<double>* x, int rows, int width, int half,
-                    const std::complex<double>* tw, const double* scale) {
-  NITHO_DISPATCH(fft_rows_stage, x, rows, width, half, tw, scale)
+                    const std::complex<double>* tw, const double* scale,
+                    double* acc) {
+  NITHO_DISPATCH(fft_rows_stage, x, rows, width, half, tw, scale, acc)
 }
 
 void fft_rows_stage(std::complex<float>* x, int rows, int width, int half,
-                    const std::complex<float>* tw, const float* scale) {
-  NITHO_DISPATCH(fft_rows_stage, x, rows, width, half, tw, scale)
+                    const std::complex<float>* tw, const float* scale,
+                    float* acc) {
+  NITHO_DISPATCH(fft_rows_stage, x, rows, width, half, tw, scale, acc)
 }
 
 void fft_rows_pair(std::complex<double>* x, int rows, int width, int half,
                    const std::complex<double>* tw,
-                   const std::complex<double>* tw2, const double* scale) {
-  NITHO_DISPATCH(fft_rows_pair, x, rows, width, half, tw, tw2, scale)
+                   const std::complex<double>* tw2, const double* scale,
+                   double* acc) {
+  NITHO_DISPATCH(fft_rows_pair, x, rows, width, half, tw, tw2, scale, acc)
 }
 
 void fft_rows_pair(std::complex<float>* x, int rows, int width, int half,
                    const std::complex<float>* tw,
-                   const std::complex<float>* tw2, const float* scale) {
-  NITHO_DISPATCH(fft_rows_pair, x, rows, width, half, tw, tw2, scale)
+                   const std::complex<float>* tw2, const float* scale,
+                   float* acc) {
+  NITHO_DISPATCH(fft_rows_pair, x, rows, width, half, tw, tw2, scale, acc)
+}
+
+void fft_rows_pair_gather(std::complex<double>* x,
+                          const std::complex<double>* const* src, int rows,
+                          int width, int half, const std::complex<double>* tw,
+                          const std::complex<double>* tw2,
+                          const double* scale, double* acc) {
+  NITHO_DISPATCH(fft_rows_pair_gather, x, src, rows, width, half, tw, tw2,
+                 scale, acc)
+}
+
+void fft_rows_pair_gather(std::complex<float>* x,
+                          const std::complex<float>* const* src, int rows,
+                          int width, int half, const std::complex<float>* tw,
+                          const std::complex<float>* tw2, const float* scale,
+                          float* acc) {
+  NITHO_DISPATCH(fft_rows_pair_gather, x, src, rows, width, half, tw, tw2,
+                 scale, acc)
 }
 
 #undef NITHO_DISPATCH

@@ -62,9 +62,9 @@ void cmul_inplace(cd* a, const cd* b, std::int64_t n);
 void cmul_inplace(cf* a, const cf* b, std::int64_t n);
 
 /// acc[i] += e[2i]^2 + e[2i+1]^2 over an interleaved complex plane — the
-/// per-pixel coherent-intensity accumulate of the aerial engine (double,
-/// DESIGN.md §6.1) and the batched training ops (float).
-void abs2_accum(double* acc, const double* e, std::int64_t n);
+/// per-pixel coherent-intensity accumulate of the batched training ops
+/// over stored field planes.  Where no field is kept, the same expression
+/// rides on the last column pass instead (fft_rows_* with an `acc`).
 void abs2_accum(float* acc, const float* e, std::int64_t n);
 
 /// Rows per gemm_panel call (the register-blocked microkernel height).
@@ -144,26 +144,52 @@ void fft_stage_pair(std::complex<float>* x, int len, int half,
 /// scale[0] and the product by scale[1], per component — the same two
 /// roundings as two separate scaling passes over the block (an inverse
 /// transform's last stage folds in its 1/n and a caller's factor).
+///
+/// With a non-null `acc` (row-major [rows x width] reals) the pass is a
+/// last pass with an intensity epilogue: instead of storing output (r, j)
+/// it adds re*re + im*im of it to acc[r*width + j] — abs2_accum's
+/// expression and operand order, so the sum is the bits a stored field
+/// followed by an accumulate would give.  x is then scratch: its contents
+/// afterwards are unspecified.
 void fft_rows_stage(std::complex<double>* x, int rows, int width, int half,
-                    const std::complex<double>* tw,
-                    const double* scale);
+                    const std::complex<double>* tw, const double* scale,
+                    double* acc);
 void fft_rows_stage(std::complex<float>* x, int rows, int width, int half,
-                    const std::complex<float>* tw,
-                    const float* scale);
+                    const std::complex<float>* tw, const float* scale,
+                    float* acc);
 
 /// fft_rows_stage(x, rows, width, half, tw) followed by
-/// fft_rows_stage(x, rows, width, 2*half, tw2, scale), bit for bit — the
-/// column-block form of fft_stage_pair.  rows must be a multiple of
+/// fft_rows_stage(x, rows, width, 2*half, tw2, scale, acc), bit for bit —
+/// the column-block form of fft_stage_pair.  rows must be a multiple of
 /// 4*half.  Rows j, j+half, j+2*half, j+3*half form one radix-2² group with
 /// twiddles tw[k], tw2[k] and tw2[half+k]; the vector arms keep a group's
-/// lanes in registers between the two stages and the scaling.
+/// lanes in registers between the two stages, the scaling and the
+/// intensity epilogue.
 void fft_rows_pair(std::complex<double>* x, int rows, int width, int half,
                    const std::complex<double>* tw,
-                   const std::complex<double>* tw2,
-                   const double* scale);
+                   const std::complex<double>* tw2, const double* scale,
+                   double* acc);
 void fft_rows_pair(std::complex<float>* x, int rows, int width, int half,
                    const std::complex<float>* tw,
-                   const std::complex<float>* tw2,
-                   const float* scale);
+                   const std::complex<float>* tw2, const float* scale,
+                   float* acc);
+
+/// fft_rows_pair on a block whose input rows are read through a row table
+/// instead of from x — the first pass of a column transform whose input
+/// rows already sit elsewhere: input row r is src[r] (width elements), and
+/// a null src[r] is an all-zero row, read as +0 on every arm.  The outputs
+/// go to x (or, with `acc`, into the intensity epilogue), so the result is
+/// the bits of copying each row into x — zero rows as +0 — and running
+/// fft_rows_pair.  src[r] may be x's own row r, but no other row of x.
+void fft_rows_pair_gather(std::complex<double>* x,
+                          const std::complex<double>* const* src, int rows,
+                          int width, int half, const std::complex<double>* tw,
+                          const std::complex<double>* tw2,
+                          const double* scale, double* acc);
+void fft_rows_pair_gather(std::complex<float>* x,
+                          const std::complex<float>* const* src, int rows,
+                          int width, int half, const std::complex<float>* tw,
+                          const std::complex<float>* tw2, const float* scale,
+                          float* acc);
 
 }  // namespace nitho::simd

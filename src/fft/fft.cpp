@@ -192,18 +192,43 @@ struct FftPlan<R>::Impl {
     }
   }
 
+  // acc[i] += |x[i]|^2 for the column transforms with no stage pass to
+  // carry the intensity epilogue: the same expression, one pixel at a time.
+  static void accumulate_abs2(const C* x, std::ptrdiff_t count, R* acc) {
+    for (std::ptrdiff_t i = 0; i < count; ++i) {
+      acc[i] += x[i].real() * x[i].real() + x[i].imag() * x[i].imag();
+    }
+  }
+
   // Column transforms of a row-major [n x width] block.  Radix-2: the
   // shared stage schedule across whole rows (simd::fft_rows_pair /
   // fft_rows_stage), so column j sees exactly the butterflies a contiguous
   // copy of it would; the input permutation, when not prerev, swaps whole
-  // rows, and an inverse's 1/n and `rescale` ride on the last pass.
-  // Bluestein: one strided transform per column over `scratch`.
+  // rows, and an inverse's 1/n and `rescale` ride on the last pass.  A row
+  // table (`rows`, see inverse_columns_gather) is read by the first stage
+  // pair; a non-null `acc` turns the last pass into the intensity
+  // epilogue.  Bluestein: one strided transform per column over `scratch`.
   void transform_columns(C* x, int width, bool inverse, C* scratch,
-                         bool prerev, R rescale) const {
+                         bool prerev, R rescale,
+                         const C* const* rows = nullptr,
+                         R* acc = nullptr) const {
     check(width >= 0 &&
               (width == 0 ||
                n <= std::numeric_limits<int>::max() / width),
           "FftPlan: column block length overflow");
+    const std::ptrdiff_t total = static_cast<std::ptrdiff_t>(n) * width;
+    if (rows != nullptr && (m != 0 || n < 4)) {
+      // No stage pair to read the table: place the rows.
+      for (int p = 0; p < n; ++p) {
+        C* dst = x + static_cast<std::ptrdiff_t>(p) * width;
+        if (rows[p] == nullptr) {
+          std::fill(dst, dst + width, C(0, 0));
+        } else if (rows[p] != dst) {
+          std::copy_n(rows[p], width, dst);
+        }
+      }
+      rows = nullptr;
+    }
     if (m != 0) {
       check(!prerev, "FftPlan: prerev transforms need a radix-2 size");
       for (int j = 0; j < width; ++j) {
@@ -213,6 +238,7 @@ struct FftPlan<R>::Impl {
           x[j + static_cast<std::ptrdiff_t>(i) * width] *= rescale;
         }
       }
+      if (acc != nullptr) accumulate_abs2(x, total, acc);
       return;
     }
     if (!prerev) {
@@ -226,23 +252,32 @@ struct FftPlan<R>::Impl {
     const R scale[2] = {static_cast<R>(1.0 / n), rescale};
     const R* last = inverse ? scale : nullptr;
     if (n == 1) {
-      // No stage to carry the scaling.
+      // No stage to carry the scaling or the epilogue.
       if (last != nullptr) {
         for (int j = 0; j < width; ++j) {
           x[j] *= scale[0];
           x[j] *= scale[1];
         }
       }
+      if (acc != nullptr) accumulate_abs2(x, total, acc);
       return;
     }
     stage_schedule(
         n, inverse ? stage_inv.data() : stage_fwd.data(),
         [&](int half, const C* tw, const C* tw2) {
-          simd::fft_rows_pair(x, n, width, half, tw, tw2,
-                              4 * half == n ? last : nullptr);
+          const bool final_pass = 4 * half == n;
+          const R* sc = final_pass ? last : nullptr;
+          R* out = final_pass ? acc : nullptr;
+          if (rows != nullptr) {
+            simd::fft_rows_pair_gather(x, rows, n, width, half, tw, tw2, sc,
+                                       out);
+            rows = nullptr;  // only the first pass reads the table
+          } else {
+            simd::fft_rows_pair(x, n, width, half, tw, tw2, sc, out);
+          }
         },
         [&](int half, const C* tw) {
-          simd::fft_rows_stage(x, n, width, half, tw, last);
+          simd::fft_rows_stage(x, n, width, half, tw, last, acc);
         });
   }
 
@@ -351,24 +386,27 @@ void FftPlan<R>::forward_columns(std::complex<R>* x, int width,
 }
 
 template <typename R>
-void FftPlan<R>::inverse_columns(std::complex<R>* x, int width,
-                                 std::complex<R>* scratch, R rescale) const {
-  impl_->transform_columns(x, width, true, scratch, /*prerev=*/false,
-                           rescale);
-}
-
-template <typename R>
 void FftPlan<R>::forward_columns_prerev(std::complex<R>* x, int width,
                                         std::complex<R>* scratch) const {
   impl_->transform_columns(x, width, false, scratch, /*prerev=*/true, R(1));
 }
 
 template <typename R>
-void FftPlan<R>::inverse_columns_prerev(std::complex<R>* x, int width,
+void FftPlan<R>::inverse_columns_gather(const std::complex<R>* const* rows,
+                                        std::complex<R>* x, int width,
                                         std::complex<R>* scratch,
                                         R rescale) const {
-  impl_->transform_columns(x, width, true, scratch, /*prerev=*/true,
-                           rescale);
+  impl_->transform_columns(x, width, true, scratch,
+                           /*prerev=*/impl_->m == 0, rescale, rows);
+}
+
+template <typename R>
+void FftPlan<R>::intensity_columns_gather(const std::complex<R>* const* rows,
+                                          std::complex<R>* x, int width,
+                                          std::complex<R>* scratch,
+                                          R rescale, R* acc) const {
+  impl_->transform_columns(x, width, true, scratch,
+                           /*prerev=*/impl_->m == 0, rescale, rows, acc);
 }
 
 template class FftPlan<double>;
@@ -439,6 +477,12 @@ std::complex<R>* Fft2WorkspaceT<R>::scratch_for(const FftPlan<R>& plan) {
   if (need == 0) return nullptr;
   if (static_cast<int>(scratch_.size()) < need) scratch_.resize(need);
   return scratch_.data();
+}
+
+template <typename R>
+const std::complex<R>** Fft2WorkspaceT<R>::row_table(int n) {
+  if (static_cast<int>(rows_.size()) < n) rows_.resize(n);
+  return rows_.data();
 }
 
 template <typename R>

@@ -86,7 +86,7 @@ class FftPlan {
   void inverse_many_prerev(std::complex<R>* x, int count,
                            std::complex<R>* scratch) const;
 
-  /// In-place transforms of the `width` columns of a row-major
+  /// In-place forward transforms of the `width` columns of a row-major
   /// [size() x width] block (column j is x[j], x[width + j], ...).
   /// Bit-identical to gathering each column, calling the single-segment
   /// overload on it and scattering it back: for radix-2 sizes each stage
@@ -94,22 +94,40 @@ class FftPlan {
   /// last stage as one simd::fft_rows_stage call), so every column sees its
   /// own transform's butterflies on the same operands, and no column is
   /// ever gathered.  Bluestein sizes run the single-segment path on each
-  /// column in place, `width` elements apart, over `scratch`.  The inverse
-  /// then multiplies every output by `rescale` — a second rounding after
-  /// its 1/n, as a separate pass would make (band_inverse's s*s); radix-2
-  /// plans fold both multiplies into the last stage pass.
+  /// column in place, `width` elements apart, over `scratch`.
   void forward_columns(std::complex<R>* x, int width,
                        std::complex<R>* scratch) const;
-  void inverse_columns(std::complex<R>* x, int width, std::complex<R>* scratch,
-                       R rescale) const;
 
-  /// forward_columns/inverse_columns over a block whose ROWS were written in
-  /// bit-reversed order: input row i sits at row bitrev_table()[i] (radix-2
-  /// sizes only).
+  /// forward_columns over a block whose ROWS were written in bit-reversed
+  /// order: input row i sits at row bitrev_table()[i] (radix-2 sizes only).
   void forward_columns_prerev(std::complex<R>* x, int width,
                               std::complex<R>* scratch) const;
-  void inverse_columns_prerev(std::complex<R>* x, int width,
+
+  /// Inverse column transforms of a [size() x width] block whose input
+  /// rows are read through a row table instead of from x: rows[p] is the
+  /// input row that sits at block position p — input row i at
+  /// bitrev_table()[i] on radix-2 sizes, at i on Bluestein sizes — or null
+  /// for an all-zero row.  Every element of x is written with the inverse
+  /// (1/n applied) times `rescale`, a second rounding as a separate pass
+  /// would make (band_inverse's s*s).  Radix-2 sizes from 4 up read the
+  /// table in the first stage pair (simd::fft_rows_pair_gather), so no row
+  /// is ever copied into x, and fold both multiplies into the last pass;
+  /// Bluestein sizes and sizes 1 and 2 copy the rows into x first (null
+  /// rows as +0).  The bits equal placing the rows and transforming
+  /// in place.  rows[p] may be x's own row p, but no other row of x.
+  void inverse_columns_gather(const std::complex<R>* const* rows,
+                              std::complex<R>* x, int width,
                               std::complex<R>* scratch, R rescale) const;
+
+  /// inverse_columns_gather with an intensity epilogue: the output is not
+  /// stored; the last pass adds re*re + im*im of output (p, j) to
+  /// acc[p*width + j] (simd::fft_rows_* with an `acc`), the bits of
+  /// storing it and accumulating with the same expression.  x is the
+  /// passes' work block: its contents afterwards are unspecified.
+  void intensity_columns_gather(const std::complex<R>* const* rows,
+                                std::complex<R>* x, int width,
+                                std::complex<R>* scratch, R rescale,
+                                R* acc) const;
 
  private:
   struct Impl;
@@ -122,12 +140,13 @@ const FftPlan<float>& fft_plan_f(int n);
 
 /// Reusable scratch for the workspace-taking 2-D transforms: a column
 /// buffer (the dense transforms' column gather, the pruned transforms'
-/// staging row and crop block), the pruned transforms' band rows
-/// (fft/pruned.hpp), Bluestein scratch and one caller-owned grid plane,
-/// each sized on demand and retained across calls.  Not thread-safe — use
-/// one workspace per thread.  Templated on the scalar type so the
-/// double-precision litho substrate and the float autodiff ops (nn/ops_fft)
-/// share one implementation.
+/// staging row and crop blocks), the pruned transforms' band rows and the
+/// row table their column pass reads them through (fft/pruned.hpp; the
+/// band buffer also holds fft2_crop_centered's row pair), Bluestein
+/// scratch and one grid plane, each sized on demand and retained across
+/// calls.  Not thread-safe — use one workspace per thread.  Templated on
+/// the scalar type so the double-precision litho substrate and the float
+/// autodiff ops (nn/ops_fft) share one implementation.
 template <typename R>
 class Fft2WorkspaceT {
  public:
@@ -137,10 +156,16 @@ class Fft2WorkspaceT {
   std::complex<R>* band_buffer(int elems);
   /// Scratch sized for `plan` (nullptr when the plan needs none).
   std::complex<R>* scratch_for(const FftPlan<R>& plan);
-  /// Whole-grid plane holding `elems` elements (grown, never shrunk).  No
-  /// transform here uses it as scratch, so a caller may hold a plane in it
-  /// across band_inverse / crop_forward calls on this workspace, or hand
-  /// it to band_inverse as the output plane.
+  /// Row-pointer table holding `n` entries (grown, never shrunk): the
+  /// band rows' grid positions for the placement-free column pass.
+  const std::complex<R>** row_table(int n);
+  /// Whole-grid plane holding `elems` elements (grown, never shrunk).
+  /// band_intensity runs its column passes in it (the field is never
+  /// stored: its |.|^2 leaves the last pass), so it holds nothing across
+  /// that call.  No other transform here touches it: a caller may hold a
+  /// plane in it across band_inverse / crop_forward calls on this
+  /// workspace, or hand it to band_inverse as the output plane, whose
+  /// first column pass writes every row straight from the band rows.
   std::complex<R>* plane_buffer(int elems);
 
  private:
@@ -150,6 +175,7 @@ class Fft2WorkspaceT {
   aligned_vector<std::complex<R>> band_;
   aligned_vector<std::complex<R>> scratch_;
   aligned_vector<std::complex<R>> plane_;
+  std::vector<const std::complex<R>*> rows_;
 };
 
 using Fft2Workspace = Fft2WorkspaceT<double>;

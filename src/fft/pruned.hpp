@@ -2,20 +2,28 @@
 // Pruned 2-D transforms between a centered spectrum crop and a full s x s
 // grid (DESIGN.md §6.3, §8.2).  One implementation serves the aerial engine
 // (double) and the batched autodiff ops (float), so both run the same
-// index map, band-row pass, bit-reversed placement, row-major column pass
-// and workspace, and get the same bits:
+// index map, band-row pass, row-major column pass and workspace, and get
+// the same bits:
 //
-//   band_inverse  — inverse 2-D DFT of a grid whose only nonzero rows are
-//                   the centered crop's (the SOCS field, the crop vjp);
-//   crop_forward  — its adjoint: forward 2-D DFT read only at the crop
-//                   (the crop itself, the SOCS vjp).
+//   band_inverse   — inverse 2-D DFT of a grid whose only nonzero rows are
+//                    the centered crop's (the SOCS field, the crop vjp);
+//   band_intensity — its |.|^2 added to an accumulator, the field never
+//                    stored (the SOCS intensity where no field is kept);
+//   crop_forward   — the adjoint: forward 2-D DFT read only at the crop
+//                    (the crop itself, the SOCS vjp).
+//
+// The inverse's column pass needs no placement: its first stage pair reads
+// the band rows where the row pass left them, through a table of grid-row
+// pointers in bit-reversed order, and a +0 register for every off-crop
+// row; band_intensity's last pass squares its outputs into the caller's
+// accumulator instead of storing them.  Both are pure data-movement cuts.
 //
 // Every pruning here is exact on the values a caller reads.  The pure data
-// movement (bit-reversed placement, the row-major column pass) changes no
-// arithmetic, and an unread column changes nothing read.  A skipped zero
-// row can at most flip the sign of a zero output (`x + (±0) == x` for
-// x != 0), and callers either square it away or only ever compare with
-// `==`, which equates ±0.
+// movement (bit-reversed order, the row table, the row-major column pass)
+// changes no arithmetic, and an unread column changes nothing read.  A
+// skipped zero row can at most flip the sign of a zero output
+// (`x + (±0) == x` for x != 0), and callers either square it away or only
+// ever compare with `==`, which equates ±0.
 
 #include <algorithm>
 #include <complex>
@@ -47,12 +55,12 @@ void inverse_many(const FftPlan<R>& plan, std::complex<R>* x, int count,
 }
 
 template <typename R>
-void inverse_columns(const FftPlan<R>& plan, std::complex<R>* x, int width,
-                     std::complex<R>* scratch, R rescale) {
+void forward_many(const FftPlan<R>& plan, std::complex<R>* x, int count,
+                  std::complex<R>* scratch) {
   if (plan.bitrev_table() != nullptr) {
-    plan.inverse_columns_prerev(x, width, scratch, rescale);
+    plan.forward_many_prerev(x, count, scratch);
   } else {
-    plan.inverse_columns(x, width, scratch, rescale);
+    plan.forward_many(x, count, scratch);
   }
 }
 
@@ -66,35 +74,22 @@ void forward_columns(const FftPlan<R>& plan, std::complex<R>* x, int width,
   }
 }
 
-}  // namespace pruned_detail
-
-/// Unnormalized inverse 2-D DFT of an s x s grid (s = plan.size()) whose
-/// only nonzero entries are the centered kr x kc crop, written to the
-/// row-major s x s plane `out` (every element written).  Crop entry (a, c)
-/// sits at grid position
-/// (centered_to_dft_index(a, kr, s), centered_to_dft_index(c, kc, s)).
-/// fill(a, row) writes crop row a's kc entries to row[0..kc).
-///
-/// Rows outside the crop are never row-transformed: a zero row transforms
-/// to zeros, which enter the column pass only additively.  The band rows'
-/// transforms land in `out` at their grid rows, every other row is zeroed,
-/// and the column pass runs across whole rows of `out`.  Each pass applies
-/// the plan's 1/s; the column pass's output is then multiplied by s*s
-/// (FftPlan::inverse_columns' rescale), which undoes both.  For radix-2 s
-/// both passes take their input at bit-reversed positions (fft.hpp
-/// bitrev_table()), so no transform runs its permutation pass.  Uses
-/// `ws`'s column, band and scratch buffers; fill must not use them, and
-/// `out` must not alias them.
+// The band-row pass shared by band_inverse and band_intensity: crop row
+// a, filled and row-transformed (1/s applied) in ws's band buffer, and
+// the row table the column pass reads them through — grid row g, holding
+// crop row a = (g + kr/2) mod s when a < kr (the inverse of
+// centered_to_dft_index), at table position bitrev(g) on radix-2 grids
+// (g on Bluestein grids); every off-crop row is null, a zero row.
 template <typename R, typename Fill>
-void band_inverse(const FftPlan<R>& plan, int kr, int kc,
-                  Fft2WorkspaceT<R>& ws, Fill&& fill, std::complex<R>* out) {
+const std::complex<R>* const* band_rows(const FftPlan<R>& plan, int kr,
+                                        int kc, Fft2WorkspaceT<R>& ws,
+                                        Fill&& fill) {
   using C = std::complex<R>;
   const int s = plan.size();
   const int* rev = plan.bitrev_table();
   const auto at = [rev](int i) { return rev != nullptr ? rev[i] : i; };
   C* staged = ws.col_buffer(kc);
   C* band = ws.band_buffer(kr * s);
-  C* scratch = ws.scratch_for(plan);
   // The crop's columns ascend by 1 mod s: two runs, [col0, col0 + seg1)
   // and [0, kc - seg1).
   const int col0 = centered_to_dft_index(0, kc, s);
@@ -106,21 +101,63 @@ void band_inverse(const FftPlan<R>& plan, int kr, int kc,
     for (int c = 0; c < seg1; ++c) row[at(col0 + c)] = staged[c];
     for (int c = seg1; c < kc; ++c) row[at(c - seg1)] = staged[c];
   }
-  pruned_detail::inverse_many(plan, band, kr, scratch);
-  // Grid row g holds crop row a = (g + kr/2) mod s when a < kr (the inverse
-  // of centered_to_dft_index); off-crop rows are the +0 a zeroed grid's
-  // untransformed rows held.
+  inverse_many(plan, band, kr, ws.scratch_for(plan));
+  const C** rows = ws.row_table(s);
   for (int g = 0; g < s; ++g) {
-    C* dst = out + static_cast<std::ptrdiff_t>(at(g)) * s;
     const int a = (g + kr / 2) % s;
-    if (a < kr) {
-      std::copy_n(band + static_cast<std::ptrdiff_t>(a) * s, s, dst);
-    } else {
-      std::fill(dst, dst + s, C(0, 0));
-    }
+    rows[at(g)] = a < kr ? band + static_cast<std::ptrdiff_t>(a) * s
+                         : nullptr;
   }
-  pruned_detail::inverse_columns(plan, out, s, scratch,
-                                 static_cast<R>(s) * static_cast<R>(s));
+  return rows;
+}
+
+}  // namespace pruned_detail
+
+/// Unnormalized inverse 2-D DFT of an s x s grid (s = plan.size()) whose
+/// only nonzero entries are the centered kr x kc crop, written to the
+/// row-major s x s plane `out` (every element written).  Crop entry (a, c)
+/// sits at grid position
+/// (centered_to_dft_index(a, kr, s), centered_to_dft_index(c, kc, s)).
+/// fill(a, row) writes crop row a's kc entries to row[0..kc).
+///
+/// Rows outside the crop are never row-transformed: a zero row transforms
+/// to zeros, which enter the column pass only additively.  The column pass
+/// (FftPlan::inverse_columns_gather) reads the band rows where the row
+/// pass left them and a +0 register for every other row, and writes
+/// `out`: on radix-2 grids from 4 up no row is ever copied or zeroed into
+/// it (the other grids place the rows first).  Each pass applies the
+/// plan's 1/s; the column pass's output is then multiplied by s*s, which
+/// undoes both.  For radix-2 s both passes take their input at
+/// bit-reversed positions (fft.hpp bitrev_table()), so no transform runs
+/// its permutation pass.  Uses `ws`'s column, band, row-table and scratch
+/// buffers; fill must not use them, and `out` must not alias them.
+template <typename R, typename Fill>
+void band_inverse(const FftPlan<R>& plan, int kr, int kc,
+                  Fft2WorkspaceT<R>& ws, Fill&& fill, std::complex<R>* out) {
+  const int s = plan.size();
+  const std::complex<R>* const* rows =
+      pruned_detail::band_rows(plan, kr, kc, ws, fill);
+  plan.inverse_columns_gather(rows, out, s, ws.scratch_for(plan),
+                              static_cast<R>(s) * static_cast<R>(s));
+}
+
+/// acc[p] += |band_inverse(...)[p]|^2 for every pixel p of the s x s plane
+/// (`acc` row-major s x s reals), without storing the field: the last
+/// column pass adds re*re + im*im of each output — simd::abs2_accum's
+/// expression — where band_inverse would store it
+/// (FftPlan::intensity_columns_gather).  The bits equal band_inverse into
+/// a plane followed by that accumulate.  The coherent-intensity term of
+/// one SOCS kernel.  Runs its column passes in ws's plane buffer; uses the
+/// same buffers as band_inverse besides, and fill must not use them.
+template <typename R, typename Fill>
+void band_intensity(const FftPlan<R>& plan, int kr, int kc,
+                    Fft2WorkspaceT<R>& ws, Fill&& fill, R* acc) {
+  const int s = plan.size();
+  const std::complex<R>* const* rows =
+      pruned_detail::band_rows(plan, kr, kc, ws, fill);
+  plan.intensity_columns_gather(rows, ws.plane_buffer(s * s), s,
+                                ws.scratch_for(plan),
+                                static_cast<R>(s) * static_cast<R>(s), acc);
 }
 
 /// Unnormalized forward 2-D DFT of the s x s grid z (s = plan.size();

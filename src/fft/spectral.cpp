@@ -93,12 +93,32 @@ Grid<cd> fft2_crop_centered(const Grid<double>& img, int crop) {
   check(crop >= 1 && crop <= rows && crop <= cols, "bad spectrum crop");
   check(crop % 2 == 1, "spectrum crop must be odd (centered on DC)");
   const FftPlan<double>& row_plan = fft_plan_d(cols);
-  Fft2Workspace ws;
+  const FftPlan<double>& col_plan = fft_plan_d(rows);
+  // Radix-2 plans take their input at bit-reversed positions (the
+  // pruned_detail transforms skip the permutation pass); Bluestein plans in
+  // natural order.
+  const int* row_rev = row_plan.bitrev_table();
+  const int* col_rev = col_plan.bitrev_table();
+  Fft2Workspace& ws = fft_thread_workspace<double>();
+  cd* buf = ws.band_buffer(cols);
   cd* row_scratch = ws.scratch_for(row_plan);
+  // The row pass writes each row's crop band straight to its (bit-reversed)
+  // row of a compact [rows x crop] block, which one column pass transforms.
+  cd* block = ws.col_buffer(rows * crop);
+  const auto band = [&](int r) {
+    return block +
+           static_cast<std::ptrdiff_t>(col_rev != nullptr ? col_rev[r] : r) *
+               crop;
+  };
+  const auto row_fft = [&](const double* a, const double* b) {
+    for (int c = 0; c < cols; ++c) {
+      buf[row_rev != nullptr ? row_rev[c] : c] =
+          cd(a[c], b != nullptr ? b[c] : 0.0);
+    }
+    pruned_detail::forward_many(row_plan, buf, 1, row_scratch);
+  };
   // Crop position j (signed frequency j - crop/2) lives at unshifted index
   // centered_to_dft_index(j, crop, N).
-  Grid<cd> partial(rows, crop);
-  std::vector<cd> buf(cols);
   // The rows are real, so two of them ride one complex transform: with
   // Z = F(a + i b), conjugate symmetry splits them back as
   // A[k] = (Z[k] + conj(Z[-k]))/2 and B[k] = (Z[k] - conj(Z[-k]))/(2i)
@@ -113,41 +133,38 @@ Grid<cd> fft2_crop_centered(const Grid<double>& img, int crop) {
   int r = 0;
   for (; r + 1 < rows; r += 2) {
     const double* a = img.row(r);
-    const double* b = img.row(r + 1);
+    cd* band_a = band(r);
+    cd* band_b = band(r + 1);
     if (r >= 2 && std::memcmp(img.row(r - 2), a, pair_bytes) == 0) {
-      std::copy_n(partial.row(r - 2), crop, partial.row(r));
-      std::copy_n(partial.row(r - 1), crop, partial.row(r + 1));
+      std::copy_n(band(r - 2), crop, band_a);
+      std::copy_n(band(r - 1), crop, band_b);
       continue;
     }
-    for (int c = 0; c < cols; ++c) buf[c] = cd(a[c], b[c]);
-    row_plan.forward(buf.data(), row_scratch);
+    row_fft(a, img.row(r + 1));
     for (int j = 0; j < crop; ++j) {
       const int idx = centered_to_dft_index(j, crop, cols);
       const cd z = buf[idx];
       const cd zc = std::conj(buf[(cols - idx) % cols]);
-      partial(r, j) = 0.5 * (z + zc);
+      band_a[j] = 0.5 * (z + zc);
       const cd d = z - zc;
-      partial(r + 1, j) = cd(0.5 * d.imag(), -0.5 * d.real());
+      band_b[j] = cd(0.5 * d.imag(), -0.5 * d.real());
     }
   }
   if (r < rows) {  // odd row count: transform the last row on its own
-    const double* a = img.row(r);
-    for (int c = 0; c < cols; ++c) buf[c] = cd(a[c], 0.0);
-    row_plan.forward(buf.data(), row_scratch);
+    row_fft(img.row(r), nullptr);
+    cd* band_a = band(r);
     for (int j = 0; j < crop; ++j) {
-      partial(r, j) = buf[centered_to_dft_index(j, crop, cols)];
+      band_a[j] = buf[centered_to_dft_index(j, crop, cols)];
     }
   }
-  const FftPlan<double>& col_plan = fft_plan_d(rows);
-  cd* col_scratch = ws.scratch_for(col_plan);
+  pruned_detail::forward_columns(col_plan, block, crop,
+                                 ws.scratch_for(col_plan));
   Grid<cd> out(crop, crop);
-  std::vector<cd> col(rows);
-  for (int j = 0; j < crop; ++j) {
-    for (int r2 = 0; r2 < rows; ++r2) col[r2] = partial(r2, j);
-    col_plan.forward(col.data(), col_scratch);
-    for (int a = 0; a < crop; ++a) {
-      out(a, j) = col[centered_to_dft_index(a, crop, rows)];
-    }
+  for (int a = 0; a < crop; ++a) {
+    std::copy_n(block + static_cast<std::ptrdiff_t>(
+                            centered_to_dft_index(a, crop, rows)) *
+                            crop,
+                crop, out.row(a));
   }
   return out;
 }

@@ -34,11 +34,14 @@ Grid<double> spectral_resample(const Grid<double>& img, int rows, int cols);
 
 /// Centered crop x crop window of fftshift(fft2(img)) computed without the
 /// full 2-D transform: real rows are transformed in conjugate-symmetric
-/// pairs (two rows per complex FFT, DESIGN.md §5.5), then only the crop's
-/// columns are.  Matches center_crop(fftshift(fft2(img)), crop, crop) to
-/// rounding but runs ~4x faster for small crops of large masks (the hot
-/// path of both the golden engine and Nitho's inference, Algorithm 1
-/// lines 6-7).
+/// pairs (two rows per complex FFT, DESIGN.md §5.5), each pair's crop
+/// band written to a compact [rows x crop] block, then only the crop's
+/// columns are, in one row-major column pass over that block.  Matches
+/// center_crop(fftshift(fft2(img)), crop, crop) to rounding but runs ~4x
+/// faster for small crops of large masks (the hot path of both the golden
+/// engine and Nitho's inference, Algorithm 1 lines 6-7).  Runs on the
+/// calling thread's FFT workspace (fft_thread_workspace), so a caller must
+/// not be holding it.
 Grid<cd> fft2_crop_centered(const Grid<double>& img, int crop);
 
 /// Box-filter downsampling by an integer factor (mask -> coarse grid).

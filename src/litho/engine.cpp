@@ -46,22 +46,18 @@ void AerialEngine::accumulate_kernel(const Grid<cd>& kernel,
                                      const Grid<cd>& spectrum, int r0, int c0,
                                      Grid<double>& local) const {
   // Fused crop -> kernel-multiply -> embed/shift -> pruned inverse 2-D
-  // transform (DESIGN.md §6.2-§6.3): each band row is the elementwise
-  // product of a kernel row and the cropped spectrum row.  The field is
-  // unnormalized (the Hopkins convention, DESIGN.md §5.1); its coherent
-  // intensity is added pixel by pixel, so every pixel sees the same
-  // square-and-add in the same kernel order.
-  const std::int64_t plane = static_cast<std::int64_t>(out_px_) * out_px_;
-  Fft2Workspace& ws = fft_thread_workspace<double>();
-  cd* field = ws.plane_buffer(static_cast<int>(plane));
-  band_inverse(
-      *out_plan_, kdim_, kdim_, ws,
+  // transform -> |.|^2 (DESIGN.md §6.2-§6.3): each band row is the
+  // elementwise product of a kernel row and the cropped spectrum row.  The
+  // field is unnormalized (the Hopkins convention, DESIGN.md §5.1) and
+  // never stored: the last column pass adds its coherent intensity pixel
+  // by pixel, so every pixel sees the same square-and-add in the same
+  // kernel order.
+  band_intensity(
+      *out_plan_, kdim_, kdim_, fft_thread_workspace<double>(),
       [&](int r, cd* row) {
         simd::cmul(row, kernel.row(r), spectrum.row(r0 + r) + c0, kdim_);
       },
-      field);
-  simd::abs2_accum(local.data(), reinterpret_cast<const double*>(field),
-                   plane);
+      local.data());
 }
 
 Grid<double> AerialEngine::aerial(const Grid<cd>& spectrum) const {

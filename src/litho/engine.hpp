@@ -3,8 +3,9 @@
 //
 // AerialEngine fixes one (kernel set, out_px) configuration and owns the
 // cached FFT plan for the output grid.  Evaluating a kernel is a fused
-// crop -> kernel-multiply -> embed/shift scatter -> pruned inverse FFT
-// (fft/pruned.hpp band_inverse) on the calling thread's FFT workspace, with
+// crop -> kernel-multiply -> embed/shift scatter -> pruned inverse FFT ->
+// |.|^2 (fft/pruned.hpp band_intensity) on the calling thread's FFT
+// workspace, with
 // zero heap allocation per kernel; batches of mask spectra are swept in a
 // single parallel_for over (mask, kernel-chunk) tasks.
 //
@@ -15,7 +16,8 @@
 // that grid that are structurally zero are skipped — a pruning that cannot
 // change any output bit because zero rows only ever enter the column pass
 // additively and |.|^2 erases the sign of zero (DESIGN.md §6.3).  The
-// column pass runs across whole rows of the field plane; each column still
+// column pass runs across whole rows of the field plane, reading the band
+// rows in place and adding |.|^2 from its last pass; each column still
 // sees exactly the arithmetic of its own strided transform.
 //
 // Thread-safety: aerial / aerial_batch may be called concurrently from

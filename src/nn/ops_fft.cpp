@@ -17,19 +17,22 @@ namespace {
 
 using cfl = std::complex<float>;
 
+// The band rows every SOCS op transforms: row a of K . C (both [n, m]
+// complex), the fill of band_inverse / band_intensity.
+auto socs_band(const cfl* k, const cfl* c, int m) {
+  return [k, c, m](int a, cfl* row) {
+    const std::int64_t off = static_cast<std::int64_t>(a) * m;
+    simd::cmul(row, k + off, c + off, m);
+  };
+}
+
 // One SOCS field plane, the arithmetic every SOCS op shares: dst = the
-// unnormalized inverse 2-D DFT of the centered embed of K . C (both
-// [n, m] complex) on the s-grid, s = plan.size(), written in place.  Every
-// element of dst is written.
+// unnormalized inverse 2-D DFT of the centered embed of K . C on the
+// s-grid, s = plan.size(), written in place.  Every element of dst is
+// written.
 void socs_plane(const FftPlan<float>& plan, const cfl* k, const cfl* c,
                 int n, int m, cfl* dst, Fft2WorkspaceF& ws) {
-  band_inverse(
-      plan, n, m, ws,
-      [&](int a, cfl* row) {
-        const std::int64_t off = static_cast<std::int64_t>(a) * m;
-        simd::cmul(row, k + off, c + off, m);
-      },
-      dst);
+  band_inverse(plan, n, m, ws, socs_band(k, c, m), dst);
 }
 
 // vjp of socs_plane in one factor: the unnormalized forward DFT of the
@@ -84,10 +87,11 @@ Tensor socs_batch_forward(const float* kernels, const float* spectra,
 
 // Batched SOCS intensity shared by socs_intensity_batch and
 // socs_intensity_from_spectrum_batch: I[b] = sum over i ascending of
-// |socs_plane(K_i, C_b)|^2, each plane added by simd::abs2_accum right
-// after it is written — the per-pixel fold of abs2_sum0_batch.  With
-// `fields` ([B, r, S, S, 2]) every plane is kept there for the backward;
-// without, each plane lives in the thread's plane buffer and is dropped.
+// |socs_plane(K_i, C_b)|^2 — the per-pixel fold of abs2_sum0_batch.  With
+// `fields` ([B, r, S, S, 2]) every plane is kept there for the backward and
+// added by simd::abs2_accum right after it is written; without, each
+// plane's |.|^2 leaves band_intensity's last column pass and no field is
+// stored (the same expression and order, so the same bits).
 Tensor socs_intensity_forward(const float* kernels, const float* spectra,
                               int batch, int r, int n, int m, int s,
                               float* fields) {
@@ -100,11 +104,13 @@ Tensor socs_intensity_forward(const float* kernels, const float* spectra,
     const cfl* sp = reinterpret_cast<const cfl*>(spectra) + b * kplane;
     float* o = out.data() + b * plane;
     for (int i = 0; i < r; ++i) {
-      cfl* e = fields != nullptr
-                   ? reinterpret_cast<cfl*>(fields) + (b * r + i) * plane
-                   : ws.plane_buffer(static_cast<int>(plane));
-      socs_plane(plan, reinterpret_cast<const cfl*>(kernels) + i * kplane,
-                 sp, n, m, e, ws);
+      const cfl* k = reinterpret_cast<const cfl*>(kernels) + i * kplane;
+      if (fields == nullptr) {
+        band_intensity(plan, n, m, ws, socs_band(k, sp, m), o);
+        continue;
+      }
+      cfl* e = reinterpret_cast<cfl*>(fields) + (b * r + i) * plane;
+      socs_plane(plan, k, sp, n, m, e, ws);
       simd::abs2_accum(o, reinterpret_cast<const float*>(e), plane);
     }
   });

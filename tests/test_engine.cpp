@@ -135,15 +135,33 @@ Grid<double> strip_engine_aerial(const std::vector<Grid<cd>>& kernels,
 
 TEST(AerialEngine, BitIdenticalToStripOracle) {
   // memcmp on every SIMD arm at 1 and 4 workers: the production points
-  // (kdim 29 on 64 and 128), radix-2 and Bluestein grids (45, 97), and a
-  // band that is every row (kdim = out_px); spectra hold -0.0 entries.
+  // (kdim 29 on 64 and 128), radix-2 and Bluestein grids (45, 97), a band
+  // that is every row (kdim = out_px), grids with no stage pair (1, 2) and
+  // with one pair that is both the first and the last column pass (4),
+  // and kernels whose every third row is all zeros (+0 and -0 by kernel);
+  // spectra hold -0.0 entries.
   Rng rng = make_rng(74);
-  const std::pair<int, int> cases[] = {{29, 64}, {29, 128}, {9, 16},
-                                       {9, 32},  {13, 45},  {29, 97},
-                                       {16, 16}, {13, 13}};
+  struct Case {
+    int kdim, out_px;
+    bool zero_rows;
+  };
+  const Case cases[] = {{29, 64, false},  {29, 128, false}, {9, 16, false},
+                        {9, 32, false},   {13, 45, false},  {29, 97, false},
+                        {16, 16, false},  {13, 13, false},  {1, 1, false},
+                        {1, 2, false},    {2, 2, false},    {3, 4, false},
+                        {3, 4, true},     {9, 16, true},    {29, 128, true},
+                        {13, 45, true}};
   test::ArmGuard guard;
-  for (const auto& [kdim, out_px] : cases) {
-    const std::vector<Grid<cd>> kernels = random_kernels(11, kdim, rng);
+  for (const auto& [kdim, out_px, zero_rows] : cases) {
+    std::vector<Grid<cd>> kernels = random_kernels(11, kdim, rng);
+    if (zero_rows) {
+      for (std::size_t i = 0; i < kernels.size(); ++i) {
+        const double z = i % 2 == 0 ? 0.0 : -0.0;
+        for (int r = 1; r < kdim; r += 3) {
+          for (int c = 0; c < kdim; ++c) kernels[i](r, c) = cd(z, z);
+        }
+      }
+    }
     std::vector<Grid<cd>> spectra;
     for (int b = 0; b < 3; ++b) {
       Grid<cd> sp = random_spectrum((kdim | 1) + 8, rng);
@@ -169,7 +187,8 @@ TEST(AerialEngine, BitIdenticalToStripOracle) {
           EXPECT_EQ(std::memcmp(got[b].data(), want[b].data(),
                                 want[b].size() * sizeof(double)),
                     0)
-              << "kdim=" << kdim << " out_px=" << out_px << " mask " << b
+              << "kdim=" << kdim << " out_px=" << out_px
+              << (zero_rows ? " zero rows" : "") << " mask " << b
               << " arm=" << simd::arm_name(arm) << " workers=" << workers;
         }
       }

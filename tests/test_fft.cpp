@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -498,24 +499,37 @@ TEST(FftPlan, PrerevMatchesPermutedInputBitwise) {
 }
 
 TEST(FftPlan, ColumnsMatchPerColumnBitwise) {
-  // forward_columns/inverse_columns over a row-major [n x width] block must
-  // match gathering each column, transforming it alone (the inverse then
-  // multiplied by the rescale) and scattering it back, bit for bit; the
-  // *_prerev forms must match them on a block whose rows sit at
-  // bit-reversed positions.  Radix-2 (one point, odd and even stage
-  // counts) and Bluestein sizes, widths with every vector tail.
+  // forward_columns over a row-major [n x width] block must match
+  // gathering each column, transforming it alone and scattering it back,
+  // bit for bit, and forward_columns_prerev must match it on a block whose
+  // rows sit at bit-reversed positions.  inverse_columns_gather must match
+  // the per-column inverse (then multiplied by the rescale) when its row
+  // table points at the input rows — in another buffer, with every third
+  // row null for a +0 row, or in place at the block's own rows — and
+  // intensity_columns_gather must add exactly re*re + im*im of that
+  // output.  Radix-2 (one point, no stage pair, odd and even stage counts)
+  // and Bluestein sizes, widths with every vector tail.
   Rng rng(93);
-  for (const int n : {1, 2, 8, 16, 32, 31, 45}) {
+  const auto bits_equal = [](const std::vector<cd>& a,
+                             const std::vector<cd>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(cd)) == 0;
+  };
+  for (const int n : {1, 2, 4, 8, 16, 32, 31, 45}) {
     for (const int width : {1, 3, 4, 29}) {
       const FftPlan<double>& plan = fft_plan_d(n);
       std::vector<cd> scratch(static_cast<std::size_t>(plan.scratch_size()));
       cd* sc = scratch.empty() ? nullptr : scratch.data();
-      const std::vector<cd> x = random_signal(n * width, rng);
+      std::vector<cd> x = random_signal(n * width, rng);
+      for (int r = 1; r < n; r += 3) {
+        std::fill_n(x.data() + r * width, width, cd(0.0, 0.0));
+      }
       const double rescale = static_cast<double>(n) * n + 0.5;
+      const int* rev = plan.bitrev_table();
+      const auto at = [rev](int r) { return rev != nullptr ? rev[r] : r; };
+      const std::string where =
+          "n=" + std::to_string(n) + " width=" + std::to_string(width);
       for (const bool inverse : {false, true}) {
-        std::vector<cd> cols = x;
-        inverse ? plan.inverse_columns(cols.data(), width, sc, rescale)
-                : plan.forward_columns(cols.data(), width, sc);
         std::vector<cd> single = x;
         std::vector<cd> col(static_cast<std::size_t>(n));
         for (int j = 0; j < width; ++j) {
@@ -525,28 +539,54 @@ TEST(FftPlan, ColumnsMatchPerColumnBitwise) {
             single[r * width + j] = inverse ? col[r] * rescale : col[r];
           }
         }
-        EXPECT_EQ(std::memcmp(cols.data(), single.data(),
-                              cols.size() * sizeof(cd)),
-                  0)
-            << "n=" << n << " width=" << width << " inverse=" << inverse;
-        const int* rev = plan.bitrev_table();
-        if (rev == nullptr) {
-          EXPECT_THROW(plan.forward_columns_prerev(cols.data(), width, sc),
-                       check_error);
-          continue;
-        }
+        // The input rows placed at their block positions.
         std::vector<cd> pre(x.size());
         for (int r = 0; r < n; ++r) {
           std::copy_n(x.data() + r * width, width,
-                      pre.data() + rev[r] * width);
+                      pre.data() + at(r) * width);
         }
-        inverse ? plan.inverse_columns_prerev(pre.data(), width, sc, rescale)
-                : plan.forward_columns_prerev(pre.data(), width, sc);
-        EXPECT_EQ(std::memcmp(pre.data(), single.data(),
-                              pre.size() * sizeof(cd)),
+        if (!inverse) {
+          std::vector<cd> cols = x;
+          plan.forward_columns(cols.data(), width, sc);
+          EXPECT_TRUE(bits_equal(cols, single)) << "forward " << where;
+          if (rev == nullptr) {
+            EXPECT_THROW(plan.forward_columns_prerev(cols.data(), width, sc),
+                         check_error);
+            continue;
+          }
+          plan.forward_columns_prerev(pre.data(), width, sc);
+          EXPECT_TRUE(bits_equal(pre, single)) << "forward prerev " << where;
+          continue;
+        }
+        std::vector<const cd*> table(static_cast<std::size_t>(n));
+        for (int r = 0; r < n; ++r) {
+          table[at(r)] = r % 3 == 1 ? nullptr : x.data() + r * width;
+        }
+        const double nan = std::numeric_limits<double>::quiet_NaN();
+        std::vector<cd> out(x.size(), cd(nan, nan));
+        plan.inverse_columns_gather(table.data(), out.data(), width, sc,
+                                    rescale);
+        EXPECT_TRUE(bits_equal(out, single)) << "gather " << where;
+
+        std::vector<double> acc(x.size());
+        for (double& v : acc) v = rng.normal();
+        std::vector<double> want = acc;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          want[i] += single[i].real() * single[i].real() +
+                     single[i].imag() * single[i].imag();
+        }
+        std::vector<cd> work(x.size(), cd(nan, nan));
+        plan.intensity_columns_gather(table.data(), work.data(), width, sc,
+                                      rescale, acc.data());
+        EXPECT_EQ(std::memcmp(acc.data(), want.data(),
+                              acc.size() * sizeof(double)),
                   0)
-            << "prerev n=" << n << " width=" << width
-            << " inverse=" << inverse;
+            << "intensity " << where;
+
+        for (int p = 0; p < n; ++p) table[p] = pre.data() + p * width;
+        plan.inverse_columns_gather(table.data(), pre.data(), width, sc,
+                                    rescale);
+        EXPECT_TRUE(bits_equal(pre, single)) << "gather in place " << where;
       }
     }
   }
@@ -728,38 +768,72 @@ bool same_bytes(const std::vector<std::complex<R>>& a,
          std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
 }
 
-// `planes` independent crops through both pruned transforms; returns the
+// The pruned transforms' outputs for `planes` independent crops: the
 // band_inverse planes followed by the crop_forward emits, all planes
-// concatenated.  `oracle` selects the strip versions.
+// concatenated, and one seeded accumulator per plane after band_intensity.
 template <typename R>
-std::vector<std::complex<R>> pruned_outputs(int s, int kr, int kc,
-                                            int planes, bool oracle,
-                                            std::uint64_t seed) {
+struct PrunedOutputs {
+  std::vector<std::complex<R>> planes;
+  std::vector<R> intensity;
+
+  bool operator==(const PrunedOutputs& o) const {
+    return same_bytes(planes, o.planes) &&
+           intensity.size() == o.intensity.size() &&
+           std::memcmp(intensity.data(), o.intensity.data(),
+                       intensity.size() * sizeof(R)) == 0;
+  }
+};
+
+// `oracle` selects the strip versions, the intensity then being the strip
+// plane squared and added with the scalar expression.  With `zero_rows`,
+// every fourth crop row (a % 4 == 1) is all zeros, +0 and -0 alternating
+// by row: band rows that are zero but still transformed.
+template <typename R>
+PrunedOutputs<R> pruned_outputs(int s, int kr, int kc, int planes,
+                                bool oracle, bool zero_rows,
+                                std::uint64_t seed) {
   using C = std::complex<R>;
   const FftPlan<R>& plan = plan_of<R>(s);
   const std::size_t grid = static_cast<std::size_t>(s) * s;
   const std::size_t crop = static_cast<std::size_t>(kr) * kc;
   Rng rng(seed);
-  const std::vector<C> crops = signed_zero_field<R>(crop * planes, rng);
+  std::vector<C> crops = signed_zero_field<R>(crop * planes, rng);
   const std::vector<C> grids = signed_zero_field<R>(grid * planes, rng);
-  std::vector<C> out(planes * (grid + crop),
-                     {std::numeric_limits<R>::quiet_NaN(), 0});
+  std::vector<R> acc0(grid * planes);
+  for (R& v : acc0) v = static_cast<R>(rng.normal());
+  if (zero_rows) {
+    for (std::size_t a = 1; a < static_cast<std::size_t>(kr) * planes;
+         a += 4) {
+      const R z = a % 8 == 1 ? R(0) : R(-0.0);
+      std::fill_n(crops.data() + a * kc, kc, C(z, z));
+    }
+  }
+  PrunedOutputs<R> out{std::vector<C>(planes * (grid + crop),
+                                      {std::numeric_limits<R>::quiet_NaN(),
+                                       0}),
+                       acc0};
   parallel_for(planes, [&](std::int64_t p) {
     Fft2WorkspaceT<R>& ws = fft_thread_workspace<R>();
     const C* src = crops.data() + p * crop;
     const auto fill = [&](int a, C* row) {
       std::copy_n(src + static_cast<std::size_t>(a) * kc, kc, row);
     };
-    C* field = out.data() + p * grid;
+    C* field = out.planes.data() + p * grid;
     std::vector<C> z(grids.begin() + p * grid, grids.begin() + (p + 1) * grid);
-    C* emitted = out.data() + planes * grid + p * crop;
+    C* emitted = out.planes.data() + planes * grid + p * crop;
     const auto emit = [&](int a, int c, C v) { emitted[a * kc + c] = v; };
+    R* acc = out.intensity.data() + p * grid;
     if (oracle) {
       test::band_inverse_strip_plane(plan, kr, kc, ws, fill, field);
       test::crop_forward_strip(plan, z.data(), kr, kc, ws, emit);
+      for (std::size_t i = 0; i < grid; ++i) {
+        acc[i] += field[i].real() * field[i].real() +
+                  field[i].imag() * field[i].imag();
+      }
     } else {
       band_inverse(plan, kr, kc, ws, fill, field);
       crop_forward(plan, z.data(), kr, kc, ws, emit);
+      band_intensity(plan, kr, kc, ws, fill, acc);
     }
   });
   return out;
@@ -767,23 +841,30 @@ std::vector<std::complex<R>> pruned_outputs(int s, int kr, int kc,
 
 template <typename R>
 void expect_row_major_matches_strip_oracle() {
-  // (s, kr, kc): the production points (kdim 29 on 64 and 128, 9 on 16),
-  // kr != kc both ways, kr = s with a narrower crop, the whole grid, and
-  // the Bluestein grids 45 and 97.
-  const int cases[][3] = {{16, 9, 9},   {16, 16, 5},  {32, 7, 3},
-                          {32, 3, 11},  {32, 32, 32}, {64, 29, 29},
-                          {64, 64, 17}, {128, 29, 29}, {45, 9, 13},
-                          {45, 45, 45}, {97, 29, 29}, {97, 97, 7}};
+  // (s, kr, kc, zero_rows): the production points (kdim 29 on 64 and 128,
+  // 9 on 16), kr != kc both ways, kr = s with a narrower crop, the whole
+  // grid, the Bluestein grids 45 and 97, the grids with no stage pair
+  // (s = 1, 2) and with one pair that is both the first and the last pass
+  // (s = 4), and crops with all-zero rows.
+  const int cases[][4] = {
+      {16, 9, 9, 0},    {16, 16, 5, 0},   {32, 7, 3, 0},  {32, 3, 11, 0},
+      {32, 32, 32, 0},  {64, 29, 29, 0},  {64, 64, 17, 0}, {128, 29, 29, 0},
+      {45, 9, 13, 0},   {45, 45, 45, 0},  {97, 29, 29, 0}, {97, 97, 7, 0},
+      {1, 1, 1, 0},     {2, 1, 1, 0},     {2, 2, 1, 0},   {4, 3, 3, 0},
+      {4, 4, 2, 0},     {4, 3, 1, 1},     {8, 5, 5, 1},   {16, 9, 9, 1},
+      {64, 29, 29, 1},  {128, 29, 29, 1}, {45, 9, 13, 1}};
   constexpr int kPlanes = 6;
   test::ArmGuard guard;
   for (const auto& c : cases) {
     const std::uint64_t seed =
         static_cast<std::uint64_t>(c[0] * 1000 + c[1] * 31 + c[2]);
-    std::vector<std::complex<R>> ref;
+    const bool zero_rows = c[3] != 0;
+    PrunedOutputs<R> ref;
     {
       simd::force_arm(simd::Arm::kScalar);
       set_parallel_workers(1);
-      ref = pruned_outputs<R>(c[0], c[1], c[2], kPlanes, true, seed);
+      ref = pruned_outputs<R>(c[0], c[1], c[2], kPlanes, true, zero_rows,
+                              seed);
     }
     std::vector<simd::Arm> arms = test::vector_arms();
     arms.insert(arms.begin(), simd::Arm::kScalar);
@@ -791,9 +872,10 @@ void expect_row_major_matches_strip_oracle() {
       simd::force_arm(arm);
       for (const int workers : {1, 4}) {
         set_parallel_workers(workers);
-        EXPECT_TRUE(same_bytes(
-            pruned_outputs<R>(c[0], c[1], c[2], kPlanes, false, seed), ref))
+        EXPECT_TRUE(pruned_outputs<R>(c[0], c[1], c[2], kPlanes, false,
+                                      zero_rows, seed) == ref)
             << "s=" << c[0] << " k=" << c[1] << "x" << c[2]
+            << (zero_rows ? " zero rows" : "")
             << " arm=" << simd::arm_name(arm) << " workers=" << workers;
       }
     }

@@ -75,19 +75,29 @@ void sprinkle_specials(std::vector<C>& v, Rng& rng) {
   }
 }
 
+// The real component type of T (T itself, or R for std::complex<R>).
+template <typename T>
+struct Component {
+  using type = T;
+};
+template <typename R>
+struct Component<std::complex<R>> {
+  using type = R;
+};
+
 // Bit equality in which any two NaNs are equal: NaN sign and payload bits
 // are outside the bit-identity protocol (DESIGN.md §13.2), NaN positions
-// and every other bit are not.
-template <typename C>
-::testing::AssertionResult bits_equal_nan(const std::vector<C>& a,
-                                          const std::vector<C>& b) {
-  using R = typename C::value_type;
+// and every other bit are not.  T is a real or complex scalar.
+template <typename T>
+::testing::AssertionResult bits_equal_nan(const std::vector<T>& a,
+                                          const std::vector<T>& b) {
+  using R = typename Component<T>::type;
   if (a.size() != b.size()) {
     return ::testing::AssertionFailure() << "size mismatch";
   }
   const R* pa = reinterpret_cast<const R*>(a.data());
   const R* pb = reinterpret_cast<const R*>(b.data());
-  for (std::size_t i = 0; i < 2 * a.size(); ++i) {
+  for (std::size_t i = 0; i < a.size() * (sizeof(T) / sizeof(R)); ++i) {
     if (std::isnan(pa[i]) && std::isnan(pb[i])) continue;
     if (std::memcmp(pa + i, pb + i, sizeof(R)) != 0) {
       return ::testing::AssertionFailure()
@@ -349,8 +359,9 @@ void rows_pin(int rows, int width, int half, bool pair, bool specials,
   const R* scale = scaled ? factors : nullptr;
   const auto run = [&](C* x) {
     pair ? simd::fft_rows_pair(x, rows, width, half, tw.data(), tw2.data(),
-                               scale)
-         : simd::fft_rows_stage(x, rows, width, half, tw.data(), scale);
+                               scale, nullptr)
+         : simd::fft_rows_stage(x, rows, width, half, tw.data(), scale,
+                                nullptr);
   };
   const auto same = [&](const std::vector<C>& a, const std::vector<C>& b) {
     return specials ? bits_equal_nan(a, b) : bits_equal(a, b);
@@ -426,6 +437,158 @@ TEST(Simd, FftRowsPairBitIdentical) {
   }
 }
 
+// The gathered first pass and the intensity epilogue.  On the scalar
+// arm, fft_rows_pair_gather must equal placing its row table into the
+// block (null rows as +0) and running fft_rows_pair, and a pass given
+// `acc` must add re*re + im*im (the abs2_accum expression) of exactly the
+// outputs the storing pass writes; every vector arm must reproduce the
+// scalar arm.  The table mixes rows of another buffer (with -0.0
+// entries), null rows and x's own rows; the rest of x starts as NaN, so a
+// stray read would show.  Widths leave every vector tail; a second round
+// has ±Inf/NaN/-0 lanes.
+enum class RowsPass { kStage, kPair, kGather };
+
+template <typename C>
+void rows_io_pin(int rows, int width, int half, RowsPass pass, bool abs2,
+                 bool specials, bool scaled, Rng& rng) {
+  using R = typename C::value_type;
+  const std::size_t n = static_cast<std::size_t>(rows) * width;
+  auto in = random_cvec<C>(static_cast<int>(n), rng);
+  for (std::size_t i = 0; i < n; i += 5) in[i] = C(R(-0.0), in[i].imag());
+  auto tw = random_cvec<C>(half, rng);
+  auto tw2 = random_cvec<C>(2 * half, rng);
+  std::vector<R> acc0(n);
+  for (R& v : acc0) v = static_cast<R>(rng.normal());
+  if (specials) {
+    sprinkle_specials(in, rng);
+    sprinkle_specials(tw, rng);
+    sprinkle_specials(tw2, rng);
+  }
+  const R factors[2] = {R(1) / R(45), R(45) * R(45)};
+  const R* scale = scaled ? factors : nullptr;
+  const bool gather = pass == RowsPass::kGather;
+  const auto row = [width](std::vector<C>& v, int r) {
+    return v.data() + static_cast<std::ptrdiff_t>(r) * width;
+  };
+  // x before the call, and the block a gathered pass must act as if it
+  // had been placed.
+  std::vector<C> x0 = in;
+  std::vector<C> placed = in;
+  if (gather) {
+    const R nan = std::numeric_limits<R>::quiet_NaN();
+    x0.assign(n, C(nan, nan));
+    for (int r = 0; r < rows; ++r) {
+      if (r % 3 == 1) std::fill_n(row(placed, r), width, C(0, 0));
+      if (r % 3 == 2) std::copy_n(row(in, r), width, row(x0, r));
+    }
+  }
+  const auto run = [&](std::vector<C>& x, R* acc) {
+    if (!gather) {
+      pass == RowsPass::kPair
+          ? simd::fft_rows_pair(x.data(), rows, width, half, tw.data(),
+                                tw2.data(), scale, acc)
+          : simd::fft_rows_stage(x.data(), rows, width, half, tw.data(),
+                                 scale, acc);
+      return;
+    }
+    std::vector<const C*> src(static_cast<std::size_t>(rows));
+    for (int r = 0; r < rows; ++r) {
+      src[r] = r % 3 == 1 ? nullptr : r % 3 == 2 ? row(x, r) : row(in, r);
+    }
+    simd::fft_rows_pair_gather(x.data(), src.data(), rows, width, half,
+                               tw.data(), tw2.data(), scale, acc);
+  };
+  const auto same = [&](const auto& a, const auto& b) {
+    return specials ? bits_equal_nan(a, b) : bits_equal(a, b);
+  };
+  const std::string where =
+      std::string(pass == RowsPass::kStage  ? "stage"
+                  : pass == RowsPass::kPair ? "pair"
+                                            : "gather") +
+      (abs2 ? " abs2" : "") + " rows=" + std::to_string(rows) +
+      " width=" + std::to_string(width) + " half=" + std::to_string(half) +
+      " sizeof(C)=" + std::to_string(sizeof(C)) +
+      (specials ? " specials" : "") + (scaled ? " scaled" : "");
+  std::vector<C> ref_x = x0;
+  std::vector<R> ref_acc = acc0;
+  {
+    ArmGuard guard;
+    simd::force_arm(simd::Arm::kScalar);
+    std::vector<C> stored = placed;
+    pass == RowsPass::kStage
+        ? simd::fft_rows_stage(stored.data(), rows, width, half, tw.data(),
+                               scale, nullptr)
+        : simd::fft_rows_pair(stored.data(), rows, width, half, tw.data(),
+                              tw2.data(), scale, nullptr);
+    if (abs2) {
+      std::vector<R> want = acc0;
+      for (std::size_t i = 0; i < n; ++i) {
+        want[i] += stored[i].real() * stored[i].real() +
+                   stored[i].imag() * stored[i].imag();
+      }
+      run(ref_x, ref_acc.data());
+      EXPECT_TRUE(same(ref_acc, want)) << "scalar vs stored " << where;
+    } else {
+      run(ref_x, nullptr);
+      EXPECT_TRUE(same(ref_x, stored)) << "scalar vs placed " << where;
+    }
+  }
+  for_each_vector_arm([&](simd::Arm arm) {
+    std::vector<C> x = x0;
+    std::vector<R> acc = acc0;
+    run(x, abs2 ? acc.data() : nullptr);
+    if (abs2) {
+      EXPECT_TRUE(same(acc, ref_acc)) << where << " arm="
+                                      << simd::arm_name(arm);
+    } else {
+      EXPECT_TRUE(same(x, ref_x)) << where << " arm=" << simd::arm_name(arm);
+    }
+  });
+}
+
+TEST(Simd, FftRowsPairGatherBitIdentical) {
+  Rng rng = make_rng(15);
+  for (const bool specials : {false, true}) {
+    for (const bool scaled : {false, true}) {
+      for (const int rows : {4, 8, 16, 64}) {
+        for (int half = 1; rows % (4 * half) == 0; half <<= 1) {
+          for (const int width : kRowWidths) {
+            for (const bool abs2 : {false, true}) {
+              rows_io_pin<cd>(rows, width, half, RowsPass::kGather, abs2,
+                              specials, scaled, rng);
+              rows_io_pin<cf>(rows, width, half, RowsPass::kGather, abs2,
+                              specials, scaled, rng);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Simd, FftRowsAbs2EpilogueBitIdentical) {
+  Rng rng = make_rng(16);
+  for (const bool specials : {false, true}) {
+    for (const bool scaled : {false, true}) {
+      for (const int rows : {2, 4, 8, 64}) {
+        for (int half = 1; half < rows; half <<= 1) {
+          for (const int width : kRowWidths) {
+            rows_io_pin<cd>(rows, width, half, RowsPass::kStage, true,
+                            specials, scaled, rng);
+            rows_io_pin<cf>(rows, width, half, RowsPass::kStage, true,
+                            specials, scaled, rng);
+            if (rows % (4 * half) != 0) continue;
+            rows_io_pin<cd>(rows, width, half, RowsPass::kPair, true,
+                            specials, scaled, rng);
+            rows_io_pin<cf>(rows, width, half, RowsPass::kPair, true,
+                            specials, scaled, rng);
+          }
+        }
+      }
+    }
+  }
+}
+
 template <typename R>
 std::vector<R> random_rvec(int n, Rng& rng) {
   std::vector<R> v(static_cast<std::size_t>(n));
@@ -456,7 +619,6 @@ void abs2_accum_pin(Rng& rng) {
 TEST(Simd, Abs2AccumBitIdentical) {
   Rng rng = make_rng(3);
   abs2_accum_pin<float>(rng);
-  abs2_accum_pin<double>(rng);
 }
 
 // The register-blocked panel kernel: every row height, both A layouts

@@ -24,9 +24,11 @@ those conventions into a CI failure:
                          dispatcher exercised in tests/test_simd.cpp
                          (which must drive arms via for_each_vector_arm).
   R5 prerev-outside-fft  bitrev_table() / *_many_prerev /
-                         *_columns_prerev calls in src/ outside src/fft/ —
-                         the bit-reversed placement lives once, in
-                         fft/pruned.hpp; callers use band_inverse and
+                         *_columns_prerev / *_columns_gather calls in src/
+                         outside src/fft/ — the bit-reversed placement, and
+                         the bit-reversed row tables the gathered column
+                         pass reads instead, live once, in fft/pruned.hpp;
+                         callers use band_inverse, band_intensity and
                          crop_forward.  Tests are exempt.
   R6 dead-simd-kernel    every kernel (`void` function) declared in
                          src/common/simd.hpp must have a caller in src/
@@ -135,9 +137,11 @@ RULES = [
          "use the ordered chunked reduction (litho::reduce_ordered / "
          "DESIGN.md §6.3)"),
     Rule("R5 prerev-outside-fft",
-         r"\bbitrev_table\s*\(|\b\w+_(?:many|columns)_prerev\s*\(",
-         "the bit-reversed placement is written once, in src/fft/pruned.hpp; "
-         "use band_inverse / crop_forward (DESIGN.md §6.3)",
+         r"\bbitrev_table\s*\(|\b\w+_(?:many|columns)_prerev\s*\("
+         r"|\b\w+_columns_gather\s*\(",
+         "the bit-reversed placement and row tables are written once, in "
+         "src/fft/pruned.hpp; use band_inverse / band_intensity / "
+         "crop_forward (DESIGN.md §6.3)",
          exempt_dir="fft"),
 ]
 
@@ -254,6 +258,7 @@ SELF_TESTS = [
     ("comment_mention_clean.cpp", None),
     ("prerev_gather.cpp", "R5 prerev-outside-fft"),
     ("prerev_columns.cpp", "R5 prerev-outside-fft"),
+    ("prerev_row_table.cpp", "R5 prerev-outside-fft"),
     ("prerev_gather_clean.cpp", None),
 ]
 

@@ -1,8 +1,9 @@
 // Clean R5 fixture: the pruned transforms are used through fft/pruned.hpp,
 // and the gather's internals appear only in prose — bitrev_table(),
-// inverse_many_prerev(x, n, scratch) and inverse_columns_prerev(x, w,
-// scratch) in a comment, or a string, must not fire.  Plain many-transform
-// and column-transform calls are fine anywhere.
+// inverse_many_prerev(x, n, scratch), forward_columns_prerev(x, w,
+// scratch) and intensity_columns_gather(rows, x, w, scratch, f, acc) in a
+// comment, or a string, must not fire.  Plain many-transform and
+// column-transform calls are fine anywhere.
 #include <complex>
 #include <string>
 
@@ -11,8 +12,8 @@
 namespace fixture {
 
 std::string why() {
-  return "never call forward_many_prerev( or forward_columns_prerev( outside "
-         "fft";
+  return "never call forward_many_prerev(, forward_columns_prerev( or "
+         "inverse_columns_gather( outside fft";
 }
 
 void rows(const nitho::FftPlan<float>& plan, std::complex<float>* x, int n,
@@ -24,7 +25,6 @@ void rows(const nitho::FftPlan<float>& plan, std::complex<float>* x, int n,
 void columns(const nitho::FftPlan<float>& plan, std::complex<float>* x,
              int width, std::complex<float>* scratch) {
   plan.forward_columns(x, width, scratch);
-  plan.inverse_columns(x, width, scratch);
 }
 
 }  // namespace fixture
