@@ -58,8 +58,9 @@ int main(int argc, char** argv) {
   // Protocol: every model must deliver the aerial image on the analysis
   // grid (px^2).  The CNNs run their forward pass at that resolution (their
   // outputs are not band-limited, so they cannot be computed small and
-  // upsampled exactly); Nitho computes SOCS on the smallest alias-free grid
-  // and upsamples spectrally, which is exact for band-limited intensities.
+  // upsampled exactly); Nitho's engine sums SOCS on the smallest alias-free
+  // grid and resamples to px itself, which is exact for the band-limited
+  // intensity (DESIGN.md §6.5).
   (void)bpx;
   const double tempo_tp = time_model(
       [&](const Grid<double>& m) {
@@ -75,21 +76,14 @@ int main(int argc, char** argv) {
         (void)predict_aerial(*doinn, s, px, px);
       },
       tiles);
-  const int socs_px = 2 * fast.kernel_dim() <= 64 ? 64 : px;
   // The single-mask API and the batched sweep, on the same kernel set and
   // masks.
   const double nitho_tp = time_model(
-      [&](const Grid<double>& m) {
-        (void)spectral_resample(fast.aerial_from_mask(m, socs_px), px, px);
-      },
+      [&](const Grid<double>& m) { (void)fast.aerial_from_mask(m, px); },
       tiles);
   const double nitho_batch_tp = [&] {
     WallTimer t;
-    const std::vector<Grid<double>> aerials =
-        fast.aerial_batch(masks, socs_px);
-    for (const Grid<double>& a : aerials) {
-      (void)spectral_resample(a, px, px);
-    }
+    (void)fast.aerial_batch(masks, px);
     return tiles * tile_um2 / t.seconds();
   }();
   // Rigorous work profile: a 255-order spectrum window imaged at 256^2 per

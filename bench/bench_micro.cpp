@@ -242,13 +242,17 @@ BENCHMARK(BM_AerialEngineSingle)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMi
 
 void BM_AerialEngineBatch(benchmark::State& state) {
   // Eight spectra per engine sweep; items processed counts spectra so the
-  // per-mask rate is directly comparable to BM_AerialEngineSingle.
+  // per-mask rate is directly comparable to BM_AerialEngineSingle.  Args:
+  // rank, tile (nm), out_px; {24, 1024, 128} is the imaging workload's
+  // shape (kdim 29, summed on 64 and resampled to 128).
   const int rank = static_cast<int>(state.range(0));
+  const int tile_nm = static_cast<int>(state.range(1));
+  const int out_px = static_cast<int>(state.range(2));
   OpticalSystem sys;
-  const int kdim = kernel_dim(512, sys.wavelength_nm, sys.na);
-  const Grid<cd> tcc = build_tcc(sys, 512, kdim);
+  const int kdim = kernel_dim(tile_nm, sys.wavelength_nm, sys.na);
+  const Grid<cd> tcc = build_tcc(sys, tile_nm, kdim);
   const SocsKernels socs = socs_decompose(tcc, kdim, 0.0, rank);
-  const AerialEngine engine(socs.kernels, 64);
+  const AerialEngine engine(socs.kernels, out_px);
   Rng rng(5);
   std::vector<Grid<cd>> spectra(8, Grid<cd>(kdim, kdim));
   for (auto& spec : spectra) {
@@ -258,9 +262,30 @@ void BM_AerialEngineBatch(benchmark::State& state) {
     benchmark::DoNotOptimize(engine.aerial_batch(spectra));
   }
   state.SetItemsProcessed(state.iterations() * 8);
-  state.SetLabel("rank=" + std::to_string(socs.rank()) + " batch=8");
+  state.SetLabel("rank=" + std::to_string(socs.rank()) + " kdim=" +
+                 std::to_string(kdim) + " sim_px=" +
+                 std::to_string(engine.sim_px()) + " batch=8");
 }
-BENCHMARK(BM_AerialEngineBatch)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AerialEngineBatch)
+    ->Args({8, 512, 64})
+    ->Args({32, 512, 64})
+    ->Args({128, 512, 64})
+    ->Args({24, 1024, 128})
+    ->Unit(benchmark::kMillisecond);
+
+// The engine's exact resample at the imaging workload's shape: a 64 x 64
+// intensity with band 2*29 - 1 = 57, to 128 x 128.
+void BM_BandResample(benchmark::State& state) {
+  Rng rng(6);
+  Grid<double> band(57, 57);
+  for (auto& v : band) v = rng.uniform();
+  const Grid<double> img = spectral_resample(band, 64, 64);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(band_resample(img, 57, 128));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BandResample);
 
 void BM_CmlpForward(benchmark::State& state) {
   CmlpConfig cfg;

@@ -88,6 +88,26 @@ Grid<double> spectral_resample(const Grid<double>& img, int rows, int cols) {
   return out;
 }
 
+Grid<double> band_resample(const Grid<double>& img, int band, int out_px) {
+  const int m = img.rows();
+  check(img.cols() == m, "band_resample needs a square image");
+  check(band <= out_px, "band_resample band must fit the output grid");
+  // fft2_crop_centered checks that band is odd and fits the image.
+  const Grid<cd> spectrum = fft2_crop_centered(img, band);
+  Fft2Workspace& ws = fft_thread_workspace<double>();
+  cd* plane = ws.plane_buffer(out_px * out_px);
+  band_inverse(
+      fft_plan_d(out_px), band, band, ws,
+      [&](int a, cd* row) { std::copy_n(spectrum.row(a), band, row); },
+      plane);
+  const double inv_m2 = 1.0 / (static_cast<double>(m) * m);
+  Grid<double> out(out_px, out_px);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = plane[i].real() * inv_m2;
+  }
+  return out;
+}
+
 Grid<cd> fft2_crop_centered(const Grid<double>& img, int crop) {
   const int rows = img.rows(), cols = img.cols();
   check(crop >= 1 && crop <= rows && crop <= cols, "bad spectrum crop");

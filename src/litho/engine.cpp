@@ -6,6 +6,7 @@
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "fft/pruned.hpp"
+#include "fft/spectral.hpp"
 
 namespace nitho {
 namespace {
@@ -21,6 +22,14 @@ constexpr std::int64_t kGrain = 8;
 // Windowing cannot change output bits: each mask's chunk partials and
 // their reduction order are identical regardless of which window ran it.
 constexpr std::int64_t kMaxPartialBytes = 256 << 20;
+
+// Smallest radix-2 grid that holds the intensity band of kdim-wide
+// kernels, 2*kdim - 1 frequencies, without aliasing (DESIGN.md §6.5).
+int nyquist_px(int kdim) {
+  int m = 1;
+  while (m < 2 * kdim - 1) m *= 2;
+  return m;
+}
 
 }  // namespace
 
@@ -39,7 +48,8 @@ AerialEngine::AerialEngine(
     check(k.rows() == kdim_ && k.cols() == kdim_, "kernel shape mismatch");
   }
   check(out_px_ >= kdim_, "output grid must fit the kernel support");
-  out_plan_ = &fft_plan_d(out_px_);
+  sim_px_ = std::min(out_px_, nyquist_px(kdim_));
+  sim_plan_ = &fft_plan_d(sim_px_);
 }
 
 void AerialEngine::accumulate_kernel(const Grid<cd>& kernel,
@@ -53,7 +63,7 @@ void AerialEngine::accumulate_kernel(const Grid<cd>& kernel,
   // by pixel, so every pixel sees the same square-and-add in the same
   // kernel order.
   band_intensity(
-      *out_plan_, kdim_, kdim_, fft_thread_workspace<double>(),
+      *sim_plan_, kdim_, kdim_, fft_thread_workspace<double>(),
       [&](int r, cd* row) {
         simd::cmul(row, kernel.row(r), spectrum.row(r0 + r) + c0, kdim_);
       },
@@ -86,19 +96,19 @@ std::vector<Grid<double>> AerialEngine::aerial_batch(
   const std::int64_t n = rank();
   const std::int64_t chunks = (n + kGrain - 1) / kGrain;
   const std::int64_t per_mask_bytes =
-      chunks * static_cast<std::int64_t>(out_px_) * out_px_ *
+      chunks * static_cast<std::int64_t>(sim_px_) * sim_px_ *
       static_cast<std::int64_t>(sizeof(double));
   const std::int64_t window =
       std::max<std::int64_t>(1, kMaxPartialBytes / per_mask_bytes);
   const std::vector<Grid<cd>>& kernels = *kernels_;
-  std::vector<Grid<double>> out;
-  out.reserve(static_cast<std::size_t>(batch));
+  std::vector<Grid<double>> out(static_cast<std::size_t>(batch));
   std::vector<Grid<double>> partial;
   for (std::int64_t w0 = 0; w0 < batch; w0 += window) {
     const std::int64_t wn = std::min(window, batch - w0);
-    // One task per (mask, kernel chunk); partials are reduced per mask in
-    // chunk order afterwards, which keeps the sum bit-identical regardless
-    // of batch size, window placement, worker count, or scheduling.
+    // One task per (mask, kernel chunk) on the sim_px grid; partials are
+    // reduced per mask in chunk order afterwards, which keeps the sum
+    // bit-identical regardless of batch size, window placement, worker
+    // count, or scheduling.
     partial.assign(static_cast<std::size_t>(wn * chunks), Grid<double>());
     parallel_for(wn * chunks, [&](std::int64_t ti) {
       const std::int64_t b = w0 + ti / chunks;
@@ -106,7 +116,7 @@ std::vector<Grid<double>> AerialEngine::aerial_batch(
       const Grid<cd>& spectrum = *spectra[static_cast<std::size_t>(b)];
       const int r0 = spectrum.rows() / 2 - kdim_ / 2;
       const int c0 = spectrum.cols() / 2 - kdim_ / 2;
-      Grid<double> local(out_px_, out_px_, 0.0);
+      Grid<double> local(sim_px_, sim_px_, 0.0);
       const std::int64_t begin = ci * kGrain;
       const std::int64_t end = std::min(n, begin + kGrain);
       for (std::int64_t i = begin; i < end; ++i) {
@@ -115,11 +125,17 @@ std::vector<Grid<double>> AerialEngine::aerial_batch(
       }
       partial[static_cast<std::size_t>(ti)] = std::move(local);
     });
-    for (std::int64_t b = 0; b < wn; ++b) {
-      out.push_back(reduce_ordered(
+    // One task per mask: its ordered reduction, then (when the sweep ran
+    // below out_px) its exact band-limited resample.  Each mask's output
+    // depends on that mask's partials alone.
+    parallel_for(wn, [&](std::int64_t b) {
+      Grid<double> sum = reduce_ordered(
           partial.data() + static_cast<std::size_t>(b * chunks),
-          static_cast<std::size_t>(chunks), out_px_));
-    }
+          static_cast<std::size_t>(chunks), sim_px_);
+      out[static_cast<std::size_t>(w0 + b)] =
+          sim_px_ < out_px_ ? band_resample(sum, 2 * kdim_ - 1, out_px_)
+                            : std::move(sum);
+    });
   }
   return out;
 }

@@ -27,7 +27,10 @@ namespace nitho {
 /// large as the kernels; out_px must fit the kernel support.  One-shot
 /// convenience over AerialEngine (litho/engine.hpp): callers that image
 /// many spectra against one kernel set should hold an engine and use its
-/// batch path instead.
+/// batch path instead.  The kernels are summed on the engine's sim_px
+/// grid, bit-identical to the legacy per-kernel loop at sim_px; above it
+/// the sum is resampled exactly to out_px, so it equals the legacy loop at
+/// out_px to rounding (DESIGN.md §6.5).
 Grid<double> socs_aerial(const std::vector<Grid<cd>>& kernels,
                          const Grid<cd>& spectrum, int out_px);
 

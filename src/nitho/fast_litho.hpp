@@ -3,8 +3,11 @@
 // are exported as plain complex arrays and used exactly like calibrated TCC
 // kernels — no network inference at simulation time.  The hot path is
 // mask raster -> cropped-spectrum FFT -> batched SOCS on the AerialEngine
-// (DESIGN.md §6), whose plans and workspaces are cached here per output
-// resolution.
+// (DESIGN.md §6), cached here per output resolution.  Above the kernels'
+// Nyquist grid (the smallest power of two >= 2*kdim - 1; 64 for a 1 um
+// tile's kdim 29) the engine sums the kernels on that grid and resamples
+// each mask's intensity once, exactly, to out_px (DESIGN.md §6.5); every
+// entry point below goes through it, so they all agree bit for bit.
 
 #include <memory>
 #include <string>
@@ -59,7 +62,8 @@ class FastLitho {
   }
   double resist_threshold() const { return resist_threshold_; }
 
-  /// Aerial image from a centered cropped spectrum (>= kernel support).
+  /// Aerial image from a centered cropped spectrum (>= kernel support):
+  /// AerialEngine(kernels(), out_px).aerial(spectrum), bit for bit.
   Grid<double> aerial_from_spectrum(const Grid<cd>& spectrum, int out_px) const;
 
   /// Full pipeline from a mask raster (Fourier coefficients computed via the
@@ -129,7 +133,8 @@ class FastLitho {
 };
 
 /// Model prediction for one dataset sample at out_px resolution (the
-/// evaluation path shared by all benches).
+/// evaluation path shared by all benches): the exported kernels on a
+/// transient AerialEngine, so above the Nyquist grid it is resampled too.
 Grid<double> predict_aerial(const NithoModel& model, const Sample& sample,
                             int out_px);
 

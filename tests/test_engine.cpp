@@ -1,8 +1,10 @@
 // Tests for litho/engine.hpp: the batched AerialEngine must reproduce the
-// pre-refactor socs_aerial arithmetic bit for bit (the legacy loop is
-// reimplemented here as the pinned reference), across odd/even output grids
-// and prime (Bluestein) kernel dimensions, under batching, and under
-// concurrent callers.
+// pre-refactor socs_aerial arithmetic bit for bit on its sim_px grid (the
+// legacy loop is reimplemented here as the pinned reference), across
+// odd/even output grids and prime (Bluestein) kernel dimensions, under
+// batching, and under concurrent callers.  Above sim_px its output is, by
+// memcmp, the sim_px engine's intensity through band_resample, and equal
+// to the legacy loop at out_px to rounding (DESIGN.md §6.5).
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -19,9 +22,12 @@
 #include "common/simd.hpp"
 #include "fft/fft.hpp"
 #include "fft/spectral.hpp"
+#include "layout/datasets.hpp"
+#include "layout/raster.hpp"
 #include "litho/engine.hpp"
 #include "litho/simulator.hpp"
 #include "nitho/fast_litho.hpp"
+#include "nitho/model.hpp"
 #include "support/pruned_ref.hpp"
 #include "support/test_support.hpp"
 
@@ -72,25 +78,42 @@ std::vector<Grid<cd>> random_kernels(int count, int kdim, Rng& rng) {
   return test::random_kernels(count, kdim, rng, /*dark_border=*/true);
 }
 
+// The grid the engine is expected to sum on: the smallest power of two
+// holding the intensity band 2*kdim - 1, capped at out_px.
+int expected_sim_px(int kdim, int out_px) {
+  int m = 1;
+  while (m < 2 * kdim - 1) m *= 2;
+  return std::min(m, out_px);
+}
+
+bool bit_equal(const Grid<double>& a, const Grid<double>& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 TEST(AerialEngine, BitIdenticalToLegacyAcrossOutputSizes) {
   Rng rng = make_rng(71);
+  // Every case has out_px <= m, so the engine sums on out_px itself.
   // Prime kdim exercises the Bluestein path for the kernel support; the
   // out_px list covers even, odd and prime (Bluestein) output grids.  Odd
   // and prime out_px take the natural-order column batch, powers of two the
-  // bit-reversed one.  kdim 29 at out_px 64 and 128 is the production point:
-  // the band wraps across row 0 and the column batch is radix-2.
+  // bit-reversed one.  kdim 29 at out_px 64 is the production point: the
+  // band wraps across row 0 and the column batch is radix-2.
   const std::vector<std::pair<int, std::vector<int>>> cases = {
-      {13, {13, 14, 17, 32, 33}},
-      {9, {9, 10, 17, 32, 33}},
-      {29, {64, 128}}};
+      {13, {13, 14, 17, 32}},
+      {9, {9, 10, 16, 17, 32}},
+      {3, {4}},
+      {29, {64}}};
   for (const auto& [kdim, sizes] : cases) {
     const std::vector<Grid<cd>> kernels = random_kernels(11, kdim, rng);
     const Grid<cd> spectrum = random_spectrum(kdim + 8, rng);
     for (const int out_px : sizes) {
       const AerialEngine engine(kernels, out_px);
+      ASSERT_EQ(engine.sim_px(), out_px) << "kdim=" << kdim;
       const Grid<double> got = engine.aerial(spectrum);
       const Grid<double> want = legacy_socs_aerial(kernels, spectrum, out_px);
-      EXPECT_EQ(got, want) << "kdim=" << kdim << " out_px=" << out_px;
+      EXPECT_TRUE(bit_equal(got, want))
+          << "kdim=" << kdim << " out_px=" << out_px;
     }
   }
 }
@@ -133,68 +156,149 @@ Grid<double> strip_engine_aerial(const std::vector<Grid<cd>>& kernels,
   return reduce_ordered(partial.data(), partial.size(), out_px);
 }
 
-TEST(AerialEngine, BitIdenticalToStripOracle) {
-  // memcmp on every SIMD arm at 1 and 4 workers: the production points
-  // (kdim 29 on 64 and 128), radix-2 and Bluestein grids (45, 97), a band
-  // that is every row (kdim = out_px), grids with no stage pair (1, 2) and
-  // with one pair that is both the first and the last column pass (4),
-  // and kernels whose every third row is all zeros (+0 and -0 by kernel);
-  // spectra hold -0.0 entries.
-  Rng rng = make_rng(74);
-  struct Case {
-    int kdim, out_px;
-    bool zero_rows;
-  };
-  const Case cases[] = {{29, 64, false},  {29, 128, false}, {9, 16, false},
-                        {9, 32, false},   {13, 45, false},  {29, 97, false},
-                        {16, 16, false},  {13, 13, false},  {1, 1, false},
-                        {1, 2, false},    {2, 2, false},    {3, 4, false},
-                        {3, 4, true},     {9, 16, true},    {29, 128, true},
-                        {13, 45, true}};
-  test::ArmGuard guard;
-  for (const auto& [kdim, out_px, zero_rows] : cases) {
-    std::vector<Grid<cd>> kernels = random_kernels(11, kdim, rng);
-    if (zero_rows) {
-      for (std::size_t i = 0; i < kernels.size(); ++i) {
-        const double z = i % 2 == 0 ? 0.0 : -0.0;
-        for (int r = 1; r < kdim; r += 3) {
-          for (int c = 0; c < kdim; ++c) kernels[i](r, c) = cd(z, z);
-        }
+// Kernels and three spectra for one engine case.  With zero_rows, every
+// third kernel row is all zeros (+0 and -0 by kernel); every fifth
+// spectrum entry is -0.0.
+struct EngineInputs {
+  std::vector<Grid<cd>> kernels;
+  std::vector<Grid<cd>> spectra;
+};
+
+EngineInputs engine_inputs(int kdim, bool zero_rows, Rng& rng) {
+  EngineInputs in;
+  in.kernels = random_kernels(11, kdim, rng);
+  if (zero_rows) {
+    for (std::size_t i = 0; i < in.kernels.size(); ++i) {
+      const double z = i % 2 == 0 ? 0.0 : -0.0;
+      for (int r = 1; r < kdim; r += 3) {
+        for (int c = 0; c < kdim; ++c) in.kernels[i](r, c) = cd(z, z);
       }
     }
-    std::vector<Grid<cd>> spectra;
-    for (int b = 0; b < 3; ++b) {
-      Grid<cd> sp = random_spectrum((kdim | 1) + 8, rng);
-      for (std::size_t i = 0; i < sp.size(); i += 5) sp[i] = cd(-0.0, -0.0);
-      spectra.push_back(std::move(sp));
-    }
-    std::vector<Grid<double>> want;
-    {
-      simd::force_arm(simd::Arm::kScalar);
-      for (const Grid<cd>& sp : spectra) {
-        want.push_back(strip_engine_aerial(kernels, sp, out_px));
-      }
-    }
-    const AerialEngine engine(kernels, out_px);
-    std::vector<simd::Arm> arms = test::vector_arms();
-    arms.insert(arms.begin(), simd::Arm::kScalar);
-    for (const simd::Arm arm : arms) {
-      simd::force_arm(arm);
-      for (const int workers : {1, 4}) {
-        set_parallel_workers(workers);
-        const std::vector<Grid<double>> got = engine.aerial_batch(spectra);
-        for (std::size_t b = 0; b < spectra.size(); ++b) {
-          EXPECT_EQ(std::memcmp(got[b].data(), want[b].data(),
-                                want[b].size() * sizeof(double)),
-                    0)
-              << "kdim=" << kdim << " out_px=" << out_px
-              << (zero_rows ? " zero rows" : "") << " mask " << b
-              << " arm=" << simd::arm_name(arm) << " workers=" << workers;
-        }
+  }
+  for (int b = 0; b < 3; ++b) {
+    Grid<cd> sp = random_spectrum((kdim | 1) + 8, rng);
+    for (std::size_t i = 0; i < sp.size(); i += 5) sp[i] = cd(-0.0, -0.0);
+    in.spectra.push_back(std::move(sp));
+  }
+  return in;
+}
+
+// memcmp of engine.aerial_batch(spectra) against want on every SIMD arm at
+// 1 and 4 workers.
+void expect_batch_on_every_arm(const AerialEngine& engine,
+                               const std::vector<Grid<cd>>& spectra,
+                               const std::vector<Grid<double>>& want,
+                               const std::string& label) {
+  std::vector<simd::Arm> arms = test::vector_arms();
+  arms.insert(arms.begin(), simd::Arm::kScalar);
+  for (const simd::Arm arm : arms) {
+    simd::force_arm(arm);
+    for (const int workers : {1, 4}) {
+      set_parallel_workers(workers);
+      const std::vector<Grid<double>> got = engine.aerial_batch(spectra);
+      for (std::size_t b = 0; b < spectra.size(); ++b) {
+        EXPECT_TRUE(bit_equal(got[b], want[b]))
+            << label << " mask " << b << " arm=" << simd::arm_name(arm)
+            << " workers=" << workers;
       }
     }
   }
   set_parallel_workers(0);
+}
+
+struct EngineCase {
+  int kdim, out_px;
+  bool zero_rows;
+};
+
+std::string case_label(const EngineCase& c) {
+  return "kdim=" + std::to_string(c.kdim) +
+         " out_px=" + std::to_string(c.out_px) +
+         (c.zero_rows ? " zero rows" : "");
+}
+
+TEST(AerialEngine, BitIdenticalToStripOracle) {
+  // memcmp on every SIMD arm at 1 and 4 workers, every case summed on
+  // out_px itself (out_px <= m): the production point (kdim 29 on 64),
+  // radix-2 grids, a band that is every row (kdim = out_px), grids with no
+  // stage pair (1, 2) and with one pair that is both the first and the
+  // last column pass (4), and kernels whose every third row is all zeros;
+  // spectra hold -0.0 entries.
+  Rng rng = make_rng(74);
+  const EngineCase cases[] = {{29, 64, false}, {9, 16, false},
+                              {9, 32, false},  {16, 16, false},
+                              {13, 13, false}, {1, 1, false},
+                              {2, 2, false},   {3, 4, false},
+                              {3, 4, true},    {9, 16, true}};
+  test::ArmGuard guard;
+  for (const EngineCase& c : cases) {
+    const EngineInputs in = engine_inputs(c.kdim, c.zero_rows, rng);
+    std::vector<Grid<double>> want;
+    simd::force_arm(simd::Arm::kScalar);
+    for (const Grid<cd>& sp : in.spectra) {
+      want.push_back(strip_engine_aerial(in.kernels, sp, c.out_px));
+    }
+    const AerialEngine engine(in.kernels, c.out_px);
+    ASSERT_EQ(engine.sim_px(), c.out_px) << case_label(c);
+    expect_batch_on_every_arm(engine, in.spectra, want, case_label(c));
+  }
+}
+
+// Cases with m < out_px: the engine sums on m and resamples.  The
+// production point (kdim 29 at 128), Bluestein outputs (45, 97), odd
+// outputs one above m (33), an even kdim (16: band 31, m 32) and kdim 1
+// (band 1, m 1: a constant image).
+const EngineCase kResampledCases[] = {
+    {29, 128, false}, {29, 128, true}, {13, 45, false}, {13, 45, true},
+    {29, 97, false},  {13, 33, false}, {9, 33, false},  {16, 64, false},
+    {16, 64, true},   {1, 2, false}};
+
+TEST(AerialEngine, ResampledOutputIsSimGridEngineThroughBandResample) {
+  // The pin by composition: AerialEngine(k, out_px) is, by memcmp,
+  // band_resample(AerialEngine(k, m).aerial(sp), 2*kdim - 1, out_px), the
+  // reference computed on the scalar arm, the engine on every arm at 1 and
+  // 4 workers.  With the BitIdenticalTo* pins at out_px = m this ties the
+  // resampled path to the legacy loop's arithmetic at m.
+  Rng rng = make_rng(83);
+  test::ArmGuard guard;
+  for (const EngineCase& c : kResampledCases) {
+    const EngineInputs in = engine_inputs(c.kdim, c.zero_rows, rng);
+    const int m = expected_sim_px(c.kdim, c.out_px);
+    ASSERT_LT(m, c.out_px) << case_label(c);
+    const AerialEngine engine(in.kernels, c.out_px);
+    ASSERT_EQ(engine.sim_px(), m) << case_label(c);
+    simd::force_arm(simd::Arm::kScalar);
+    const AerialEngine sim(in.kernels, m);
+    ASSERT_EQ(sim.sim_px(), m);
+    std::vector<Grid<double>> want;
+    for (const Grid<cd>& sp : in.spectra) {
+      want.push_back(band_resample(sim.aerial(sp), 2 * c.kdim - 1, c.out_px));
+    }
+    expect_batch_on_every_arm(engine, in.spectra, want, case_label(c));
+  }
+}
+
+TEST(AerialEngine, ResampledOutputWithinRoundingOfLegacy) {
+  // The intensity's band, 2*kdim - 1 frequencies, is alias-free on m, so
+  // its m samples fix it and the resample is exact up to rounding; the
+  // legacy loop computes the same samples directly on out_px.  1e-13 of
+  // the peak is ~500 double ulps of headroom over both paths' rounding.
+  Rng rng = make_rng(84);
+  for (const EngineCase& c : kResampledCases) {
+    const EngineInputs in = engine_inputs(c.kdim, c.zero_rows, rng);
+    const AerialEngine engine(in.kernels, c.out_px);
+    for (const Grid<cd>& sp : in.spectra) {
+      const Grid<double> got = engine.aerial(sp);
+      const Grid<double> want = legacy_socs_aerial(in.kernels, sp, c.out_px);
+      ASSERT_TRUE(got.same_shape(want));
+      double peak = 0.0, err = 0.0;
+      for (std::size_t a = 0; a < want.size(); ++a) {
+        peak = std::max(peak, std::abs(want[a]));
+        err = std::max(err, std::abs(got[a] - want[a]));
+      }
+      EXPECT_LE(err, 1e-13 * peak) << case_label(c);
+    }
+  }
 }
 
 TEST(AerialEngine, SocsAerialStillMatchesLegacy) {
@@ -219,10 +323,8 @@ TEST(AerialEngine, BatchBitIdenticalToSingle) {
   }
 }
 
-TEST(AerialEngine, ConcurrentBatchesAreRaceFree) {
-  Rng rng = make_rng(74);
-  const std::vector<Grid<cd>> kernels = random_kernels(17, 9, rng);
-  const AerialEngine engine(kernels, 20);
+void expect_concurrent_batches_race_free(const AerialEngine& engine,
+                                         Rng& rng) {
   std::vector<std::vector<Grid<cd>>> inputs;
   std::vector<std::vector<Grid<double>>> expected;
   for (int t = 0; t < 4; ++t) {
@@ -248,9 +350,19 @@ TEST(AerialEngine, ConcurrentBatchesAreRaceFree) {
            ++i) {
         EXPECT_EQ(got[static_cast<std::size_t>(t)][i],
                   expected[static_cast<std::size_t>(t)][i])
-            << "thread " << t << " mask " << i;
+            << "thread " << t << " mask " << i
+            << " out_px=" << engine.out_px();
       }
     }
+  }
+}
+
+TEST(AerialEngine, ConcurrentBatchesAreRaceFree) {
+  Rng rng = make_rng(74);
+  const std::vector<Grid<cd>> kernels = random_kernels(17, 9, rng);
+  // Summed on out_px (20), and summed on m = 32 then resampled (40).
+  for (const int out_px : {20, 40}) {
+    expect_concurrent_batches_race_free(AerialEngine(kernels, out_px), rng);
   }
 }
 
@@ -264,6 +376,38 @@ TEST(AerialEngine, FastLithoBatchMatchesSingleMaskCalls) {
   for (std::size_t i = 0; i < masks.size(); ++i) {
     EXPECT_EQ(batch[i], fast.aerial_from_mask(masks[i], 32)) << "mask " << i;
   }
+}
+
+TEST(FastLitho, ImagingShapeBatchMatchesSingleMaskCalls) {
+  // The imaging workload's shape: rank-24 kdim-29 kernels exported for a
+  // 1 um tile, 1 nm/px B1/B2m/B2v rasters, out_px 128 (summed on 64, then
+  // resampled).  Every batched tile must be memcmp-equal to its
+  // single-mask call, at 1 and 4 workers.
+  const NithoModel model(NithoConfig{}, 1024, 193.0, 1.35);
+  ASSERT_EQ(model.kernel_dim(), 29);
+  const FastLitho fast = FastLitho::from_model(model);
+  Rng rng = make_rng(85);
+  std::vector<Grid<double>> masks;
+  for (const DatasetKind kind :
+       {DatasetKind::B1, DatasetKind::B2m, DatasetKind::B2v}) {
+    for (int i = 0; i < 2; ++i) {
+      masks.push_back(rasterize(make_layout(kind, 1024, rng), 1));
+    }
+  }
+  std::vector<Grid<double>> single;
+  for (const Grid<double>& m : masks) {
+    single.push_back(fast.aerial_from_mask(m, 128));
+  }
+  for (const int workers : {1, 4}) {
+    set_parallel_workers(workers);
+    const std::vector<Grid<double>> batch = fast.aerial_batch(masks, 128);
+    ASSERT_EQ(batch.size(), masks.size());
+    for (std::size_t i = 0; i < masks.size(); ++i) {
+      EXPECT_TRUE(bit_equal(batch[i], single[i]))
+          << "mask " << i << " workers=" << workers;
+    }
+  }
+  set_parallel_workers(0);
 }
 
 TEST(AerialEngine, RejectsBadConfigurations) {

@@ -257,6 +257,46 @@ TEST(Spectral, ResampleBandLimitedIsExact) {
   for (std::size_t i = 0; i < g.size(); ++i) EXPECT_NEAR(back[i], g[i], 1e-9);
 }
 
+TEST(Spectral, BandResampleMatchesDenseResample) {
+  // Random images band-limited to an odd band x band window on m x m (a
+  // random band x band image spectrally upsampled: an odd grid has no
+  // Nyquist bin, so the result is real with exactly that band), resampled
+  // by the pruned path and the dense one.  Radix-2, odd, Bluestein (45,
+  // 97) and m + 1 outputs, up and down, odd m; the engine's 64 -> 128 at
+  // band 57 first.
+  struct Case {
+    int band, m, out_px;
+  };
+  const Case cases[] = {{57, 64, 128}, {57, 64, 97}, {57, 64, 65},
+                        {25, 32, 45},  {31, 32, 33}, {25, 64, 32},
+                        {25, 45, 64},  {1, 1, 2},    {3, 4, 3}};
+  Rng rng(9);
+  for (const auto& [band, m, out_px] : cases) {
+    const Grid<double> img =
+        spectral_resample(test::random_grid(band, band, rng), m, m);
+    const Grid<double> got = band_resample(img, band, out_px);
+    const Grid<double> want = spectral_resample(img, out_px, out_px);
+    ASSERT_TRUE(got.same_shape(want));
+    double peak = 0.0, err = 0.0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      peak = std::max(peak, std::abs(want[i]));
+      err = std::max(err, std::abs(got[i] - want[i]));
+    }
+    EXPECT_LE(err, 1e-13 * peak)
+        << "band=" << band << " m=" << m << " out_px=" << out_px;
+  }
+  // The grid itself is returned on its own samples: m -> m reproduces img.
+  const Grid<double> img =
+      spectral_resample(test::random_grid(57, 57, rng), 64, 64);
+  const Grid<double> same = band_resample(img, 57, 64);
+  for (std::size_t i = 0; i < img.size(); ++i) {
+    EXPECT_NEAR(same[i], img[i], 1e-13);
+  }
+  EXPECT_THROW(band_resample(img, 56, 128), check_error);  // even band
+  EXPECT_THROW(band_resample(img, 57, 56), check_error);   // band > out_px
+  EXPECT_THROW(band_resample(Grid<double>(8, 9), 3, 16), check_error);
+}
+
 TEST(Spectral, CroppedFftMatchesFullPath) {
   Rng rng(8);
   Grid<double> img(64, 64);
