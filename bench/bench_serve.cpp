@@ -1,5 +1,5 @@
 // Serving-layer throughput: LithoServer micro-batching against the raw
-// compute floor (DESIGN.md §7.6).
+// compute floor (DESIGN.md §7.5).
 //
 // Kernel values do not affect runtime, so the kernel set is synthesized
 // directly (no training) at the golden engine's shape class.  Three
@@ -270,9 +270,10 @@ int main(int argc, char** argv) {
     // NOT when this thread has finished .get()ing 8k futures: rethrowing
     // thousands of shed exceptions is client-side bookkeeping that must
     // not count against the server.
-    // 1 ms poll: each stats() call copies and sorts the latency ring, and
-    // tighter polling would steal measurable CPU from the worker's drain
-    // on this 1-core box — inflating the goodput denominator.
+    // 1 ms poll: each stats() call copies every shard's latency histogram
+    // (672 buckets), and tighter polling would steal measurable CPU from
+    // the worker's drain on a 1-core box — inflating the goodput
+    // denominator.
     while (true) {
       const serve::ShardStats st = server.stats();
       if (st.completed == st.submitted) break;

@@ -14,14 +14,18 @@ GoldenEngine::GoldenEngine(LithoConfig cfg) : cfg_(cfg) {
             cfg_.raster_px == cfg_.tile_nm,
         "raster must evenly sample the tile");
   check(cfg_.spectrum_crop % 2 == 1, "spectrum crop must be odd");
-  check(cfg_.analysis_px % cfg_.sim_px == 0 || cfg_.analysis_px >= cfg_.sim_px,
-        "analysis grid must be at least the simulation grid");
   kdim_ = ::nitho::kernel_dim(cfg_.tile_nm, cfg_.optics.wavelength_nm,
                               cfg_.optics.na);
   check(kdim_ <= cfg_.spectrum_crop,
         "spectrum crop smaller than the physical kernel support");
   check(2 * (kdim_ / 2) < cfg_.sim_px,
         "simulation grid cannot hold the kernel band");
+  // sim_px >= 1 from here on, so both checks below fail closed on a zero
+  // or negative analysis grid before make_sample could divide by it.
+  check(cfg_.analysis_px >= cfg_.sim_px,
+        "analysis grid must be at least the simulation grid");
+  check(cfg_.raster_px % cfg_.analysis_px == 0,
+        "analysis grid must evenly divide the mask raster");
   tcc_ = build_tcc(cfg_.optics, cfg_.tile_nm, kdim_);
   kernels_ = socs_decompose(tcc_, kdim_, cfg_.rank_tol, cfg_.max_rank);
   // Owning copy so the engine survives moves of this GoldenEngine.
@@ -40,8 +44,6 @@ Sample GoldenEngine::make_sample(const Grid<double>& mask_raster) const {
       1.0 / (static_cast<double>(cfg_.raster_px) * cfg_.raster_px);
   for (auto& z : s.spectrum) z *= inv_n2;
 
-  check(cfg_.raster_px % cfg_.analysis_px == 0,
-        "analysis grid must divide the raster");
   s.mask_coarse =
       downsample_area(mask_raster, cfg_.raster_px / cfg_.analysis_px);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
@@ -19,9 +20,7 @@ FastLitho::FastLitho(std::vector<Grid<cd>> kernels, double resist_threshold)
 
 FastLitho::FastLitho(std::shared_ptr<const std::vector<Grid<cd>>> kernels,
                      double resist_threshold)
-    : kernels_(std::move(kernels)),
-      resist_threshold_(resist_threshold),
-      engines_(std::make_unique<EngineCache>()) {
+    : kernels_(std::move(kernels)), resist_threshold_(resist_threshold) {
   check(kernels_ != nullptr && !kernels_->empty(),
         "FastLitho needs at least one kernel");
   kdim_ = (*kernels_)[0].rows();
@@ -45,68 +44,8 @@ FastLitho FastLitho::from_model(const NithoModel& model,
   return FastLitho(model.export_kernels(), resist_threshold);
 }
 
-std::shared_ptr<const AerialEngine> FastLitho::cache_lookup(EngineCache& cache,
-                                                            int out_px) {
-  auto& engines = cache.engines;
-  for (std::size_t i = 0; i < engines.size(); ++i) {
-    if (engines[i].first == out_px) {
-      // Touch: rotate the hit to the back (most recently used).
-      std::rotate(engines.begin() + static_cast<std::ptrdiff_t>(i),
-                  engines.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                  engines.end());
-      return engines.back().second;
-    }
-  }
-  return nullptr;
-}
-
-std::shared_ptr<const AerialEngine> FastLitho::engine_for(int out_px) const {
-  {
-    LockGuard lk(engines_->mu);
-    if (auto hit = cache_lookup(*engines_, out_px)) return hit;
-  }
-  // Miss: build outside the lock so concurrent callers (warm hits at other
-  // resolutions included) are not stalled behind the plan/scatter setup,
-  // then double-check — a racing builder may have inserted first, in which
-  // case this copy is simply dropped (engines are immutable and cheap next
-  // to the kernels they share).
-  auto engine = std::make_shared<const AerialEngine>(kernels_, out_px);
-  LockGuard lk(engines_->mu);
-  if (auto hit = cache_lookup(*engines_, out_px)) return hit;
-  auto& engines = engines_->engines;
-  engines.emplace_back(out_px, engine);
-  while (static_cast<int>(engines.size()) > engines_->capacity) {
-    engines.erase(engines.begin());  // LRU lives at the front
-  }
-  return engine;
-}
-
-void FastLitho::set_engine_cache_capacity(int capacity) {
-  check(capacity >= 1, "engine cache capacity must be >= 1");
-  LockGuard lk(engines_->mu);
-  engines_->capacity = capacity;
-  auto& engines = engines_->engines;
-  while (static_cast<int>(engines.size()) > capacity) {
-    engines.erase(engines.begin());
-  }
-}
-
-int FastLitho::engine_cache_capacity() const {
-  LockGuard lk(engines_->mu);
-  return engines_->capacity;
-}
-
-int FastLitho::engine_cache_size() const {
-  LockGuard lk(engines_->mu);
-  return static_cast<int>(engines_->engines.size());
-}
-
-std::vector<int> FastLitho::engine_cache_pxs() const {
-  LockGuard lk(engines_->mu);
-  std::vector<int> pxs;
-  pxs.reserve(engines_->engines.size());
-  for (const auto& [px, engine] : engines_->engines) pxs.push_back(px);
-  return pxs;
+AerialEngine FastLitho::engine_for(int out_px) const {
+  return AerialEngine(kernels_, out_px);
 }
 
 Grid<cd> FastLitho::spectrum_of(const Grid<double>& mask_raster) const {
@@ -119,12 +58,12 @@ Grid<cd> FastLitho::spectrum_of(const Grid<double>& mask_raster) const {
 
 Grid<double> FastLitho::aerial_from_spectrum(const Grid<cd>& spectrum,
                                              int out_px) const {
-  return engine_for(out_px)->aerial(spectrum);
+  return engine_for(out_px).aerial(spectrum);
 }
 
 Grid<double> FastLitho::aerial_from_mask(const Grid<double>& mask_raster,
                                          int out_px) const {
-  return engine_for(out_px)->aerial(spectrum_of(mask_raster));
+  return engine_for(out_px).aerial(spectrum_of(mask_raster));
 }
 
 std::vector<Grid<double>> FastLitho::aerial_batch(
@@ -149,7 +88,7 @@ std::vector<Grid<double>> FastLitho::aerial_batch(
                  spectra[static_cast<std::size_t>(i)] =
                      spectrum_of(*mask_rasters[static_cast<std::size_t>(i)]);
                });
-  return engine_for(out_px)->aerial_batch(spectra);
+  return engine_for(out_px).aerial_batch(spectra);
 }
 
 Grid<double> FastLitho::resist_from_mask(const Grid<double>& mask_raster,

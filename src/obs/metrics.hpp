@@ -4,16 +4,18 @@
 // (DESIGN.md §12).
 //
 // Design constraints, in order:
-//   * Hot paths pay one relaxed atomic RMW per event.  Counter::inc,
-//     Gauge::set/add and LogHistogram::record never take a lock; callers
+//   * Hot paths pay one atomic RMW per event (release for Counter::inc,
+//     relaxed elsewhere).  Counter::inc, Gauge::set/add and
+//     LogHistogram::record never take a lock; callers
 //     hold references obtained once at setup time, so the registry's name
 //     table is never touched per event.
-//   * Reads never block writers.  snapshot() copies atomics with relaxed
-//     loads; the registration mutex it takes is only ever contended by
-//     other registrations and snapshots, not by metric updates.  A
-//     snapshot is therefore *per-metric* atomic but not a consistent cut
-//     across metrics (a counter read early may lag one read late) — the
-//     same contract ShardStats has always had.
+//   * Reads never block writers.  snapshot() copies atomics without a
+//     lock against writers; the registration mutex it takes is only ever
+//     contended by other registrations and snapshots, not by metric
+//     updates.  A snapshot is therefore *per-metric* atomic but not a
+//     consistent cut across metrics (a counter read early may lag one read
+//     late).  Readers that need an order between two counters load them
+//     in the order their writers' happens-before edges allow (ShardStats).
 //   * Histograms are fixed-size arrays of buckets whose width grows
 //     geometrically, so quantile estimates carry a bounded *relative*
 //     error (≤ 1/(2·kSub), see LogHistogram) instead of the unbounded
@@ -40,19 +42,22 @@
 namespace nitho::obs {
 
 /// Nearest-rank index into a sorted sample of size n (>= 1), in integer
-/// arithmetic: ceil(percent/100 * n) - 1.  This is the serving layer's
-/// percentile definition (serve::percentile_index delegates here), used by
-/// HistogramSnapshot::quantile so histogram-derived and exact small-window
-/// percentiles agree on rank.
+/// arithmetic: ceil(percent/100 * n) - 1.  The ceil keeps tiny samples
+/// honest (n == 2 ranks p99 at the maximum, not the minimum).  This is
+/// the rank rule of HistogramSnapshot::quantile, hence of the serving
+/// layer's p50/p99.
 std::size_t nearest_rank_index(std::size_t n, int percent);
 
-/// Monotone event count.  Writers call inc(); readers call value().  All
-/// accesses are relaxed: the count is eventually consistent with the events
-/// it mirrors, never torn.
+/// Monotone event count.  Writers call inc(); readers call value().
+/// Increments are release RMWs and reads acquire, so a reader that sees a
+/// count also sees everything its writer did before that increment —
+/// including increments of other counters.  That is what lets one counter
+/// bound another for readers (the serving shards' completed <= submitted,
+/// DESIGN.md §12.1).  On x86 both compile to the relaxed instructions.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_release); }
+  std::uint64_t value() const { return v_.load(std::memory_order_acquire); }
 
  private:
   std::atomic<std::uint64_t> v_{0};

@@ -27,6 +27,7 @@
 #include "common/mutex.hpp"
 #include "math/grid.hpp"
 #include "nitho/fast_litho.hpp"
+#include "obs/metrics.hpp"
 
 namespace nitho::serve {
 
@@ -80,7 +81,12 @@ class RequestQueue {
   /// retry loop against a stopped server would spin forever).
   enum class PushResult { kOk, kFull, kClosed };
 
-  explicit RequestQueue(std::size_t capacity);
+  /// `admitted` (optional) counts every accepted push.  It is incremented
+  /// under the queue mutex, before any pop can hand the request out, so a
+  /// consumer's later accounting never gets ahead of it (the serving
+  /// shard's `submitted` counter, DESIGN.md §12.1).
+  explicit RequestQueue(std::size_t capacity,
+                        obs::Counter* admitted = nullptr);
 
   /// Blocks while the queue is full (backpressure).  Returns false — with
   /// req left intact — iff the queue was closed before the push succeeded.
@@ -105,12 +111,13 @@ class RequestQueue {
   std::size_t capacity() const { return capacity_; }
 
  private:
-  /// Files the request unless the queue is closed; the caller still holds
-  /// mu_ afterwards and is responsible for the not_empty_ notify once the
-  /// lock is dropped.
+  /// Files (and counts) the request unless the queue is closed; the caller
+  /// still holds mu_ afterwards and is responsible for the not_empty_
+  /// notify once the lock is dropped.
   bool push_locked(ServeRequest& req) NITHO_REQUIRES(mu_);
 
   const std::size_t capacity_;
+  obs::Counter* const admitted_;
   mutable Mutex mu_;
   CondVar not_full_;
   CondVar not_empty_;

@@ -14,14 +14,6 @@ namespace nitho::serve {
 
 using Clock = std::chrono::steady_clock;
 
-std::size_t percentile_index(std::size_t n, int percent) {
-  // One rank rule for the whole system: the exact small-window path here
-  // and obs::HistogramSnapshot::quantile share this definition, so the
-  // switchover between them (Shard::kExactWindow) changes resolution, not
-  // rank semantics.
-  return obs::nearest_rank_index(n, percent);
-}
-
 std::string latency_str(double us, std::uint64_t samples) {
   if (samples == 0) return "n/a";
   char buf[32];
@@ -29,9 +21,40 @@ std::string latency_str(double us, std::uint64_t samples) {
   return buf;
 }
 
-/// One pinned worker: queue in front, batcher inside, private FastLitho.
+/// One pinned worker: queue in front, batcher inside.
 struct LithoServer::Shard {
-  explicit Shard(std::size_t queue_capacity) : queue(queue_capacity) {}
+  Shard(std::size_t queue_capacity, obs::MetricsRegistry& metrics,
+        const std::string& prefix, std::uint32_t index)
+      : submitted(metrics.counter(prefix + "submitted")),
+        completed(metrics.counter(prefix + "completed")),
+        completed_ok(metrics.counter(prefix + "completed_ok")),
+        batches(metrics.counter(prefix + "batches")),
+        shed_at_submit(metrics.counter(prefix + "shed_at_submit")),
+        shed_in_queue(metrics.counter(prefix + "shed_in_queue")),
+        est_service_us(metrics.gauge(prefix + "est_service_us")),
+        latency(metrics.histogram(prefix + "latency_us")),
+        track(index),
+        queue(queue_capacity, &submitted) {}
+
+  /// The shard's books (DESIGN.md §12.1): registry metrics bound once
+  /// here, so the name table is never touched per event, and the only
+  /// record of these facts — ShardStats reads them back.  submitted moves
+  /// in RequestQueue::push_locked (admission, under the queue mutex);
+  /// shed_at_submit on client threads; the rest on the worker.
+  obs::Counter& submitted;
+  obs::Counter& completed;     ///< resolved: value, engine error or queue shed
+  obs::Counter& completed_ok;  ///< resolved with a value (goodput)
+  obs::Counter& batches;
+  obs::Counter& shed_at_submit;
+  obs::Counter& shed_in_queue;
+  /// EWMA of per-request service time (µs), written by the worker after
+  /// each batch, read by the submit path's wait estimate.  0 until the
+  /// first batch completes (the estimate then admits everything and the
+  /// dequeue-time check backstops it).
+  obs::Gauge& est_service_us;
+  /// Submit-to-resolve latency of every batch-served request.
+  obs::LogHistogram& latency;
+  const std::uint32_t track;  ///< tracer ring index == shard index
 
   RequestQueue queue;
   std::thread worker;
@@ -49,59 +72,13 @@ struct LithoServer::Shard {
   mutable Mutex slo_mu;
   std::shared_ptr<const SloPolicy> slo NITHO_GUARDED_BY(slo_mu);
 
-  /// Counters + latency accounting.  submitted is atomic — it sits on
-  /// the client-facing submit path, which must not contend on stats_mu
-  /// with the worker's per-batch accounting.
-  ///
-  /// Latencies live in two places (DESIGN.md §12.2): the first
-  /// kExactWindow samples verbatim in exact_latencies (exact nearest-rank
-  /// percentiles while the sample is tiny — the regime where one bucket's
-  /// resolution would be visible), and every sample in the lifetime
-  /// obs::LogHistogram behind `latency` (bounded-error percentiles at any
-  /// scale, read without copying or sorting anything).  lat_count is the
-  /// authoritative sample count; both it and exact_latencies are guarded
-  /// by stats_mu, the histogram is lock-free.
-  static constexpr std::size_t kExactWindow = 64;
-  std::atomic<std::uint64_t> submitted{0};
-  mutable Mutex stats_mu;
-  std::uint64_t completed NITHO_GUARDED_BY(stats_mu) = 0;
-  /// Resolved with a value (goodput).
-  std::uint64_t completed_ok NITHO_GUARDED_BY(stats_mu) = 0;
-  std::uint64_t batches NITHO_GUARDED_BY(stats_mu) = 0;
-  std::uint64_t lat_count NITHO_GUARDED_BY(stats_mu) = 0;
-  std::vector<double> exact_latencies NITHO_GUARDED_BY(stats_mu);
-
-  /// Admission-control accounting.  shed_at_submit sits on client threads,
-  /// shed_in_queue on the worker; both are read by stats readers.
-  std::atomic<std::uint64_t> shed_at_submit{0};
-  std::atomic<std::uint64_t> shed_in_queue{0};
-  /// EWMA of per-request service time (µs), written by the worker after
-  /// each batch, read by the submit path's wait estimate.  0 until the
-  /// first batch completes (the estimate then admits everything and the
-  /// dequeue-time check backstops it).
-  std::atomic<double> est_service_us{0.0};
   /// The worker's current flush policy + tuning decisions, published for
-  /// stats readers.
+  /// stats readers (policy state, not counts: no registry metric copies
+  /// them).
   std::atomic<int> cur_max_batch{0};
   std::atomic<std::int64_t> cur_max_delay_us{0};
   std::atomic<std::uint64_t> tune_updates{0};
   Clock::time_point started_at{};
-
-  /// Registry mirrors, bound once by the server constructor (the registry
-  /// name table is never touched per event).  The shard's own accounting
-  /// above stays authoritative for ShardStats and its ordering invariants;
-  /// these are relaxed, eventually-consistent copies for export.  The
-  /// histogram is the exception: it is the percentile source once
-  /// lat_count exceeds kExactWindow.
-  std::uint32_t track = 0;  ///< tracer ring index == shard index
-  obs::Counter* m_submitted = nullptr;
-  obs::Counter* m_completed = nullptr;
-  obs::Counter* m_completed_ok = nullptr;
-  obs::Counter* m_batches = nullptr;
-  obs::Counter* m_shed_at_submit = nullptr;
-  obs::Counter* m_shed_in_queue = nullptr;
-  obs::Gauge* m_est_service_us = nullptr;
-  obs::LogHistogram* latency = nullptr;
 
   std::shared_ptr<const FastLitho> current_snapshot() const {
     LockGuard lk(snap_mu);
@@ -129,33 +106,24 @@ LithoServer::LithoServer(FastLitho litho, ServeOptions options)
   // OPC worker — one writer per ring.
   tracer_ = std::make_unique<obs::Tracer>(
       options_.trace, static_cast<std::uint32_t>(options_.shards) + 1);
-  const auto kernels = litho.kernels_shared();
-  const double threshold = litho.resist_threshold();
+  // One snapshot for every shard: a FastLitho holds no per-caller state.
+  const auto snap = std::make_shared<const FastLitho>(std::move(litho));
   const std::shared_ptr<const SloPolicy> slo =
       options_.slo ? std::make_shared<const SloPolicy>(*options_.slo)
                    : nullptr;
+  // The shards' metrics are their only books, so two servers publishing
+  // into one registry would count into each other's ShardStats.
+  check(metrics_->snapshot().find("serve.shard0.submitted") == nullptr,
+        "LithoServer: the metrics registry already holds a server's books");
   for (int s = 0; s < options_.shards; ++s) {
-    auto shard = std::make_unique<Shard>(options_.queue_capacity);
-    const std::string prefix = "serve.shard" + std::to_string(s) + ".";
-    shard->track = static_cast<std::uint32_t>(s);
-    shard->m_submitted = &metrics_->counter(prefix + "submitted");
-    shard->m_completed = &metrics_->counter(prefix + "completed");
-    shard->m_completed_ok = &metrics_->counter(prefix + "completed_ok");
-    shard->m_batches = &metrics_->counter(prefix + "batches");
-    shard->m_shed_at_submit = &metrics_->counter(prefix + "shed_at_submit");
-    shard->m_shed_in_queue = &metrics_->counter(prefix + "shed_in_queue");
-    shard->m_est_service_us = &metrics_->gauge(prefix + "est_service_us");
-    shard->latency = &metrics_->histogram(prefix + "latency_us");
-    // Shard 0 adopts the caller's instance (keeping any engines it has
-    // already warmed); the rest share its kernels with fresh caches.  No
-    // worker exists yet, but the guarded writes still take their (trivially
-    // uncontended) locks — see common/mutex.hpp's protocol notes.
+    auto shard = std::make_unique<Shard>(
+        options_.queue_capacity, *metrics_,
+        "serve.shard" + std::to_string(s) + ".", static_cast<std::uint32_t>(s));
+    // No worker exists yet, but the guarded writes still take their
+    // (trivially uncontended) locks — see common/mutex.hpp's protocol notes.
     {
       LockGuard lk(shard->snap_mu);
-      shard->snapshot =
-          s == 0 ? std::make_shared<const FastLitho>(std::move(litho))
-                 : std::make_shared<const FastLitho>(
-                       FastLitho(kernels, threshold));
+      shard->snapshot = snap;
     }
     {
       LockGuard lk(shard->slo_mu);
@@ -243,8 +211,8 @@ bool LithoServer::shed_at_submit(Shard& shard, ServeRequest& req) {
   // recent per-request pace.  Deliberately rough — it only has to reject
   // requests that are clearly doomed; the dequeue-time check in
   // MicroBatcher::add catches the rest.
-  const double est_us = shard.est_service_us.load(std::memory_order_relaxed) *
-                        static_cast<double>(shard.queue.depth());
+  const double est_us =
+      shard.est_service_us.value() * static_cast<double>(shard.queue.depth());
   const auto eta =
       req.enqueued_at + std::chrono::microseconds(std::llround(est_us));
   if (eta <= req.deadline) return false;
@@ -255,8 +223,7 @@ bool LithoServer::shed_at_submit(Shard& shard, ServeRequest& req) {
           "litho request shed at submit: estimated queue wait exceeds "
           "deadline"));
   req.result.set_exception(kShedAtSubmit);
-  shard.shed_at_submit.fetch_add(1, std::memory_order_relaxed);
-  shard.m_shed_at_submit->inc();
+  shard.shed_at_submit.inc();
   return true;
 }
 
@@ -275,16 +242,8 @@ std::future<Grid<double>> LithoServer::submit(
     req.traced = true;
     req.trace_id = trace_seq_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Count before push so a stats reader can never observe a completed
-  // request that is not yet in submitted; roll back if the queue refuses.
-  shard.submitted.fetch_add(1, std::memory_order_relaxed);
-  if (!shard.queue.push(req)) {
-    shard.submitted.fetch_sub(1, std::memory_order_relaxed);
-    check_fail("submit on a stopped server", std::source_location::current());
-  }
-  // Registry mirror after the push succeeds, so it never needs rolling
-  // back (eventually consistent with `submitted`, never ahead of it).
-  shard.m_submitted->inc();
+  // The queue counts the admission (shard.submitted) as it files it.
+  check(shard.queue.push(req), "submit on a stopped server");
   return fut;
 }
 
@@ -299,19 +258,15 @@ std::optional<std::future<Grid<double>>> LithoServer::try_submit(
     req.traced = true;
     req.trace_id = trace_seq_.fetch_add(1, std::memory_order_relaxed);
   }
-  shard.submitted.fetch_add(1, std::memory_order_relaxed);
   switch (shard.queue.try_push(req)) {
     case RequestQueue::PushResult::kOk:
-      shard.m_submitted->inc();
       return fut;
     case RequestQueue::PushResult::kFull:
-      shard.submitted.fetch_sub(1, std::memory_order_relaxed);
       mask = std::move(req.mask);  // hand the mask back on rejection
       return std::nullopt;
     case RequestQueue::PushResult::kClosed:
       break;
   }
-  shard.submitted.fetch_sub(1, std::memory_order_relaxed);
   mask = std::move(req.mask);
   // A full queue is the caller's load-shedding signal; a stopped server
   // is not retryable and must not masquerade as backpressure.
@@ -334,15 +289,13 @@ OpcJobHandle LithoServer::resume_opc(opc::OpcCheckpoint checkpoint,
 }
 
 std::uint64_t LithoServer::swap_kernels(FastLitho fresh) {
-  const auto kernels = fresh.kernels_shared();
-  const double threshold = fresh.resist_threshold();
+  const auto snap = std::make_shared<const FastLitho>(std::move(fresh));
   // One generation per publish, serialized across concurrent swappers.
   const std::uint64_t gen =
       1 + generation_.fetch_add(1, std::memory_order_relaxed);
   for (auto& shard : shards_) {
-    auto snap = std::make_shared<const FastLitho>(FastLitho(kernels, threshold));
     LockGuard lk(shard->snap_mu);
-    shard->snapshot = std::move(snap);
+    shard->snapshot = snap;
     shard->generation = gen;
   }
   return gen;
@@ -422,20 +375,15 @@ void LithoServer::shard_loop(Shard& shard) {
   };
   // Queue sheds count as completed (a resolved future must be visible in
   // the stats), but never as goodput.  Account-then-resolve, like served
-  // batches: completed (mutex) before shed_in_queue (atomic) before the
-  // futures fail, so a client that has seen DeadlineExceeded also sees it
-  // counted, and readers never see shed_in_queue > completed (their
-  // occupancy subtraction must not underflow).
+  // batches: completed before shed_in_queue before the futures fail, so a
+  // client that has seen DeadlineExceeded also sees it counted, and
+  // readers never see shed_in_queue > completed (their occupancy
+  // subtraction must not underflow).
   const auto account_queue_sheds = [&] {
     std::vector<ServeRequest> shed = batcher.take_shed();
     if (shed.empty()) return;
-    {
-      LockGuard lk(shard.stats_mu);
-      shard.completed += shed.size();
-    }
-    shard.shed_in_queue.fetch_add(shed.size(), std::memory_order_release);
-    shard.m_completed->inc(shed.size());
-    shard.m_shed_in_queue->inc(shed.size());
+    shard.completed.inc(shed.size());
+    shard.shed_in_queue.inc(shed.size());
     // Built once: under overload this fires per expired request, and an
     // exception_ptr construction costs a throw/catch on this toolchain.
     static const std::exception_ptr kShedInQueue =
@@ -497,8 +445,7 @@ void LithoServer::execute_batch(Shard& shard, Batch batch,
     err = std::current_exception();
   }
   // Account first, then resolve: a client that has seen its future resolve
-  // must also see it counted in completed.  Latencies are computed outside
-  // the lock; only the ring-buffer append holds stats_mu.
+  // must also see it counted in completed.
   const auto now = Clock::now();
   std::vector<double> batch_latencies_us;
   batch_latencies_us.reserve(batch.requests.size());
@@ -513,32 +460,17 @@ void LithoServer::execute_batch(Shard& shard, Batch batch,
     const double per_req_us =
         std::chrono::duration<double, std::micro>(now - t0).count() /
         static_cast<double>(batch.requests.size());
-    const double prev =
-        shard.est_service_us.load(std::memory_order_relaxed);
-    const double ewma =
-        prev == 0.0 ? per_req_us : 0.8 * prev + 0.2 * per_req_us;
-    shard.est_service_us.store(ewma, std::memory_order_relaxed);
-    shard.m_est_service_us->set(ewma);
+    const double prev = shard.est_service_us.value();
+    shard.est_service_us.set(prev == 0.0 ? per_req_us
+                                         : 0.8 * prev + 0.2 * per_req_us);
   }
   if (window != nullptr) window->record_batch(batch_latencies_us);
-  // The histogram is recorded outside stats_mu (it is lock-free) and
-  // *before* lat_count moves, so a reader that sees lat_count past the
-  // exact window always finds at least that many samples in the histogram.
-  for (const double us : batch_latencies_us) shard.latency->record(us);
-  {
-    LockGuard lk(shard.stats_mu);
-    shard.completed += batch.requests.size();
-    if (!err) shard.completed_ok += batch.requests.size();
-    ++shard.batches;
-    shard.lat_count += batch_latencies_us.size();
-    for (const double us : batch_latencies_us) {
-      if (shard.exact_latencies.size() >= Shard::kExactWindow) break;
-      shard.exact_latencies.push_back(us);
-    }
-  }
-  shard.m_completed->inc(batch.requests.size());
-  if (!err) shard.m_completed_ok->inc(batch.requests.size());
-  shard.m_batches->inc();
+  // Latencies before completed, so a reader that has loaded completed
+  // finds every batch-served one of them in the histogram.
+  for (const double us : batch_latencies_us) shard.latency.record(us);
+  shard.completed.inc(batch.requests.size());
+  if (!err) shard.completed_ok.inc(batch.requests.size());
+  shard.batches.inc();
   // Span bookkeeping costs one branch per batch while tracing is off; the
   // sampled-request scan and timestamps only run when it is on.
   const bool tracing = tracer_->enabled();
@@ -585,169 +517,69 @@ void LithoServer::execute_batch(Shard& shard, Batch batch,
   }
 }
 
-namespace {
-
-/// Exact nearest-rank percentiles for the small-window regime.  `latencies`
-/// holds every sample the shard(s) have ever completed (the exact window
-/// has not been exceeded), so sorting it is cheap by construction.
-void fill_percentiles_exact(std::vector<double> latencies, ShardStats& st) {
-  if (latencies.empty()) return;  // keep the NaN sentinels: no data != 0 µs
-  std::sort(latencies.begin(), latencies.end());
-  const std::size_t n = latencies.size();
-  st.p50_latency_us = latencies[percentile_index(n, 50)];
-  st.p99_latency_us = latencies[percentile_index(n, 99)];
-}
-
-/// Histogram-derived percentiles for everything past the exact window —
-/// O(buckets), no lock against the worker, bounded relative error
-/// (obs::LogHistogram).
-void fill_percentiles_hist(const obs::HistogramSnapshot& snap,
-                           ShardStats& st) {
-  if (snap.count == 0) return;
-  st.p50_latency_us = snap.quantile(50);
-  st.p99_latency_us = snap.quantile(99);
-}
-
-double uptime_seconds(Clock::time_point started_at) {
-  return std::chrono::duration<double>(Clock::now() - started_at).count();
-}
-
-}  // namespace
-
 ShardStats LithoServer::shard_stats(int shard) const {
   check(shard >= 0 && shard < shards(), "shard_stats: shard out of range");
-  const Shard& sh = *shards_[static_cast<std::size_t>(shard)];
-  ShardStats st;
-  std::vector<double> exact;
-  std::uint64_t lat_count = 0;
-  std::uint64_t completed_ok = 0;
-  // Read shed_in_queue before completed: the worker bumps completed first,
-  // so this order keeps shed_in_queue <= completed for readers (the
-  // occupancy subtraction below must not underflow).
-  st.shed.shed_in_queue = sh.shed_in_queue.load(std::memory_order_acquire);
-  st.shed.shed_at_submit = sh.shed_at_submit.load(std::memory_order_acquire);
-  {
-    LockGuard lk(sh.stats_mu);
-    st.completed = sh.completed;
-    completed_ok = sh.completed_ok;
-    st.batches = sh.batches;
-    lat_count = sh.lat_count;
-    if (lat_count <= Shard::kExactWindow) exact = sh.exact_latencies;
-  }
-  // Read submitted after completed: every completion happens-after its own
-  // submission count, so this order keeps completed <= submitted for
-  // readers.
-  st.submitted = sh.submitted.load(std::memory_order_acquire);
-  st.queue_depth = sh.queue.depth();
-  st.shed.accepted = st.submitted;
-  // Occupancy counts only batch-served requests: queue sheds resolve
-  // without a batch.
-  const std::uint64_t batch_served = st.completed - st.shed.shed_in_queue;
-  st.mean_batch_occupancy =
-      st.batches == 0 ? 0.0
-                      : static_cast<double>(batch_served) /
-                            static_cast<double>(st.batches);
-  const double up = uptime_seconds(sh.started_at);
-  st.shed.goodput_rps = up > 0.0 ? static_cast<double>(completed_ok) / up : 0.0;
-  st.max_batch = sh.cur_max_batch.load(std::memory_order_relaxed);
-  st.max_delay_us = static_cast<double>(
-      sh.cur_max_delay_us.load(std::memory_order_relaxed));
-  st.autotune_updates = sh.tune_updates.load(std::memory_order_relaxed);
-  st.est_service_us = sh.est_service_us.load(std::memory_order_relaxed);
-  st.kernel_generation = sh.current_generation();
-  st.latency_samples = lat_count;
-  // Exact nearest-rank while the shard's whole history fits the exact
-  // window (this is where the tiny-window pins live: n == 1 must report
-  // that sample, n == 2 must report the max as p99); histogram beyond it.
-  // The worker records the histogram before bumping lat_count under the
-  // same mutex we just held, so the snapshot cannot be behind lat_count.
-  if (lat_count <= Shard::kExactWindow) {
-    fill_percentiles_exact(std::move(exact), st);
-  } else {
-    fill_percentiles_hist(sh.latency->snapshot(), st);
-  }
-  return st;
+  const auto s = static_cast<std::size_t>(shard);
+  return stats_over(s, s + 1);
 }
 
-ShardStats LithoServer::stats() const {
-  ShardStats total;
-  std::vector<double> exact;
-  std::uint64_t lat_count = 0;
-  bool all_exact = true;  // every shard's history fits its exact window
+ShardStats LithoServer::stats() const { return stats_over(0, shards_.size()); }
+
+ShardStats LithoServer::stats_over(std::size_t first, std::size_t last) const {
+  ShardStats st;
   std::uint64_t completed_ok = 0;
-  double earliest_start = 0.0;
-  for (int s = 0; s < shards(); ++s) {
-    const Shard& sh = *shards_[static_cast<std::size_t>(s)];
-    // Shed before completed, as in shard_stats: keeps the per-shard
-    // shed_in_queue <= completed ordering for the occupancy subtraction.
-    total.shed.shed_in_queue +=
-        sh.shed_in_queue.load(std::memory_order_acquire);
-    total.shed.shed_at_submit +=
-        sh.shed_at_submit.load(std::memory_order_acquire);
-    {
-      LockGuard lk(sh.stats_mu);
-      total.completed += sh.completed;
-      completed_ok += sh.completed_ok;
-      total.batches += sh.batches;
-      lat_count += sh.lat_count;
-      if (sh.lat_count <= Shard::kExactWindow) {
-        exact.insert(exact.end(), sh.exact_latencies.begin(),
-                     sh.exact_latencies.end());
-      } else {
-        all_exact = false;
-      }
-    }
-    // After completed, as in shard_stats: keeps completed <= submitted.
-    total.submitted += sh.submitted.load(std::memory_order_acquire);
-    earliest_start = std::max(earliest_start, uptime_seconds(sh.started_at));
+  double uptime_s = 0.0;
+  obs::HistogramSnapshot latency;
+  for (std::size_t s = first; s < last; ++s) {
+    const Shard& sh = *shards_[s];
+    // Load order carries the reader invariants (DESIGN.md §12.1).  The
+    // worker counts completed before shed_in_queue, and every completion
+    // happens-after its admission (counted under the queue mutex its pop
+    // takes); counters publish with release and read with acquire.  So
+    // shed_in_queue, then completed, then submitted keeps
+    // shed_in_queue <= completed <= submitted for every reader.
+    st.shed.shed_in_queue += sh.shed_in_queue.value();
+    st.shed.shed_at_submit += sh.shed_at_submit.value();
+    st.completed += sh.completed.value();
+    completed_ok += sh.completed_ok.value();
+    st.batches += sh.batches.value();
+    st.submitted += sh.submitted.value();
+    st.queue_depth += sh.queue.depth();
+    latency += sh.latency.snapshot();
+    uptime_s = std::max(
+        uptime_s,
+        std::chrono::duration<double>(Clock::now() - sh.started_at).count());
     // Policy/estimate fields have no single aggregate value; report the
     // widest currently in force so dashboards see how far tuning has
     // reached.
-    total.est_service_us =
-        std::max(total.est_service_us,
-                 sh.est_service_us.load(std::memory_order_relaxed));
-    total.max_batch = std::max(
-        total.max_batch, sh.cur_max_batch.load(std::memory_order_relaxed));
-    total.max_delay_us =
-        std::max(total.max_delay_us,
+    st.est_service_us = std::max(st.est_service_us, sh.est_service_us.value());
+    st.max_batch = std::max(st.max_batch,
+                            sh.cur_max_batch.load(std::memory_order_relaxed));
+    st.max_delay_us =
+        std::max(st.max_delay_us,
                  static_cast<double>(
                      sh.cur_max_delay_us.load(std::memory_order_relaxed)));
-    total.autotune_updates +=
-        sh.tune_updates.load(std::memory_order_relaxed);
+    st.autotune_updates += sh.tune_updates.load(std::memory_order_relaxed);
     // Swaps publish shard 0 first, so the max is the newest generation any
     // shard could hand to a submit right now.
-    total.kernel_generation =
-        std::max(total.kernel_generation, sh.current_generation());
+    st.kernel_generation =
+        std::max(st.kernel_generation, sh.current_generation());
   }
-  for (int s = 0; s < shards(); ++s) {
-    total.queue_depth += shards_[static_cast<std::size_t>(s)]->queue.depth();
-  }
-  const std::uint64_t batch_served =
-      total.completed - total.shed.shed_in_queue;
-  total.mean_batch_occupancy =
-      total.batches == 0 ? 0.0
-                         : static_cast<double>(batch_served) /
-                               static_cast<double>(total.batches);
-  total.shed.accepted = total.submitted;
-  total.shed.goodput_rps =
-      earliest_start > 0.0 ? static_cast<double>(completed_ok) / earliest_start
-                           : 0.0;
-  total.latency_samples = lat_count;
-  // Exact concat-and-sort only while *every* shard is still inside its
-  // exact window (the concatenation is then the complete sample); one
-  // histogram past the window and the whole aggregate reads as a
-  // bucket-wise histogram merge instead — mixing an exact vector into a
-  // bucketed merge would bias ranks.
-  if (all_exact) {
-    fill_percentiles_exact(std::move(exact), total);
-  } else {
-    obs::HistogramSnapshot merged;
-    for (int s = 0; s < shards(); ++s) {
-      merged += shards_[static_cast<std::size_t>(s)]->latency->snapshot();
-    }
-    fill_percentiles_hist(merged, total);
-  }
-  return total;
+  // Occupancy counts only batch-served requests: queue sheds resolve
+  // without a batch.
+  st.mean_batch_occupancy =
+      st.batches == 0
+          ? 0.0
+          : static_cast<double>(st.completed - st.shed.shed_in_queue) /
+                static_cast<double>(st.batches);
+  st.shed.goodput_rps =
+      uptime_s > 0.0 ? static_cast<double>(completed_ok) / uptime_s : 0.0;
+  // Nearest-rank bucket midpoints of the (merged) lifetime histogram;
+  // the NaN sentinels stay while no request has been served.
+  st.latency_samples = latency.count;
+  st.p50_latency_us = latency.quantile(50);
+  st.p99_latency_us = latency.quantile(99);
+  return st;
 }
 
 }  // namespace nitho::serve

@@ -6,13 +6,11 @@
 // turns it into a concurrent front end for heavy traffic:
 //
 //   * N shards, each a pinned worker thread with its own bounded
-//     RequestQueue, its own MicroBatcher and its own FastLitho instance.
-//     Shard instances share the kernel arrays (FastLitho::kernels_shared)
-//     but keep private engine caches, so shard workers never contend on
-//     workspaces.  Requests route to a shard by out_px affinity (default:
-//     each shard only ever builds engines for the resolutions it serves,
-//     which bounds memory together with the FastLitho LRU cap) or round
-//     robin.
+//     RequestQueue and its own MicroBatcher, all serving one FastLitho
+//     snapshot (FastLitho holds no per-caller state; FFT scratch is per
+//     thread, so shard workers never contend on workspaces).  Requests
+//     route to a shard by out_px affinity (default: maximal coalescing)
+//     or round robin.
 //   * A future-based client API: submit() moves the mask in and returns a
 //     std::future<Grid<double>> that resolves to exactly the grid a direct
 //     aerial_from_mask / resist_from_mask call would produce — served
@@ -42,9 +40,10 @@
 //     steers (max_batch, max_delay) toward the SLO target online.  The
 //     policy hot-swaps like kernel snapshots (swap_slo).
 //
-// Per-shard stats (queue depth, batch count/occupancy, p50/p99 latency
-// over a sliding window, shed/goodput accounting) are exported for load
-// shedding and dashboards.
+// Per-shard stats (queue depth, batch count/occupancy, p50/p99 latency,
+// shed/goodput accounting) are exported for load shedding and dashboards.
+// They are read back from the server's metrics registry, the shards' only
+// books (DESIGN.md §12.1).
 
 #include <atomic>
 #include <chrono>
@@ -102,7 +101,9 @@ struct ServeOptions {
   std::optional<SloPolicy> slo;
   /// Metrics registry the server publishes into (DESIGN.md §12); null
   /// (default) = the server creates a private one.  Pass a shared registry
-  /// to aggregate serve/train/rollout metrics in one snapshot.
+  /// to aggregate serve/train/rollout metrics in one snapshot.  Its
+  /// serve.shardN.* metrics are the server's books, so one registry holds
+  /// at most one server: the constructor throws if they already exist.
   std::shared_ptr<obs::MetricsRegistry> metrics;
   /// Request-span tracing; disabled by default.  With it disabled, every
   /// instrumentation site is a single branch and served results are
@@ -111,10 +112,8 @@ struct ServeOptions {
 };
 
 /// Admission-control accounting (all zero while no SloPolicy is active).
+/// Requests admitted into a shard queue are ShardStats::submitted.
 struct ShedStats {
-  /// Admitted into a shard queue — mirrors ShardStats::submitted so the
-  /// admission picture (accepted vs shed) reads from one struct.
-  std::uint64_t accepted = 0;
   std::uint64_t shed_at_submit = 0;  ///< rejected by the wait estimate
   std::uint64_t shed_in_queue = 0;   ///< expired while queued (on dequeue)
   /// Value-resolved completions per second of server uptime — the rate the
@@ -122,6 +121,10 @@ struct ShedStats {
   double goodput_rps = 0.0;
 };
 
+/// A reading of the registry metrics serve.shardN.* (plus queue depth and
+/// the shards' policy state).  Each counter equals its metric; the reads
+/// are ordered so that shed.shed_in_queue <= completed <= submitted holds
+/// in every reading, even mid-flight (DESIGN.md §12.1).
 struct ShardStats {
   std::uint64_t submitted = 0;   ///< requests accepted into the queue
   /// Accepted requests whose futures resolved (value, engine error, or
@@ -133,18 +136,18 @@ struct ShardStats {
   /// without ever occupying a batch slot.
   double mean_batch_occupancy = 0.0;
   std::size_t queue_depth = 0;   ///< instantaneous
-  /// Submit-to-resolve latency percentiles in microseconds.  Exact
-  /// nearest-rank over every completed request while the sample is small
-  /// (each shard keeps its first 64 latencies verbatim); beyond that,
-  /// derived from a lifetime log-bucket histogram with a bounded relative
-  /// error of ≤ 1/(2·16) ≈ 3.1% (obs::LogHistogram, DESIGN.md §12.2) —
-  /// reading them no longer copies and sorts a ring under the stats mutex.
+  /// Submit-to-resolve latency percentiles in microseconds over every
+  /// batch-served request: the nearest-rank bucket midpoint of the
+  /// lifetime log-bucket histogram serve.shardN.latency_us (merged across
+  /// shards for the aggregate), within ≤ 1/(2·16) ≈ 3.1% relative error of
+  /// the ranked sample at any count (obs::LogHistogram, DESIGN.md §12.2).
   /// NaN until the first request completes — a fresh server has no
   /// latency, not a ~0 µs one; printers should show "n/a" while
   /// latency_samples == 0.
   double p50_latency_us = std::numeric_limits<double>::quiet_NaN();
   double p99_latency_us = std::numeric_limits<double>::quiet_NaN();
-  /// Completed requests contributing to the percentiles.
+  /// Batch-served requests contributing to the percentiles (queue sheds
+  /// have no latency).
   std::uint64_t latency_samples = 0;
   /// EWMA of per-request service time (µs), the basis of the submit-path
   /// wait estimate; 0 until the first batch completes.
@@ -162,18 +165,10 @@ struct ShardStats {
 };
 
 /// Renders a ShardStats latency percentile for humans: "123 us", or "n/a"
-/// while the window is empty (the NaN sentinel must not print as 0 µs).
-/// Shared by bench_serve and serve_demo so the sentinel handling cannot
-/// drift between printers.
+/// while no request has been served (the NaN sentinel must not print as
+/// 0 µs).  Shared by bench_serve and serve_demo so the sentinel handling
+/// cannot drift between printers.
 std::string latency_str(double us, std::uint64_t samples);
-
-/// Nearest-rank percentile index into a sorted sample of size n (>= 1):
-/// ceil(percent/100 * n) - 1, computed in integer arithmetic.  The ceil is
-/// what makes small windows honest — the floor-style (99*(n-1))/100 the
-/// stats used before returns the *minimum* for n <= 2 and biases the tail
-/// low until the window fills.  Delegates to obs::nearest_rank_index so the
-/// exact small-window path and the histogram quantile share one rank rule.
-std::size_t percentile_index(std::size_t n, int percent);
 
 class LithoServer {
  public:
@@ -294,6 +289,8 @@ class LithoServer {
   /// submit — its future is already resolved with DeadlineExceeded.
   bool shed_at_submit(Shard& shard, ServeRequest& req);
   void shard_loop(Shard& shard);
+  /// Reads the books of shards [first, last) into one ShardStats.
+  ShardStats stats_over(std::size_t first, std::size_t last) const;
   void execute_batch(Shard& shard, Batch batch, TuneWindow* window);
 
   ServeOptions options_;

@@ -425,39 +425,10 @@ TEST(AerialEngine, EmptyBatchReturnsEmpty) {
   EXPECT_TRUE(engine.aerial_batch(std::vector<Grid<cd>>{}).empty());
 }
 
-TEST(FastLitho, EngineCacheIsBoundedLru) {
-  Rng rng = make_rng(78);
-  FastLitho fast(random_kernels(6, 9, rng));
-  fast.set_engine_cache_capacity(2);
-  EXPECT_EQ(fast.engine_cache_capacity(), 2);
-  const Grid<double> mask = random_mask(64, 64, rng);
-  // Record the results once, then sweep more resolutions than the cap.
-  std::vector<Grid<double>> first;
-  for (const int px : {16, 20, 24, 32}) {
-    first.push_back(fast.aerial_from_mask(mask, px));
-  }
-  EXPECT_EQ(fast.engine_cache_size(), 2);
-  EXPECT_EQ(fast.engine_cache_pxs(), (std::vector<int>{24, 32}));
-  // A hit refreshes recency: 24 survives the next insertion, 32 does not.
-  (void)fast.aerial_from_mask(mask, 24);
-  (void)fast.aerial_from_mask(mask, 16);
-  EXPECT_EQ(fast.engine_cache_pxs(), (std::vector<int>{24, 16}));
-  // Rebuilt engines reproduce the evicted engines' results bit for bit.
-  std::size_t i = 0;
-  for (const int px : {16, 20, 24, 32}) {
-    EXPECT_EQ(fast.aerial_from_mask(mask, px), first[i++]) << "px " << px;
-  }
-  // Shrinking evicts immediately.
-  fast.set_engine_cache_capacity(1);
-  EXPECT_EQ(fast.engine_cache_size(), 1);
-  EXPECT_THROW(fast.set_engine_cache_capacity(0), check_error);
-}
-
 TEST(FastLitho, SharedKernelSiblingsMatchBitForBit) {
   Rng rng = make_rng(79);
   FastLitho owner(random_kernels(8, 13, rng));
-  // A sibling built from kernels_shared() shares the arrays (no copy) but
-  // keeps its own engine cache — the serving shards are built this way.
+  // A sibling built from kernels_shared() shares the arrays (no copy).
   FastLitho sibling(owner.kernels_shared(), owner.resist_threshold());
   EXPECT_EQ(&sibling.kernels(), &owner.kernels());
   const Grid<double> mask = random_mask(64, 64, rng);

@@ -268,6 +268,17 @@ TEST(Golden, EngineReportsPhysicalKernelDim) {
   EXPECT_EQ(engine().kernel_dim(), 15);
 }
 
+TEST(Golden, RejectsAnAnalysisGridThatCannotDivideTheRaster) {
+  // make_sample divides the raster by analysis_px (0 would be SIGFPE) and
+  // downsample_area needs a positive factor, so the constructor rejects
+  // all three before any TCC work.
+  for (const int analysis_px : {0, -16, 48}) {
+    LithoConfig cfg = small_config();
+    cfg.analysis_px = analysis_px;  // 48 >= sim_px but does not divide 512
+    EXPECT_THROW(GoldenEngine{cfg}, check_error) << analysis_px;
+  }
+}
+
 TEST(Golden, SampleShapesAndRanges) {
   Rng rng(9);
   const Layout l = make_layout(DatasetKind::B1, kTile, rng);

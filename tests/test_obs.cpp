@@ -44,8 +44,8 @@ using obs::TraceEvent;
 using obs::Tracer;
 
 // ---------------------------------------------------------------------------
-// nearest_rank_index: the one rank rule shared by exact percentiles and
-// histogram quantiles.
+// nearest_rank_index: the rank rule of histogram quantiles, hence of the
+// serving layer's p50/p99.
 // ---------------------------------------------------------------------------
 
 TEST(NearestRank, MatchesCeilDefinition) {
@@ -58,9 +58,18 @@ TEST(NearestRank, MatchesCeilDefinition) {
       EXPECT_EQ(obs::nearest_rank_index(n, p), expect) << "n=" << n << " p=" << p;
     }
   }
-  // The pins the serving layer has always relied on.
+  // The pins the serving layer has always relied on.  The old floor-style
+  // (99 * (n - 1)) / 100 ranked a 2-sample p99 at the minimum; nearest
+  // rank takes the maximum, and p50 agrees with the old median.
   EXPECT_EQ(obs::nearest_rank_index(1, 50), 0u);
   EXPECT_EQ(obs::nearest_rank_index(1, 99), 0u);
+  EXPECT_EQ(obs::nearest_rank_index(2, 99), 1u);
+  EXPECT_EQ(obs::nearest_rank_index(3, 99), 2u);
+  EXPECT_EQ(obs::nearest_rank_index(101, 99), 99u);
+  EXPECT_EQ(obs::nearest_rank_index(200, 99), 197u);
+  EXPECT_EQ(obs::nearest_rank_index(3, 50), 1u);
+  EXPECT_EQ(obs::nearest_rank_index(4, 50), 1u);
+  EXPECT_EQ(obs::nearest_rank_index(5, 50), 2u);
   EXPECT_EQ(obs::nearest_rank_index(100, 50), 49u);
   EXPECT_EQ(obs::nearest_rank_index(100, 99), 98u);
   EXPECT_EQ(obs::nearest_rank_index(4096, 99), 4055u);

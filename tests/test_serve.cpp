@@ -15,6 +15,7 @@
 #include <latch>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -95,6 +96,22 @@ TEST(RequestQueue, TryPushFailsWhenFullAndKeepsRequest) {
   // The rejected request is intact: the caller can retry or fail it.
   EXPECT_EQ(c.mask(0, 0), 42.0);
   EXPECT_TRUE(c.litho != nullptr);
+}
+
+TEST(RequestQueue, CountsEveryAcceptedPushAndNothingElse) {
+  obs::Counter admitted;
+  RequestQueue q(1, &admitted);
+  auto litho = dummy_litho(7);
+  ServeRequest a = make_req(1, litho);
+  ASSERT_TRUE(q.push(a));
+  EXPECT_EQ(admitted.value(), 1u);
+  ServeRequest b = make_req(2, litho);
+  EXPECT_EQ(q.try_push(b), RequestQueue::PushResult::kFull);
+  EXPECT_EQ(admitted.value(), 1u);
+  q.close();
+  EXPECT_EQ(q.try_push(b), RequestQueue::PushResult::kClosed);
+  EXPECT_FALSE(q.push(b));
+  EXPECT_EQ(admitted.value(), 1u);
 }
 
 TEST(RequestQueue, PushBlocksUntilPopMakesRoom) {
@@ -346,6 +363,36 @@ struct ServerHarness {
   FastLitho reference;
 };
 
+// ShardStats is a reading of the registry: on a quiescent server every
+// counter equals its serve.shardN.* metric exactly, shard by shard, and
+// the percentiles are the latency histogram's own quantiles.
+void expect_stats_read_registry(const LithoServer& server) {
+  const obs::MetricsSnapshot snap = server.metrics().snapshot();
+  const auto metric = [&](const std::string& name) -> const obs::MetricValue& {
+    const obs::MetricValue* m = snap.find(name);
+    if (m == nullptr) throw std::runtime_error("missing metric " + name);
+    return *m;
+  };
+  for (int s = 0; s < server.shards(); ++s) {
+    const std::string p = "serve.shard" + std::to_string(s) + ".";
+    const ShardStats st = server.shard_stats(s);
+    EXPECT_EQ(static_cast<double>(st.submitted), metric(p + "submitted").value);
+    EXPECT_EQ(static_cast<double>(st.completed), metric(p + "completed").value);
+    EXPECT_EQ(static_cast<double>(st.batches), metric(p + "batches").value);
+    EXPECT_EQ(static_cast<double>(st.shed.shed_at_submit),
+              metric(p + "shed_at_submit").value);
+    EXPECT_EQ(static_cast<double>(st.shed.shed_in_queue),
+              metric(p + "shed_in_queue").value);
+    EXPECT_EQ(st.est_service_us, metric(p + "est_service_us").value);
+    const obs::HistogramSnapshot& lat = metric(p + "latency_us").hist;
+    EXPECT_EQ(st.latency_samples, lat.count);
+    if (lat.count > 0) {
+      EXPECT_EQ(st.p50_latency_us, lat.quantile(50));
+      EXPECT_EQ(st.p99_latency_us, lat.quantile(99));
+    }
+  }
+}
+
 TEST(LithoServer, ServesBitIdenticalResultsUnderConcurrentMixedLoad) {
   ServerHarness h(101);
   for (const auto route : {RouteMode::kOutPxAffinity, RouteMode::kRoundRobin}) {
@@ -407,7 +454,7 @@ TEST(LithoServer, ServesBitIdenticalResultsUnderConcurrentMixedLoad) {
   }
 }
 
-TEST(LithoServer, ObsEnabledServingIsBitIdenticalAndMetricsMirrorStats) {
+TEST(LithoServer, ObsEnabledServingIsBitIdenticalAndStatsReadTheRegistry) {
   // ISSUE 8 acceptance pin: with the observability layer fully on (shared
   // registry, tracing at default sampling), every served result is still
   // byte-for-byte the direct FastLitho computation — instrumentation is
@@ -438,7 +485,8 @@ TEST(LithoServer, ObsEnabledServingIsBitIdenticalAndMetricsMirrorStats) {
         << "request " << i;
   }
 
-  // The registry mirrors the authoritative shard accounting.
+  // ShardStats reads the registry, shard by shard and in aggregate.
+  expect_stats_read_registry(server);
   const ShardStats total = server.stats();
   EXPECT_EQ(total.completed, static_cast<std::uint64_t>(kRequests));
   const obs::MetricsSnapshot snap = registry->snapshot();
@@ -465,37 +513,52 @@ TEST(LithoServer, ObsEnabledServingIsBitIdenticalAndMetricsMirrorStats) {
   server.stop();
 }
 
-TEST(LithoServer, StatsSwitchToHistogramPercentilesPastExactWindow) {
-  // Past the per-shard exact window the percentiles come from the
-  // lifetime log-bucket histogram: pin that the reported values equal the
-  // histogram's own quantiles (the 3.1% relative error bound is test_obs's
-  // claim; here we pin the switchover itself).
-  ServerHarness h(116);
-  auto registry = std::make_shared<obs::MetricsRegistry>();
+TEST(LithoServer, RefusesARegistryThatAlreadyHoldsAServersBooks) {
+  // Its serve.shardN.* metrics are a server's only books: a second server
+  // on the same registry would count into the first one's ShardStats.
+  ServerHarness h(122);
   ServeOptions opts;
-  opts.shards = 1;
-  opts.batch.max_batch = 4;
-  opts.metrics = registry;
-  LithoServer server(h.make_litho(), opts);
+  opts.metrics = std::make_shared<obs::MetricsRegistry>();
+  LithoServer first(h.make_litho(), opts);
+  EXPECT_THROW(LithoServer(h.make_litho(), opts), check_error);
+  // A registry with other subsystems' metrics in it is fine.
+  opts.metrics = std::make_shared<obs::MetricsRegistry>();
+  opts.metrics->counter("rollout.swaps").inc();
+  LithoServer second(h.make_litho(), opts);
+  EXPECT_EQ(second.stats().submitted, 0u);
+}
 
-  constexpr int kRequests = 80;  // > kExactWindow (64) on the one shard
-  std::vector<std::future<Grid<double>>> futs;
-  Grid<double> mask = random_mask(32, 32, h.rng);
-  for (int i = 0; i < kRequests; ++i) {
-    futs.push_back(server.submit(mask, 16));
+TEST(LithoServer, StatsPercentilesAreTheRegistryHistogramsAtEveryCount) {
+  // p50/p99 come from the lifetime log-bucket histogram at every sample
+  // count, the tiniest included: pin that the reported values equal the
+  // histogram's own quantiles (the 3.1% relative error bound is
+  // test_obs's claim; here we pin the source).
+  for (const int n : {1, 2, 80}) {
+    ServerHarness h(116);
+    auto registry = std::make_shared<obs::MetricsRegistry>();
+    ServeOptions opts;
+    opts.shards = 1;
+    opts.batch.max_batch = 4;
+    opts.metrics = registry;
+    LithoServer server(h.make_litho(), opts);
+
+    std::vector<std::future<Grid<double>>> futs;
+    Grid<double> mask = random_mask(32, 32, h.rng);
+    for (int i = 0; i < n; ++i) futs.push_back(server.submit(mask, 16));
+    for (auto& f : futs) (void)f.get();
+
+    const obs::MetricsSnapshot snap = registry->snapshot();
+    const auto* lat = snap.find("serve.shard0.latency_us");
+    ASSERT_NE(lat, nullptr);
+    ASSERT_EQ(lat->hist.count, static_cast<std::uint64_t>(n));
+    for (const ShardStats& st : {server.shard_stats(0), server.stats()}) {
+      EXPECT_EQ(st.latency_samples, static_cast<std::uint64_t>(n)) << n;
+      EXPECT_EQ(st.p50_latency_us, lat->hist.quantile(50)) << n;
+      EXPECT_EQ(st.p99_latency_us, lat->hist.quantile(99)) << n;
+      EXPECT_LE(st.p50_latency_us, st.p99_latency_us) << n;
+    }
+    server.stop();
   }
-  for (auto& f : futs) (void)f.get();
-
-  const ShardStats st = server.shard_stats(0);
-  EXPECT_EQ(st.latency_samples, static_cast<std::uint64_t>(kRequests));
-  const obs::MetricsSnapshot snap = registry->snapshot();
-  const auto* lat = snap.find("serve.shard0.latency_us");
-  ASSERT_NE(lat, nullptr);
-  ASSERT_EQ(lat->hist.count, static_cast<std::uint64_t>(kRequests));
-  EXPECT_DOUBLE_EQ(st.p50_latency_us, lat->hist.quantile(50));
-  EXPECT_DOUBLE_EQ(st.p99_latency_us, lat->hist.quantile(99));
-  EXPECT_LE(st.p50_latency_us, st.p99_latency_us);
-  server.stop();
 }
 
 TEST(LithoServer, DeadlineFlushResolvesPartialBatches) {
@@ -786,28 +849,6 @@ TEST(LithoServer, FreshServerReportsNoLatencySamples) {
   EXPECT_GT(st.est_service_us, 0.0);
 }
 
-TEST(LithoServer, PercentileIndexIsNearestRankEvenForTinyWindows) {
-  // Regression pin for the small-window p99 underestimate: the old
-  // floor-style (99 * (n - 1)) / 100 returned the *minimum* of a 2-sample
-  // window as its p99.  Nearest rank is ceil(p/100 * n) - 1.
-  EXPECT_EQ(serve::percentile_index(1, 50), 0u);
-  EXPECT_EQ(serve::percentile_index(1, 99), 0u);
-  EXPECT_EQ(serve::percentile_index(2, 99), 1u);  // max, not min
-  EXPECT_EQ(serve::percentile_index(3, 99), 2u);
-  EXPECT_EQ(serve::percentile_index(100, 99), 98u);
-  EXPECT_EQ(serve::percentile_index(101, 99), 99u);
-  EXPECT_EQ(serve::percentile_index(200, 99), 197u);
-  // p50 agrees with the old median for every window size.
-  EXPECT_EQ(serve::percentile_index(2, 50), 0u);
-  EXPECT_EQ(serve::percentile_index(3, 50), 1u);
-  EXPECT_EQ(serve::percentile_index(4, 50), 1u);
-  EXPECT_EQ(serve::percentile_index(5, 50), 2u);
-  EXPECT_EQ(serve::percentile_index(100, 50), 49u);
-  EXPECT_EQ(serve::percentile_index(100, 100), 99u);
-  EXPECT_THROW(serve::percentile_index(0, 99), check_error);
-  EXPECT_THROW(serve::percentile_index(10, 0), check_error);
-}
-
 TEST(LithoServer, TinyWindowP99ReportsTheSlowestSample) {
   // Two completed requests: p99 must be the slower one (the old floor
   // formula reported the faster).  Latencies are noisy, so assert the
@@ -920,6 +961,7 @@ TEST(LithoServer, EstimatedWaitShedsAtSubmitUnderBacklog) {
   const ShardStats st = server.stats();
   EXPECT_EQ(st.completed, st.submitted);
   EXPECT_EQ(st.shed.shed_in_queue, 0u);
+  expect_stats_read_registry(server);
   set_parallel_workers(0);
 }
 
@@ -973,7 +1015,99 @@ TEST(LithoServer, OverloadShedsExpireInQueueAndEveryFutureResolves) {
   EXPECT_EQ(st.shed.shed_in_queue, 4u);
   EXPECT_EQ(st.completed, st.submitted);  // sheds are completions too
   EXPECT_EQ(st.latency_samples, 1u);      // only the probe was served
+  expect_stats_read_registry(server);
   set_parallel_workers(0);
+}
+
+TEST(LithoServer, ConcurrentStatsReadsKeepCountsOrdered) {
+  // ShardStats reads registry counters while the clients and workers move
+  // them; the load order alone must keep shed_in_queue <= completed <=
+  // submitted in every reading (an underflowing occupancy subtraction or
+  // a drain loop that sees completed > submitted would otherwise follow).
+  // The SLO sheds at submit and in the queue: a zero max_queue_wait sets
+  // each default deadline to its submit instant, which the estimate
+  // rejects once a backlog is measured and dequeue rejects otherwise;
+  // past deadlines always shed at submit; far ones are served.
+  ServerHarness h(121);
+  ServeOptions opts;
+  opts.shards = 2;
+  opts.queue_capacity = 16;
+  opts.batch.max_batch = 4;
+  opts.route = RouteMode::kRoundRobin;
+  serve::SloPolicy slo;
+  slo.max_queue_wait = std::chrono::microseconds(0);
+  opts.slo = slo;
+  LithoServer server(h.make_litho(), opts);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> violations{0};
+  std::thread reader([&] {
+    const auto ordered = [](const ShardStats& st) {
+      return st.shed.shed_in_queue <= st.completed &&
+             st.completed <= st.submitted;
+    };
+    while (!done.load(std::memory_order_acquire)) {
+      if (!ordered(server.stats())) violations.fetch_add(1);
+      for (int s = 0; s < server.shards(); ++s) {
+        if (!ordered(server.shard_stats(s))) violations.fetch_add(1);
+      }
+      reads.fetch_add(1);
+    }
+  });
+
+  // Submitted to an idle server (no service estimate yet), this one is
+  // admitted and then expires in the queue.
+  auto first = server.submit(random_mask(32, 32, h.rng), 16);
+  EXPECT_THROW(first.get(), serve::DeadlineExceeded);
+
+  constexpr int kClients = 3;
+  constexpr int kPerClient = 48;
+  std::vector<Grid<double>> masks;
+  for (int i = 0; i < 8; ++i) masks.push_back(random_mask(32, 32, h.rng));
+  std::vector<std::vector<std::future<Grid<double>>>> futs(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kPerClient; ++i) {
+        const auto now = Clock::now();
+        const auto deadline =
+            i % 3 == 0   ? now + std::chrono::seconds(30)       // served
+            : i % 3 == 1 ? now - std::chrono::milliseconds(1)   // hopeless
+                         : serve::kNoDeadline;  // SLO default: submit instant
+        futs[static_cast<std::size_t>(c)].push_back(server.submit(
+            masks[static_cast<std::size_t>(i) % masks.size()], 16,
+            RequestKind::kAerial, deadline));
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  std::uint64_t ok = 0, shed = 1;  // `first` was shed
+  for (auto& per_client : futs) {
+    for (auto& f : per_client) {
+      try {
+        (void)f.get();
+        ++ok;
+      } catch (const serve::DeadlineExceeded&) {
+        ++shed;
+      }
+    }
+  }
+  server.stop();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(violations.load(), 0u);
+  const ShardStats st = server.stats();
+  EXPECT_GE(ok, static_cast<std::uint64_t>(kClients * kPerClient / 3));
+  EXPECT_GE(st.shed.shed_at_submit,
+            static_cast<std::uint64_t>(kClients * kPerClient / 3));
+  EXPECT_GE(st.shed.shed_in_queue, 1u);
+  EXPECT_EQ(st.shed.shed_at_submit + st.shed.shed_in_queue, shed);
+  EXPECT_EQ(st.completed, st.submitted);
+  EXPECT_EQ(st.submitted, ok + st.shed.shed_in_queue);
+  expect_stats_read_registry(server);
 }
 
 TEST(LithoServer, SloWithAutotuneServesBitIdenticalAcceptedResults) {
